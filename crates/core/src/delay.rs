@@ -172,7 +172,12 @@ impl DelayCellDesign {
         tech: &Technology,
         var: &GlobalVariation,
     ) -> TimeInterval {
-        let full = Self::variation_multiplier(tech, var);
+        self.delay_with_multiplier(stage_index, Self::variation_multiplier(tech, var))
+    }
+
+    /// [`Self::delay_for_stage`] on a die whose
+    /// [`Self::variation_multiplier`] is already known.
+    pub(crate) fn delay_with_multiplier(&self, stage_index: usize, full: f64) -> TimeInterval {
         let base = self.nominal_delay() * (1.0 + self.tracking * (full - 1.0));
         match self.kind {
             DelayCellKind::Single => base,

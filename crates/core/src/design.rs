@@ -242,8 +242,90 @@ impl SrlrDesign {
             .with_variation(var.wire_r_mult, var.wire_c_mult);
 
         let delay_mult = DelayCellDesign::variation_multiplier(tech, var);
-        let t_rise0 = self.t_rise0 * delay_mult;
-        let t_fall = self.t_fall * delay_mult;
+
+        // Everything below up to the per-stage loop is a function of the
+        // die (design + global variation) alone, so it is evaluated once
+        // per chain; only M1 carries per-stage local mismatch.
+        let lvt_dvth = var.dvth_n + self.lvt_offset;
+        let m2_model = tech.nmos.with_variation(lvt_dvth, var.drive_mult_n);
+        let m2 = Device::new(MosKind::Nmos, m2_model, self.m2_width, tech.min_length);
+
+        // Sensitivity margin: floor plus the keeper-ratio term (a
+        // relatively stronger keeper demands more overdrive).
+        let margin =
+            self.sense_margin_floor + self.sense_margin_coeff * (self.m2_width / self.m1_width);
+
+        // Node X: standby at VDD − Vth(M2); the amplifier flips at the
+        // CMOS midpoint of its (corner-shifted) devices.
+        let x_standby = tech.vdd - m2.vth();
+        let vth_n_eff = (tech.nmos.vth0 + var.dvth_n).volts();
+        let vth_p_eff = (tech.pmos.vth0 + var.dvth_p).volts();
+        let inv_threshold = Voltage::from_volts(0.5 * (vth_n_eff + tech.vdd.volts() - vth_p_eff));
+        let statically_sound = x_standby > inv_threshold + self.static_guard;
+        let x_discharge_depth = (x_standby - inv_threshold).max(Voltage::from_millivolts(20.0));
+
+        // Node X loading: M1 drain, M2 source, amplifier input. Junction
+        // capacitance does not move with threshold or drive variation.
+        let amp_input = Capacitance::from_femtofarads(0.9);
+        let c_x =
+            tech.nmos.junction_capacitance(self.m1_width) + m2.drain_capacitance() + amp_input;
+
+        // Fixed internal energy: X cycle, amplifier load, driver input,
+        // delay-cell buffers.
+        let c_buffers = Capacitance::from_femtofarads(2.0 * self.delay_cell.buffers() as f64);
+        let c_amp_load = Capacitance::from_femtofarads(2.0);
+        let c_internal = c_x + driver.input_capacitance() + c_buffers + c_amp_load;
+
+        // Keeper opposition during a discharge: M2's current at half the
+        // discharge depth of gate overdrive (its source follows X down
+        // while its gate stays at VDD).
+        let half_depth = x_discharge_depth / 2.0;
+        let keeper_current = m2.drain_current(m2.vth() + half_depth, tech.vdd / 2.0);
+
+        // Standby leakage: M1 (gate low) plus one off device in each
+        // inverter of the delay cell/amplifier/pre-driver (~0.45 um each)
+        // plus the idle driver pull-up.
+        let leaky_inverters = 2.0 * self.delay_cell.buffers() as f64 + 3.0;
+        let reg_n = tech.nmos.with_variation(var.dvth_n, var.drive_mult_n);
+        let off_current =
+            |width: Length| Device::new(MosKind::Nmos, reg_n, width, tech.min_length).off_current();
+        let inv_leak = off_current(Length::from_micrometers(0.45)) * leaky_inverters;
+        let driver_off = off_current(Length::from_micrometers(4.0));
+
+        // M1's drive scale before its local drive mismatch.
+        let m1_ratio = self.m1_width / tech.min_length;
+        let die_drive_scale = tech.nmos.drive_factor.amperes() * m1_ratio * var.drive_mult_n;
+
+        // The delay cell depends on the stage only through its parity.
+        let delay = [0, 1].map(|parity| self.delay_cell.delay_with_multiplier(parity, delay_mult));
+
+        // The fields every stage of this die shares; the zeroed M1 fields,
+        // the index and the delay are set per stage below.
+        let die_stage = SrlrStage {
+            index: 0,
+            enabled: true,
+            vdd: tech.vdd,
+            m1_vth: Voltage::zero(),
+            keeper_current,
+            m1_drive_scale: 0.0,
+            m1_alpha: tech.nmos.alpha,
+            m1_smooth: srlr_tech::mosfet::THERMAL_VOLTAGE.volts() * tech.nmos.subthreshold_n,
+            sense_threshold: Voltage::zero(),
+            c_x,
+            x_discharge_depth,
+            t_rise0: self.t_rise0 * delay_mult,
+            t_fall: self.t_fall * delay_mult,
+            delay: delay[0],
+            min_output_width: self.min_output_width,
+            drive_level,
+            charge_resistance: charge_r,
+            discharge_resistance: discharge_r,
+            wire_resistance: wire.resistance,
+            wire_capacitance: wire.capacitance,
+            internal_energy_per_pulse: (c_internal * tech.vdd) * tech.vdd,
+            leakage: srlr_units::Power::zero(),
+            statically_sound,
+        };
 
         let built: Vec<SrlrStage> = (0..stages)
             .map(|index| {
@@ -256,101 +338,19 @@ impl SrlrDesign {
                     ),
                     None => (Voltage::zero(), 1.0),
                 };
-                let m1_model = tech.nmos.with_variation(
-                    var.dvth_n + self.lvt_offset + local_vth,
-                    var.drive_mult_n * local_drive,
-                );
-                let m1 = Device::new(MosKind::Nmos, m1_model, self.m1_width, tech.min_length);
-                let m2_model = tech
+                let m1_model = tech
                     .nmos
-                    .with_variation(var.dvth_n + self.lvt_offset, var.drive_mult_n);
-                let m2 = Device::new(MosKind::Nmos, m2_model, self.m2_width, tech.min_length);
-
-                // Sensitivity margin: floor plus the keeper-ratio term
-                // (a relatively stronger keeper demands more overdrive).
-                let margin = self.sense_margin_floor
-                    + self.sense_margin_coeff * (self.m2_width / self.m1_width);
-                let sense_threshold = m1.vth() + margin;
-
-                // Node X: standby at VDD − Vth(M2); the amplifier flips at
-                // the CMOS midpoint of its (corner-shifted) devices.
-                let x_standby = tech.vdd - m2.vth();
-                let vth_n_eff = (tech.nmos.vth0 + var.dvth_n).volts();
-                let vth_p_eff = (tech.pmos.vth0 + var.dvth_p).volts();
-                let inv_threshold =
-                    Voltage::from_volts(0.5 * (vth_n_eff + tech.vdd.volts() - vth_p_eff));
-                let statically_sound = x_standby > inv_threshold + self.static_guard;
-                let x_discharge_depth =
-                    (x_standby - inv_threshold).max(Voltage::from_millivolts(20.0));
-
-                // Node X loading: M1 drain, M2 source, amplifier input.
-                let amp_input = Capacitance::from_femtofarads(0.9);
-                let c_x = m1.drain_capacitance() + m2.drain_capacitance() + amp_input;
-
-                // Fixed internal energy: X cycle, amplifier load, driver
-                // input, delay-cell buffers.
-                let c_buffers =
-                    Capacitance::from_femtofarads(2.0 * self.delay_cell.buffers() as f64);
-                let c_amp_load = Capacitance::from_femtofarads(2.0);
-                let c_internal = c_x + driver.input_capacitance() + c_buffers + c_amp_load;
-                let internal_energy_per_pulse = (c_internal * tech.vdd) * tech.vdd;
-
-                // Keeper opposition during a discharge: M2's current at
-                // half the discharge depth of gate overdrive (its source
-                // follows X down while its gate stays at VDD).
-                let half_depth = x_discharge_depth / 2.0;
-                let keeper_current = m2.drain_current(m2.vth() + half_depth, tech.vdd / 2.0);
-
-                // Standby leakage: M1 (gate low) plus one off device in
-                // each inverter of the delay cell/amplifier/pre-driver
-                // (~0.45 um each) plus the idle driver pull-up.
-                let leaky_inverters = 2.0 * self.delay_cell.buffers() as f64 + 3.0;
-                let reg_n = tech.nmos.with_variation(var.dvth_n, var.drive_mult_n);
-                let inv_off = Device::new(
-                    MosKind::Nmos,
-                    reg_n,
-                    Length::from_micrometers(0.45),
-                    tech.min_length,
-                )
-                .off_current();
-                let driver_off = Device::new(
-                    MosKind::Nmos,
-                    reg_n,
-                    Length::from_micrometers(4.0),
-                    tech.min_length,
-                )
-                .off_current();
-                let leak_current = m1.off_current() + inv_off * leaky_inverters + driver_off;
-                let leakage = tech.vdd * leak_current;
-
+                    .with_variation(lvt_dvth + local_vth, var.drive_mult_n * local_drive);
+                let m1 = Device::new(MosKind::Nmos, m1_model, self.m1_width, tech.min_length);
+                let leak_current = m1.off_current() + inv_leak + driver_off;
                 SrlrStage {
                     index,
-                    enabled: true,
-                    vdd: tech.vdd,
                     m1_vth: m1.vth(),
-                    keeper_current,
-                    m1_drive_scale: tech.nmos.drive_factor.amperes()
-                        * m1.ratio()
-                        * var.drive_mult_n
-                        * local_drive,
-                    m1_alpha: tech.nmos.alpha,
-                    m1_smooth: srlr_tech::mosfet::THERMAL_VOLTAGE.volts()
-                        * tech.nmos.subthreshold_n,
-                    sense_threshold,
-                    c_x,
-                    x_discharge_depth,
-                    t_rise0,
-                    t_fall,
-                    delay: self.delay_cell.delay_for_stage(index, tech, var),
-                    min_output_width: self.min_output_width,
-                    drive_level,
-                    charge_resistance: charge_r,
-                    discharge_resistance: discharge_r,
-                    wire_resistance: wire.resistance,
-                    wire_capacitance: wire.capacitance,
-                    internal_energy_per_pulse,
-                    leakage,
-                    statically_sound,
+                    m1_drive_scale: die_drive_scale * local_drive,
+                    sense_threshold: m1.vth() + margin,
+                    delay: delay[index % 2],
+                    leakage: tech.vdd * leak_current,
+                    ..die_stage
                 }
             })
             .collect();

@@ -18,9 +18,9 @@
 //!   With every slot carrying the widest possible pulse, the per-segment
 //!   residue recurrence `b' = (b + d_max)·decay` has the fixed point
 //!   `b* = d_max·decay/(1 − decay)` (an upper bound of all reachable
-//!   baselines when `decay < 1`). A few rounds of interval iteration
-//!   tighten the width/peak bounds; if the final `b*` stays below every
-//!   sense threshold, **no pattern can fire a stage spuriously**.
+//!   baselines when `decay < 1`). Rounds of interval iteration tighten
+//!   the width/peak bounds; as soon as one round's `b*` stays below
+//!   every sense threshold, **no pattern can fire a stage spuriously**.
 //!
 //! Every comparison carries a relative guard band ([`REL`] = 1e-9, many
 //! orders above f64 rounding) on the *conservative* side, so a certified
@@ -39,10 +39,17 @@ use srlr_units::{TimeInterval, Voltage};
 /// costing a negligible sliver of certifiable dice.
 const REL: f64 = 1e-9;
 
-/// Interval-iteration rounds tightening the (width, residue) bounds.
-/// Round 1 starts from `peak ≤ V_drive` (always true); each round is a
-/// sound refinement, and four are enough to certify essentially every
-/// die that the exact evaluator passes at the paper's operating points.
+/// Most interval-iteration rounds tightening the (width, residue)
+/// bounds. Round 1 starts from `peak ≤ V_drive` (always true) and each
+/// round is a sound refinement of the last, so every round's `b*` is on
+/// its own an upper bound of the reachable residues. The loop therefore
+/// stops at the first round whose `b*` clears every sense threshold.
+/// Stopping early cannot change the verdict: the peak bound only falls
+/// from round to round, which narrows the widest pulse, widens the drain
+/// gap and lowers `b*`, so a die proven at round `r` is also proven at
+/// every later round. Four rounds certify essentially every die that
+/// the exact evaluator passes at the paper's operating points; almost
+/// all of them are proven at round 1.
 const ROUNDS: usize = 4;
 
 /// `true` when this die provably transmits every bit pattern cleanly at
@@ -126,8 +133,13 @@ pub(crate) fn robustly_clean(link: &SrlrLink) -> bool {
             b_star[i] = d_max * decay / (1.0 - decay);
             peak_max[i] = (b_star[i] + d_max).min(l.drive_level.volts());
         }
+        if (0..n)
+            .all(|i| b_star[i] * (1.0 + REL) < stages[i].sense_threshold.volts() * (1.0 - 1e-6))
+        {
+            return true;
+        }
     }
-    (0..n).all(|i| b_star[i] * (1.0 + REL) < stages[i].sense_threshold.volts() * (1.0 - 1e-6))
+    false
 }
 
 #[cfg(test)]
@@ -154,28 +166,47 @@ mod tests {
     fn certificate_is_sound_across_dice_and_swings() {
         // The contract that matters: certified ⇒ the exact evaluator
         // agrees, across failing (300 mV), marginal (400 mV) and healthy
-        // (500 mV) operating points.
+        // (500 mV) operating points, for both Fig. 6 designs and at slow,
+        // paper and fast rates. The certificate accepts at the first
+        // round that proves a die, so round 1's bounds must carry the
+        // proof on their own. At 5.8 Gb/s the drain gap after a widest
+        // pulse is too short for the residue bound to clear any 10-stage
+        // die here, so that leg only checks that nothing is certified
+        // wrongly.
         let tech = Technology::soi45();
-        let design = SrlrDesign::paper_proposed(&tech);
         let mc = MonteCarlo::new(&tech, 2013);
-        let config = LinkConfig::paper_default();
-        let mut certified_any = false;
-        for mv in [300.0, 400.0, 500.0] {
-            let d = design.with_nominal_swing(srlr_units::Voltage::from_millivolts(mv));
-            for trial in 0..60 {
-                let mut die = mc.die(trial);
-                let var = die.global_variation();
-                let link = SrlrLink::on_die_with_mismatch(&tech, &d, config, &var, &mut die);
-                if link.robustly_clean() {
-                    certified_any = true;
-                    assert!(
-                        passes_stress(&link, 2013, trial),
-                        "unsound certificate at {mv} mV, trial {trial}"
-                    );
+        for design in [
+            SrlrDesign::paper_proposed(&tech),
+            SrlrDesign::straightforward(&tech),
+        ] {
+            for gbps in [3.0, 4.1, 5.8] {
+                let config = LinkConfig::paper_default()
+                    .with_data_rate(DataRate::from_gigabits_per_second(gbps));
+                let mut certified_any = false;
+                for mv in [300.0, 400.0, 500.0] {
+                    let d = design.with_nominal_swing(srlr_units::Voltage::from_millivolts(mv));
+                    for trial in 0..60 {
+                        let mut die = mc.die(trial);
+                        let var = die.global_variation();
+                        let link =
+                            SrlrLink::on_die_with_mismatch(&tech, &d, config, &var, &mut die);
+                        if link.robustly_clean() {
+                            certified_any = true;
+                            assert!(
+                                passes_stress(&link, 2013, trial),
+                                "unsound certificate for {:?} at {gbps} Gb/s, {mv} mV, trial {trial}",
+                                design.driver_kind
+                            );
+                        }
+                    }
                 }
+                assert!(
+                    certified_any || gbps > 5.0,
+                    "healthy {:?} dice at {gbps} Gb/s must be certifiable",
+                    design.driver_kind
+                );
             }
         }
-        assert!(certified_any, "healthy dice must be certifiable");
     }
 
     #[test]

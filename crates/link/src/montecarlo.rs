@@ -799,11 +799,11 @@ mod tests {
         // --profile-out`: the certificate screen retires uncertified
         // lanes within their first corrupted slot, so the lockstep
         // kernel is nearly idle and the per-die screen (elaboration +
-        // certification) dominates wall-clock self time — the profile
-        // confirms ROADMAP's elaboration-headroom claim rather than
-        // the naive guess that the bit-slot loop is hot. The margin in
-        // practice is ~10x; assert a simple majority to stay robust to
-        // scheduler noise.
+        // certification) outweighs it in wall-clock self time — the
+        // profile contradicts the naive guess that the bit-slot loop is
+        // hot. The screen takes 70–85% of self time here, but the run
+        // lasts only milliseconds, so one descheduling can push it under
+        // half; it outweighs the kernel 5–9×, so assert that instead.
         use srlr_telemetry::{Clock, Profiler};
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
@@ -827,10 +827,10 @@ mod tests {
                 .sum()
         };
         let screen = self_of("elaborate") + self_of("certify");
-        let total: f64 = profile.nodes.iter().map(|n| n.self_s).sum();
+        let kernel = self_of("kernel") + self_of("bit_slot");
         assert!(
-            screen > total / 2.0,
-            "expected the per-die screen to own most self time; got {screen} of {total} s"
+            screen > kernel,
+            "expected the per-die screen to outweigh the kernel; got {screen} s vs {kernel} s"
         );
     }
 
