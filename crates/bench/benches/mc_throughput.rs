@@ -1,6 +1,6 @@
 //! Monte Carlo throughput: dice evaluated per second through the full
-//! Fig. 6 stress-test pipeline — the scalar one-die-at-a-time reference
-//! versus the certificate-screened batched engine, serial and threaded.
+//! Fig. 6 stress-test pipeline — the certificate-screened batched
+//! engine, serial and threaded.
 //!
 //! This is the harness behind the perf numbers quoted in
 //! `EXPERIMENTS.md`. Besides the ASCII table and the usual
@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::{report, thread_ladder};
 use srlr_core::SrlrDesign;
 use srlr_link::engine;
-use srlr_link::montecarlo::{McEngine, McExperiment};
+use srlr_link::montecarlo::McExperiment;
 use srlr_tech::Technology;
 use std::time::Instant;
 
@@ -61,45 +61,17 @@ fn print_throughput() {
         srlr_telemetry::Value::U64(base.batch_width as u64),
     );
 
-    // The scalar serial reference every speedup below is relative to.
-    let scalar_rate = dice_per_second(
-        &base
-            .clone()
-            .with_engine(McEngine::Scalar)
-            .with_threads(Some(1)),
-        &design,
-    );
-    println!("scalar reference, 1 thread: {scalar_rate:>10.0} dice/s");
-    run.section_metric(
-        "scalar.threads.001",
-        "dice_per_second",
-        srlr_telemetry::Value::F64(scalar_rate),
-    );
-
-    // The batched engine: single-core speedup first (the tentpole
-    // number), then the thread ladder. The ladder is deduplicated —
-    // repeated rungs on small machines used to overwrite each other's
-    // report metrics.
-    let mut batched_serial_rate = 0.0;
+    // The thread ladder, deduplicated — repeated rungs on small
+    // machines used to overwrite each other's report metrics.
     for threads in thread_ladder(available) {
         let rate = dice_per_second(&base.clone().with_threads(Some(threads)), &design);
-        if threads == 1 {
-            batched_serial_rate = rate;
-        }
-        println!(
-            "batched, {threads:>3} thread(s): {rate:>10.0} dice/s  (x{:.2} vs scalar serial)",
-            rate / scalar_rate.max(f64::MIN_POSITIVE)
-        );
+        println!("batched, {threads:>3} thread(s): {rate:>10.0} dice/s");
         run.section_metric(
             &format!("batched.threads.{threads:03}"),
             "dice_per_second",
             srlr_telemetry::Value::F64(rate),
         );
     }
-    run.metric(
-        "speedup.batched_serial_vs_scalar_serial",
-        srlr_telemetry::Value::F64(batched_serial_rate / scalar_rate.max(f64::MIN_POSITIVE)),
-    );
 
     report::emit_run_report(&run);
     report::emit_bench_snapshot(&run);
@@ -109,19 +81,12 @@ fn bench(c: &mut Criterion) {
     print_throughput();
     let tech = Technology::soi45();
     let design = SrlrDesign::paper_proposed(&tech);
-    let scalar = McExperiment::paper_default(&tech)
-        .with_runs(100)
-        .with_engine(McEngine::Scalar)
-        .with_threads(Some(1));
     let serial = McExperiment::paper_default(&tech)
         .with_runs(100)
         .with_threads(Some(1));
     let parallel = McExperiment::paper_default(&tech)
         .with_runs(100)
         .with_threads(None);
-    c.bench_function("mc_100_dice_scalar_engine", |b| {
-        b.iter(|| scalar.error_probability(&design))
-    });
     c.bench_function("mc_100_dice_serial", |b| {
         b.iter(|| serial.error_probability(&design))
     });

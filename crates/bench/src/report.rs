@@ -2,7 +2,8 @@
 //! machine-readable run-report sink.
 
 use srlr_telemetry::RunReport;
-use std::path::PathBuf;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 
 /// Directory the JSON run reports land in: `SRLR_REPORT_DIR` when set,
 /// otherwise `target/srlr-reports` under the working directory.
@@ -30,12 +31,22 @@ pub fn emit_run_report(report: &RunReport) {
 
 /// Directory committed benchmark snapshots land in:
 /// `SRLR_BENCH_SNAPSHOT_DIR` when set, otherwise the workspace root
-/// (two levels above this crate's manifest).
+/// (two levels above this crate's manifest). A relative
+/// `SRLR_BENCH_SNAPSHOT_DIR` is taken relative to the workspace root,
+/// not to the bench's working directory (`cargo bench` runs benches from
+/// the crate's own directory).
 pub fn snapshot_dir() -> PathBuf {
-    std::env::var_os("SRLR_BENCH_SNAPSHOT_DIR").map_or_else(
-        || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-        PathBuf::from,
-    )
+    resolve_snapshot_dir(std::env::var_os("SRLR_BENCH_SNAPSHOT_DIR"))
+}
+
+/// [`snapshot_dir`] for a given `SRLR_BENCH_SNAPSHOT_DIR` value.
+fn resolve_snapshot_dir(value: Option<OsString>) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    match value {
+        // `join` keeps an absolute `dir` as is.
+        Some(dir) => root.join(dir),
+        None => root,
+    }
 }
 
 /// Additionally writes `report` as `BENCH_<name>.json` in
@@ -136,6 +147,21 @@ mod tests {
         assert!(s.contains('o'));
         assert!(s.contains("ours"));
         assert_eq!(s.lines().count(), 1 + 10 + 1 + 2);
+    }
+
+    #[test]
+    fn snapshot_dir_resolves_relative_values_against_the_workspace_root() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(resolve_snapshot_dir(None), root);
+        assert_eq!(
+            resolve_snapshot_dir(Some("fresh-snapshots".into())),
+            root.join("fresh-snapshots")
+        );
+        let absolute = std::env::temp_dir().join("snapshots");
+        assert_eq!(
+            resolve_snapshot_dir(Some(absolute.clone().into_os_string())),
+            absolute
+        );
     }
 
     #[test]

@@ -163,21 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn fig6_engine_and_batch_width_do_not_change_the_answer() {
-        let batched = call(&["fig6", "--runs", "20"]).unwrap();
-        let scalar = call(&["fig6", "--runs", "20", "--engine", "scalar"]).unwrap();
-        let narrow = call(&["fig6", "--runs", "20", "--batch-width", "3"]).unwrap();
-        assert_eq!(batched, scalar, "--engine must not change the output");
-        assert_eq!(batched, narrow, "--batch-width must not change the output");
-    }
-
-    #[test]
-    fn fig6_rejects_bad_engine_and_width() {
-        let err = call(&["fig6", "--runs", "5", "--engine", "gpu"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        assert!(err.to_string().contains("gpu"));
-        let err = call(&["fig6", "--runs", "5", "--batch-width", "0"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+    fn fig6_rejects_the_removed_engine_and_batch_width_flags() {
+        // Both were output-invariant knobs with one value in use; they
+        // are now unknown flags, i.e. usage errors (exit 2).
+        for flag in [["--engine", "batched"], ["--batch-width", "32"]] {
+            let err = call(&["fig6", "--runs", "5", flag[0], flag[1]]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{flag:?}: {err}");
+        }
     }
 
     #[test]

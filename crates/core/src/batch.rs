@@ -35,7 +35,6 @@
 
 use crate::design::SrlrChain;
 use crate::kernel;
-use srlr_telemetry::Profiler;
 use srlr_units::{Energy, TimeInterval, Voltage};
 
 /// A population of independent dice advanced in lockstep through the
@@ -276,26 +275,6 @@ impl DieBatch {
     /// Panics if the slices are not `lanes` long.
     pub fn advance_slot(&mut self, bits: &[bool], received: &mut [bool]) {
         self.advance_slot_impl::<false>(bits, received, &mut |_, w| w);
-    }
-
-    /// [`DieBatch::advance_slot`] wrapped in a per-bit-slot `bit_slot`
-    /// profiler frame — the batched kernel's innermost unit of work,
-    /// where hotspot attribution expects the self time of a Monte
-    /// Carlo run to land. Free when `prof` is disabled (one branch per
-    /// call, no clock read, identical arithmetic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are not `lanes` long.
-    pub fn advance_slot_profiled(
-        &mut self,
-        bits: &[bool],
-        received: &mut [bool],
-        prof: &mut Profiler,
-    ) {
-        prof.enter("bit_slot");
-        self.advance_slot(bits, received);
-        prof.exit();
     }
 
     /// [`DieBatch::advance_slot`] with per-pulse width jitter: `jitter`

@@ -272,16 +272,11 @@ impl SrlrTransientFixture {
     }
 
     /// Runs the transient for `duration` and returns the Fig. 4 waveform
-    /// set.
-    pub fn simulate(&self, duration: TimeInterval) -> Fig4Waveforms {
-        self.simulate_observed(duration, &mut srlr_telemetry::Collector::disabled())
-    }
-
-    /// Like [`SrlrTransientFixture::simulate`], but also records the
-    /// integrator's step-control statistics (step count, dv-target
-    /// misses, stiffness caps, min/max dt, per-element eval counts) as
-    /// `transient.*` metrics on `collector`. Free when the collector is
-    /// disabled; the waveforms are bit-identical either way.
+    /// set, recording the integrator's step-control statistics (step
+    /// count, dv-target misses, stiffness caps, min/max dt, per-element
+    /// eval counts) as `transient.*` metrics on `collector`. Free when
+    /// the collector is disabled; the waveforms are bit-identical either
+    /// way.
     pub fn simulate_observed(
         &self,
         duration: TimeInterval,

@@ -68,6 +68,6 @@ pub use error_model::LinkErrorModel;
 pub use eye::{measure_eye, EyeReport};
 pub use link::{LinkConfig, SrlrLink, TransmitOutcome};
 pub use metrics::LinkMetrics;
-pub use montecarlo::{robustness_ratio, McEngine, McExperiment};
+pub use montecarlo::{robustness_ratio, McExperiment};
 pub use multicast::MulticastLink;
 pub use prbs::Prbs;

@@ -10,10 +10,9 @@
 //! scalar references.
 //!
 //! Every check takes the caller's [`Profiler`]: each advanced slot is a
-//! `bit_slot` frame (recorded inside [`DieBatch`]) and each retired
-//! lane bumps a `lane_kill` tally. A disabled profiler costs one
-//! branch per call and never touches the arithmetic, so the
-//! bit-identity contract is unaffected.
+//! `bit_slot` frame and each retired lane bumps a `lane_kill` tally. A
+//! disabled profiler costs one branch per call and never touches the
+//! arithmetic, so the bit-identity contract is unaffected.
 
 use crate::link::SrlrLink;
 use srlr_core::DieBatch;
@@ -111,8 +110,9 @@ impl Lockstep {
 
     /// One bit slot; returns `true` when every lane has been retired.
     fn step(&mut self, prof: &mut Profiler) -> bool {
-        self.batch
-            .advance_slot_profiled(&self.tx, &mut self.rx, prof);
+        prof.enter("bit_slot");
+        self.batch.advance_slot(&self.tx, &mut self.rx);
+        prof.exit();
         for lane in 0..self.ok.len() {
             if self.batch.is_alive(lane) && self.rx[lane] != self.tx[lane] {
                 self.ok[lane] = false;

@@ -16,17 +16,18 @@
 //!
 //! # The batched hot path
 //!
-//! By default ([`McEngine::Batched`]) trials are evaluated in batches of
-//! [`McExperiment::batch_width`] dice: each die is first screened by the
-//! conservative clean-link certificate ([`SrlrLink::robustly_clean`]),
-//! and only the unproven dice are packed into a structure-of-arrays
-//! [`srlr_core::DieBatch`] that advances all of them through the stage map one bit
-//! slot at a time, with a per-lane alive mask standing in for the scalar
-//! early exit. Because the certificate is conservative and the batch
-//! evaluator shares its arithmetic with the scalar stage map (see
-//! [`srlr_core::batch`]), the batched engine is **bit-identical** to
-//! [`McEngine::Scalar`] — results and telemetry bytes — at every batch
-//! width and thread count, which the crate's identity tests assert.
+//! Trials are evaluated in batches of [`McExperiment::batch_width`]
+//! dice: each die is first screened by the conservative clean-link
+//! certificate ([`SrlrLink::robustly_clean`]), and only the unproven
+//! dice are packed into a structure-of-arrays [`srlr_core::DieBatch`]
+//! that advances all of them through the stage map one bit slot at a
+//! time, with a per-lane alive mask standing in for the scalar early
+//! exit. Because the certificate is conservative and the batch evaluator
+//! shares its arithmetic with the scalar stage map (see
+//! [`srlr_core::batch`]), the result is **bit-identical** to running
+//! every die through [`SrlrLink::transmits_cleanly`] one at a time — at
+//! every batch width and thread count, which the crate's identity tests
+//! assert against exactly that per-die oracle.
 
 use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
@@ -35,7 +36,7 @@ use crate::prbs::Prbs;
 use srlr_core::SrlrDesign;
 use srlr_tech::montecarlo::ErrorProbability;
 use srlr_tech::{MonteCarlo, Technology};
-use srlr_telemetry::{Collector, Obs, Profiler, Value};
+use srlr_telemetry::{Obs, Profiler, Value};
 use srlr_units::Voltage;
 
 /// The Sec. III-B deterministic worst-case stress patterns, shared by
@@ -46,25 +47,6 @@ const WORST_PATTERNS: [&[bool]; 3] = [
     &[true, true, true, true, false, true, true, true, true, false],
     &[true; 16],
 ];
-
-/// Which evaluator runs the per-die stress test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McEngine {
-    /// One die at a time through the scalar stage map — the reference
-    /// implementation every batched result is checked against.
-    Scalar,
-    /// Certificate-screened, structure-of-arrays batches (the default):
-    /// an order of magnitude faster, bit-identical by contract.
-    Batched,
-}
-
-/// How a trial's telemetry span is shaped (single-design runs put every
-/// die on track 0; sweeps put each die on its sweep point's track).
-#[derive(Debug, Clone, Copy)]
-enum TrialSpanShape {
-    Single,
-    Sweep,
-}
 
 /// The Monte Carlo link-failure experiment.
 #[derive(Debug, Clone)]
@@ -81,9 +63,7 @@ pub struct McExperiment<'a> {
     /// Worker threads: `Some(n)` forces `n`, `None` defers to the
     /// `SRLR_THREADS` environment variable (and ultimately the machine).
     pub threads: Option<usize>,
-    /// Which evaluator runs the trials (default [`McEngine::Batched`]).
-    pub engine: McEngine,
-    /// Dice per [`srlr_core::DieBatch`] in the batched engine. Any width gives
+    /// Dice per [`srlr_core::DieBatch`] work item. Any width gives
     /// identical results; it only trades scheduling granularity against
     /// batching efficiency.
     pub batch_width: usize,
@@ -99,7 +79,6 @@ impl<'a> McExperiment<'a> {
             seed: 2013,
             prbs_bits: 256,
             threads: None,
-            engine: McEngine::Batched,
             batch_width: 32,
         }
     }
@@ -133,15 +112,7 @@ impl<'a> McExperiment<'a> {
         self
     }
 
-    /// Selects the evaluator (default [`McEngine::Batched`]); results
-    /// are bit-identical either way.
-    #[must_use]
-    pub fn with_engine(mut self, engine: McEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the batched engine's dice-per-batch width.
+    /// Overrides the dice-per-batch width.
     ///
     /// # Panics
     ///
@@ -153,145 +124,30 @@ impl<'a> McExperiment<'a> {
         self
     }
 
-    /// Whether die `trial` of this experiment, built for `design`,
-    /// transmits all stress patterns without error.
-    ///
-    /// This is the per-trial unit of work: a pure function of
-    /// `(self.seed, trial)`, independent of every other trial.
-    fn trial_passes(&self, design: &SrlrDesign, mc: &MonteCarlo, trial: u64) -> bool {
-        let mut die = mc.die(trial);
-        let var = die.global_variation();
-        let link = SrlrLink::on_die_with_mismatch(self.tech, design, self.config, &var, &mut die);
-        for p in WORST_PATTERNS {
-            if !link.transmits_cleanly(p) {
-                return false;
-            }
-        }
-        let bits = Prbs::prbs15_for_stream(self.seed, trial).take_bits(self.prbs_bits);
-        link.transmits_cleanly(&bits)
-    }
-
-    /// Records one die's telemetry span, identically for both engines.
-    fn emit_trial_span(&self, child: &mut Collector, shape: TrialSpanShape, i: usize, pass: bool) {
-        match shape {
-            TrialSpanShape::Single => child.span(
-                "trial",
-                "mc",
-                i as f64,
-                1.0,
-                0,
-                &[("trial", Value::U64(i as u64)), ("pass", Value::Bool(pass))],
-            ),
-            TrialSpanShape::Sweep => {
-                let (point, trial) = (i / self.runs, i % self.runs);
-                child.span(
-                    "trial",
-                    "mc.sweep",
-                    i as f64,
-                    1.0,
-                    point as u64,
-                    &[
-                        ("point", Value::U64(point as u64)),
-                        ("trial", Value::U64(trial as u64)),
-                        ("pass", Value::Bool(pass)),
-                    ],
-                );
-            }
-        }
-    }
-
     /// Pass/fail of every die in the flattened `designs × runs` workload,
-    /// dispatched to the configured engine.
-    fn flat_passes(
-        &self,
-        designs: &[SrlrDesign],
-        shape: TrialSpanShape,
-        obs: &mut Obs,
-    ) -> Vec<bool> {
-        match self.engine {
-            McEngine::Scalar => self.flat_passes_scalar(designs, shape, obs),
-            McEngine::Batched => self.flat_passes_batched(designs, shape, obs),
-        }
-    }
-
-    /// The scalar reference: one die per work item.
-    fn flat_passes_scalar(
-        &self,
-        designs: &[SrlrDesign],
-        shape: TrialSpanShape,
-        obs: &mut Obs,
-    ) -> Vec<bool> {
-        let mc = MonteCarlo::new(self.tech, self.seed);
-        let threads = engine::resolve_threads(self.threads);
-        let total = designs.len() * self.runs;
-        if !obs.is_active() {
-            return engine::par_map_indexed(total, threads, |i| {
-                self.trial_passes(&designs[i / self.runs], &mc, (i % self.runs) as u64)
-            });
-        }
-        let (collector, progress, profiler) = (&obs.collector, &obs.progress, &obs.profiler);
-        let outcomes = engine::par_map_indexed(total, threads, |i| {
-            let mut prof = profiler.child();
-            prof.enter("mc.trial");
-            let pass = self.trial_passes(&designs[i / self.runs], &mc, (i % self.runs) as u64);
-            prof.exit();
-            progress.tick();
-            let mut child = collector.child();
-            self.emit_trial_span(&mut child, shape, i, pass);
-            (pass, child, prof)
-        });
-        let mut passes = Vec::with_capacity(total);
-        for (pass, child, prof) in outcomes {
-            obs.collector.merge(child);
-            obs.profiler.merge(prof);
-            passes.push(pass);
-        }
-        passes
-    }
-
-    /// The batched engine: one [`DieBatch`] per work item. Workers
-    /// record per-lane spans in flattened-index order into one child
-    /// collector per batch; children merge back in batch order, so the
-    /// telemetry byte stream equals the scalar engine's.
-    fn flat_passes_batched(
-        &self,
-        designs: &[SrlrDesign],
-        shape: TrialSpanShape,
-        obs: &mut Obs,
-    ) -> Vec<bool> {
+    /// one [`srlr_core::DieBatch`] of `batch_width` dice per work item.
+    ///
+    /// Each worker profiles its batch into a [`Profiler::child`] and
+    /// ticks `obs.progress` once per die; the calling thread merges the
+    /// profiles in batch order. The verdicts come back in flattened-index
+    /// order at any thread count and batch width.
+    fn flat_passes(&self, designs: &[SrlrDesign], obs: &mut Obs) -> Vec<bool> {
         let mc = MonteCarlo::new(self.tech, self.seed);
         let threads = engine::resolve_threads(self.threads);
         let total = designs.len() * self.runs;
         let width = self.batch_width;
-        let n_batches = total.div_ceil(width);
-        if !obs.is_active() {
-            let chunks = engine::par_map_indexed(n_batches, threads, |b| {
-                let first = b * width;
-                self.eval_batch(
-                    designs,
-                    &mc,
-                    first,
-                    width.min(total - first),
-                    &mut Profiler::disabled(),
-                )
-            });
-            return chunks.concat();
-        }
-        let (collector, progress, profiler) = (&obs.collector, &obs.progress, &obs.profiler);
-        let outcomes = engine::par_map_indexed(n_batches, threads, |b| {
+        let (progress, profiler) = (&obs.progress, &obs.profiler);
+        let batches = engine::par_map_indexed(total.div_ceil(width), threads, |b| {
             let first = b * width;
             let mut prof = profiler.child();
             let passes = self.eval_batch(designs, &mc, first, width.min(total - first), &mut prof);
-            let mut child = collector.child();
-            for (k, &pass) in passes.iter().enumerate() {
+            for _ in &passes {
                 progress.tick();
-                self.emit_trial_span(&mut child, shape, first + k, pass);
             }
-            (passes, child, prof)
+            (passes, prof)
         });
         let mut passes = Vec::with_capacity(total);
-        for (chunk, child, prof) in outcomes {
-            obs.collector.merge(child);
+        for (chunk, prof) in batches {
             obs.profiler.merge(prof);
             passes.extend(chunk);
         }
@@ -307,8 +163,8 @@ impl<'a> McExperiment<'a> {
     /// `cert_hit`/`cert_miss` tallies (batch occupancy = misses per
     /// batch), and a `kernel` frame whose `bit_slot`/`lane_kill`
     /// children come from the lockstep harness. The timing sink is
-    /// exempt from the engine's telemetry-byte-identity contract — the
-    /// scalar engine has no batches to profile.
+    /// exempt from the telemetry-byte-identity contract: its batch
+    /// frames depend on the batch width.
     fn eval_batch(
         &self,
         designs: &[SrlrDesign],
@@ -319,8 +175,8 @@ impl<'a> McExperiment<'a> {
     ) -> Vec<bool> {
         let mut pass = vec![false; count];
         prof.enter("mc.batch");
-        // Build each die exactly as the scalar trial does; certified
-        // dice are proven clean for every pattern and skip simulation.
+        // Build each die; certified dice are proven clean for every
+        // pattern and skip simulation.
         let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
         for (k, slot) in pass.iter_mut().enumerate() {
             let i = first + k;
@@ -387,36 +243,9 @@ impl<'a> McExperiment<'a> {
     /// Runs the experiment for one design, returning the error
     /// probability over the sampled dice.
     pub fn error_probability(&self, design: &SrlrDesign) -> ErrorProbability {
-        self.error_probability_observed(design, &mut Obs::none())
-    }
-
-    /// [`McExperiment::error_probability`] with observability: each die
-    /// becomes a `trial` span (timestamped by its trial index, the
-    /// experiment's logical clock), per-run totals land as `mc.*`
-    /// metrics, and `obs.progress` ticks once per die.
-    ///
-    /// When `obs` is inactive this *is* the untraced path — same code,
-    /// no allocation, bit-identical result. When active, workers record
-    /// into per-item child collectors that are merged back in item
-    /// order, so the telemetry bytes are identical at any thread count
-    /// (and across both engines).
-    pub fn error_probability_observed(
-        &self,
-        design: &SrlrDesign,
-        obs: &mut Obs,
-    ) -> ErrorProbability {
-        obs.profiler.enter("mc.run");
-        let passes = self.flat_passes(std::slice::from_ref(design), TrialSpanShape::Single, obs);
-        obs.profiler.exit();
-        let failures = passes.iter().filter(|&&ok| !ok).count();
-        obs.collector.add("mc.trials", self.runs as u64);
-        obs.collector.add("mc.failures", failures as u64);
-        obs.collector.set_metric(
-            "mc.error_probability",
-            Value::F64(failures as f64 / self.runs as f64),
-        );
+        let passes = self.flat_passes(std::slice::from_ref(design), &mut Obs::none());
         ErrorProbability {
-            failures,
+            failures: passes.iter().filter(|&&ok| !ok).count(),
             trials: self.runs,
         }
     }
@@ -434,13 +263,15 @@ impl<'a> McExperiment<'a> {
         self.swing_sweep_observed(design, swings, &mut Obs::none())
     }
 
-    /// [`McExperiment::swing_sweep`] with observability (see
-    /// [`McExperiment::error_probability_observed`]): each die becomes a
-    /// `trial` span on the track of its sweep point, per-point tallies
-    /// land as `mc.point.NNN.*` metrics (the prefix widens past 1000
-    /// points so lexicographic order always matches numeric order), and
-    /// `obs.progress` ticks once per die across the whole flattened
-    /// workload.
+    /// [`McExperiment::swing_sweep`] with observability: each die becomes
+    /// a `trial` span (timestamped by its flattened index, the
+    /// experiment's logical clock) on the track of its sweep point,
+    /// per-point tallies land as `mc.point.NNN.*` metrics (the prefix
+    /// widens past 1000 points so lexicographic order always matches
+    /// numeric order), `obs.progress` ticks once per die across the
+    /// whole flattened workload, and an enabled `obs.profiler` gets an
+    /// `mc.sweep` frame over the per-batch frames. Disabled hooks cost
+    /// one branch each; the result is bit-identical either way.
     pub fn swing_sweep_observed(
         &self,
         design: &SrlrDesign,
@@ -452,7 +283,7 @@ impl<'a> McExperiment<'a> {
             .map(|&s| design.with_nominal_swing(s))
             .collect();
         obs.profiler.enter("mc.sweep");
-        let passes = self.flat_passes(&designs, TrialSpanShape::Sweep, obs);
+        let passes = self.flat_passes(&designs, obs);
         obs.profiler.exit();
         let sweep: Vec<(Voltage, ErrorProbability)> = swings
             .iter()
@@ -468,6 +299,23 @@ impl<'a> McExperiment<'a> {
             })
             .collect();
         if obs.collector.is_enabled() {
+            // Recorded here, from the index-ordered verdicts, so every
+            // sink is identical at any thread count and batch width.
+            for (i, &pass) in passes.iter().enumerate() {
+                let (point, trial) = (i / self.runs, i % self.runs);
+                obs.collector.span(
+                    "trial",
+                    "mc.sweep",
+                    i as f64,
+                    1.0,
+                    point as u64,
+                    &[
+                        ("point", Value::U64(point as u64)),
+                        ("trial", Value::U64(trial as u64)),
+                        ("pass", Value::Bool(pass)),
+                    ],
+                );
+            }
             obs.collector
                 .add("mc.trials", (swings.len() * self.runs) as u64);
             for (point, (swing, p)) in sweep.iter().enumerate() {
@@ -543,6 +391,7 @@ fn decimal_digits(mut n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srlr_telemetry::Collector;
 
     #[test]
     fn proposed_design_fails_rarely() {
@@ -622,22 +471,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_scalar_engine() {
-        // The other half of the contract: the default batched engine
-        // returns exactly what the scalar reference returns.
+    fn batch_width_does_not_change_the_answer() {
+        // The other half of the contract: the batch width only trades
+        // scheduling granularity against batching efficiency. The
+        // per-die scalar oracle lives in `tests/batch_identity.rs`.
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
         let base = McExperiment::paper_default(&tech).with_runs(120);
-        let scalar = base
-            .clone()
-            .with_engine(McEngine::Scalar)
-            .error_probability(&design);
-        for width in [1usize, 4, 32] {
+        let reference = base.error_probability(&design);
+        for width in [1usize, 4, 7] {
             let batched = base
                 .clone()
                 .with_batch_width(width)
                 .error_probability(&design);
-            assert_eq!(scalar, batched, "batch width {width} diverged");
+            assert_eq!(reference, batched, "batch width {width} diverged");
         }
     }
 
@@ -676,17 +523,21 @@ mod tests {
     fn observed_run_matches_unobserved_bit_for_bit() {
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
+        let swing = [design.nominal_swing];
         let exp = McExperiment::paper_default(&tech).with_runs(60);
-        let plain = exp.error_probability(&design);
+        let plain = exp.swing_sweep(&design, &swing);
         let mut obs = Obs {
             collector: Collector::enabled("trial-index"),
             ..Obs::default()
         };
-        let traced = exp.error_probability_observed(&design, &mut obs);
+        let traced = exp.swing_sweep_observed(&design, &swing, &mut obs);
         assert_eq!(plain, traced, "telemetry must not perturb the result");
         assert_eq!(obs.collector.spans().len(), 60, "one span per die");
         assert_eq!(obs.collector.counter("mc.trials"), 60);
-        assert_eq!(obs.collector.counter("mc.failures"), plain.failures as u64);
+        assert_eq!(
+            obs.collector.metrics().get("mc.point.000.failures"),
+            Some(&Value::U64(plain[0].1.failures as u64))
+        );
     }
 
     #[test]
@@ -850,7 +701,7 @@ mod tests {
                 },
                 ..Obs::default()
             };
-            let p = exp.error_probability_observed(&design, &mut obs);
+            let p = exp.swing_sweep_observed(&design, &[design.nominal_swing], &mut obs);
             let mut jsonl = Vec::new();
             obs.collector
                 .write_events_jsonl(&mut jsonl)

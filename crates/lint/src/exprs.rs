@@ -1,7 +1,7 @@
 //! Expression/statement-level analysis: function bodies as event streams.
 //!
 //! [`crate::items`] deliberately skips expression bodies; this module is
-//! the other half. It walks the same [`FileView`] token stream, finds
+//! the other half. It walks the same `FileView` token stream, finds
 //! every function *definition* (free functions, inherent and trait
 //! methods, default trait bodies, functions nested in bodies) and
 //! reduces each body to the events the dataflow rules consume:

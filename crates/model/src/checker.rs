@@ -692,7 +692,7 @@ pub fn check_pair(config: &ModelConfig, src: Coord, dst: Coord) -> PairResult {
 /// a `model.bfs` frame and the absorbing-chain assembly + solve as a
 /// `model.dtmc` frame. A disabled profiler costs one branch per frame;
 /// this *is* the unprofiled path — same code, same result.
-pub fn check_pair_profiled(
+fn check_pair_profiled(
     config: &ModelConfig,
     src: Coord,
     dst: Coord,

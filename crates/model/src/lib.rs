@@ -37,8 +37,8 @@ pub mod checker;
 pub mod dtmc;
 
 pub use checker::{
-    check_pair, check_pair_profiled, closed_form_delivery, crossing_outcomes, replay,
-    replay_choices, verify, verify_profiled, CrossingOutcome, ModelConfig, PairResult, Replayed,
-    TraceStep, Variant, VerifyReport, Violation, ViolationKind,
+    check_pair, closed_form_delivery, crossing_outcomes, replay, replay_choices, verify,
+    verify_profiled, CrossingOutcome, ModelConfig, PairResult, Replayed, TraceStep, Variant,
+    VerifyReport, Violation, ViolationKind,
 };
 pub use dtmc::{Solution, SparseSystem};

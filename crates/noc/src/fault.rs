@@ -372,14 +372,15 @@ pub fn ber_sweep(
 }
 
 /// [`ber_sweep`] with telemetry: one `point` span per BER point (track =
-/// point index, so the merged stream is identical at every thread
-/// count), per-point `ber.point.NNN.*` metrics including the latency
-/// histogram summary, `ber.points` / `ber.packets_*` counters, and a
-/// progress tick per point. An enabled `obs.profiler` gets a
+/// point index), per-point `ber.point.NNN.*` metrics including the
+/// latency histogram summary, `ber.points` / `ber.packets_*` counters,
+/// and a progress tick per point. An enabled `obs.profiler` gets a
 /// `noc.sweep` frame over per-point `noc.point` frames wrapping the
-/// network's `noc.warmup` / `noc.measure` phases, merged in point
-/// order. With an inactive `obs` this is exactly [`ber_sweep`]: no
-/// allocation, no overhead beyond one branch.
+/// network's `noc.warmup` / `noc.measure` phases. Workers profile into
+/// [`srlr_telemetry::Profiler::child`] trees; the calling thread merges
+/// them and records every span and metric from the point-ordered
+/// results, so every sink is identical at any thread count. Disabled
+/// hooks cost one branch each.
 ///
 /// # Panics
 ///
@@ -396,30 +397,34 @@ pub fn ber_sweep_observed(
     threads: Option<usize>,
     obs: &mut srlr_telemetry::Obs,
 ) -> Vec<FaultSweepPoint> {
-    use srlr_telemetry::{Profiler, Value};
+    use srlr_telemetry::Value;
     assert!(!bers.is_empty(), "need at least one BER point");
     let workers = srlr_parallel::resolve_threads(threads);
-    let run_point = |i: usize, prof: &mut Profiler| {
-        let ber = bers[i];
-        let fault = FaultConfig { ber, ..template };
-        let mut net = crate::Network::new(base.with_faults(fault));
-        let stats = net.run_warmup_and_measure_profiled(pattern, load, warmup, measure, prof);
-        FaultSweepPoint { ber, stats }
-    };
-    if !obs.is_active() {
-        return srlr_parallel::par_map_indexed(bers.len(), workers, |i| {
-            run_point(i, &mut Profiler::disabled())
-        });
-    }
     obs.profiler.enter("noc.sweep");
-    let (collector, progress, profiler) = (&obs.collector, &obs.progress, &obs.profiler);
+    let (progress, profiler) = (&obs.progress, &obs.profiler);
     let observed = srlr_parallel::par_map_indexed(bers.len(), workers, |i| {
+        let ber = bers[i];
         let mut prof = profiler.child();
         prof.enter("noc.point");
-        let point = run_point(i, &mut prof);
+        let mut net = crate::Network::new(base.with_faults(FaultConfig { ber, ..template }));
+        let stats = net.run_warmup_and_measure_profiled(pattern, load, warmup, measure, &mut prof);
         prof.exit();
-        let mut child = collector.child();
-        child.span(
+        progress.tick();
+        (FaultSweepPoint { ber, stats }, prof)
+    });
+    let mut points = Vec::with_capacity(observed.len());
+    for (point, prof) in observed {
+        obs.profiler.merge(prof);
+        points.push(point);
+    }
+    obs.profiler.exit();
+    let collector = &mut obs.collector;
+    if !collector.is_enabled() {
+        return points;
+    }
+    for (i, point) in points.iter().enumerate() {
+        let stats = &point.stats;
+        collector.span(
             "point",
             "ber-sweep",
             i as f64,
@@ -428,55 +433,43 @@ pub fn ber_sweep_observed(
             &[
                 ("point", Value::U64(i as u64)),
                 ("ber", Value::F64(point.ber)),
-                ("received", Value::U64(point.stats.packets_received)),
-                ("dropped", Value::U64(point.stats.packets_dropped)),
+                ("received", Value::U64(stats.packets_received)),
+                ("dropped", Value::U64(stats.packets_dropped)),
             ],
         );
         let prefix = format!("ber.point.{i:03}");
-        child.set_metric(&format!("{prefix}.ber"), Value::F64(point.ber));
-        child.set_metric(
+        collector.set_metric(&format!("{prefix}.ber"), Value::F64(point.ber));
+        collector.set_metric(
             &format!("{prefix}.packets_received"),
-            Value::U64(point.stats.packets_received),
+            Value::U64(stats.packets_received),
         );
-        child.set_metric(
+        collector.set_metric(
             &format!("{prefix}.packets_dropped"),
-            Value::U64(point.stats.packets_dropped),
+            Value::U64(stats.packets_dropped),
         );
-        child.set_metric(
+        collector.set_metric(
             &format!("{prefix}.delivered_fraction"),
-            Value::F64(point.stats.delivered_fraction()),
+            Value::F64(stats.delivered_fraction()),
         );
-        if let Some((lo, hi)) = point.stats.delivered_interval_95() {
-            child.set_metric(&format!("{prefix}.delivered_lower_95"), Value::F64(lo));
-            child.set_metric(&format!("{prefix}.delivered_upper_95"), Value::F64(hi));
+        if let Some((lo, hi)) = stats.delivered_interval_95() {
+            collector.set_metric(&format!("{prefix}.delivered_lower_95"), Value::F64(lo));
+            collector.set_metric(&format!("{prefix}.delivered_upper_95"), Value::F64(hi));
         }
-        child.set_metric(
+        collector.set_metric(
             &format!("{prefix}.retries_exhausted"),
-            Value::U64(point.stats.faults.retries_exhausted),
+            Value::U64(stats.faults.retries_exhausted),
         );
-        for (name, value) in point
-            .stats
+        for (name, value) in stats
             .latency_histogram
             .summary()
             .metric_fields(&format!("{prefix}.latency"))
         {
-            child.set_metric(&name, value);
+            collector.set_metric(&name, value);
         }
-        progress.tick();
-        (point, child, prof)
-    });
-    let mut points = Vec::with_capacity(observed.len());
-    for (point, child, prof) in observed {
-        obs.collector.merge(child);
-        obs.profiler.merge(prof);
-        obs.collector.add("ber.points", 1);
-        obs.collector
-            .add("ber.packets_received", point.stats.packets_received);
-        obs.collector
-            .add("ber.packets_dropped", point.stats.packets_dropped);
-        points.push(point);
+        collector.add("ber.points", 1);
+        collector.add("ber.packets_received", stats.packets_received);
+        collector.add("ber.packets_dropped", stats.packets_dropped);
     }
-    obs.profiler.exit();
     points
 }
 

@@ -11,10 +11,10 @@
 //!
 //! Timestamps are **simulated or logical time** (cycles, trial indices,
 //! simulated picoseconds) — never the wall clock, which only the
-//! `crates/criterion` shim may read. Parallel workers record into
-//! per-item [`Collector::child`] collectors that the coordinator merges
-//! back in item-index order (mirroring `par_map_indexed`), so the byte
-//! stream every sink produces is identical at 1, 2, or 8 workers.
+//! `crates/criterion` shim may read. Parallel stages return their
+//! results in item-index order (`par_map_indexed`) and the calling
+//! thread records them, so the byte stream every sink produces is
+//! identical at 1, 2, or 8 workers.
 
 use crate::json::{write_obj, write_str, Value};
 use std::collections::BTreeMap;
@@ -45,7 +45,7 @@ pub struct Span {
     /// Track (Chrome trace `tid`) the span renders on.
     pub track: u64,
     /// Ordered key/value payload (always carries the item index for
-    /// parallel work, which is what makes the merged stream ordered).
+    /// parallel work, which is what keeps the stream ordered).
     pub args: BTreeMap<String, Value>,
 }
 
@@ -96,30 +96,6 @@ impl Collector {
     /// The timebase label (empty when disabled).
     pub fn timebase(&self) -> &str {
         self.inner.as_ref().map_or("", |i| &i.timebase)
-    }
-
-    /// A fresh collector with the same enablement and timebase, for one
-    /// parallel work item. Merge children back in item-index order with
-    /// [`Collector::merge`].
-    pub fn child(&self) -> Collector {
-        match &self.inner {
-            None => Collector::disabled(),
-            Some(i) => Collector::enabled(&i.timebase),
-        }
-    }
-
-    /// Appends `other`'s events/spans and folds its counters/metrics in.
-    /// Call in item-index order to keep the stream deterministic.
-    pub fn merge(&mut self, other: Collector) {
-        let (Some(dst), Some(src)) = (self.inner.as_mut(), other.inner) else {
-            return;
-        };
-        dst.events.extend(src.events);
-        dst.spans.extend(src.spans);
-        for (k, v) in src.counters {
-            *dst.counters.entry(k).or_insert(0) += v;
-        }
-        dst.metrics.extend(src.metrics);
     }
 
     /// Records an instant event.
@@ -367,38 +343,6 @@ mod tests {
         assert_eq!(c.counter("retries"), 5);
         assert_eq!(c.metrics().get("delivered"), Some(&Value::F64(0.5)));
         assert_eq!(c.timebase(), "cycles");
-    }
-
-    #[test]
-    fn children_inherit_enablement() {
-        assert!(!Collector::disabled().child().is_enabled());
-        let parent = Collector::enabled("trial-index");
-        let child = parent.child();
-        assert!(child.is_enabled());
-        assert_eq!(child.timebase(), "trial-index");
-    }
-
-    #[test]
-    fn merge_appends_in_call_order_and_sums_counters() {
-        let mut root = Collector::enabled("t");
-        for i in 0..3u64 {
-            let mut c = root.child();
-            c.span("item", "w", i as f64, 1.0, 0, &[("i", Value::U64(i))]);
-            c.add("n", 1);
-            root.merge(c);
-        }
-        let order: Vec<f64> = root.spans().iter().map(|s| s.ts).collect();
-        assert_eq!(order, vec![0.0, 1.0, 2.0]);
-        assert_eq!(root.counter("n"), 3);
-    }
-
-    #[test]
-    fn merge_into_disabled_is_noop() {
-        let mut root = Collector::disabled();
-        let mut child = Collector::enabled("t");
-        child.add("n", 1);
-        root.merge(child);
-        assert!(!root.is_enabled());
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //!   that for the `crates/criterion` shim and this crate's [`clock`]
 //!   module, where profiling fences it behind the [`Clock`]
 //!   abstraction).
-//! * **Bit-identical at any worker count.** Parallel stages record into
-//!   per-item [`Collector::child`] collectors merged back in item-index
-//!   order, mirroring `par_map_indexed`; spans carry their item index.
-//!   Every file sink's bytes are identical at `--threads 1/2/8`.
+//! * **Bit-identical at any worker count.** Parallel stages return
+//!   their results in item-index order (`par_map_indexed`), and the
+//!   calling thread records every span and metric from those ordered
+//!   results; spans carry their item index. Every file sink's bytes are
+//!   identical at `--threads 1/2/8`.
 //! * **Deterministic iteration.** All key/value state lives in
 //!   `BTreeMap`s; sinks emit sorted-key order.
 
@@ -51,8 +52,8 @@ pub use sarif::SarifDoc;
 
 /// The observability hooks an experiment accepts: a collector for the
 /// file sinks, a progress reporter, and a call-tree profiler (the
-/// timing sink). [`Obs::none`] (the default) is free — instrumented
-/// code branches on it and does no work.
+/// timing sink). [`Obs::none`] (the default) is free — every hook is
+/// one branch on a disabled sink and does no work.
 #[derive(Debug, Default)]
 pub struct Obs {
     /// Structured event/metric collector (drained by the caller).
@@ -69,12 +70,6 @@ impl Obs {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// Whether any hook is active (instrumented code may use this to
-    /// skip to its untraced fast path).
-    pub fn is_active(&self) -> bool {
-        self.collector.is_enabled() || self.progress.is_enabled() || self.profiler.is_enabled()
-    }
 }
 
 #[cfg(test)]
@@ -84,28 +79,8 @@ mod tests {
     #[test]
     fn obs_none_is_inactive() {
         let obs = Obs::none();
-        assert!(!obs.is_active());
         assert!(!obs.collector.is_enabled());
         assert!(!obs.progress.is_enabled());
         assert!(!obs.profiler.is_enabled());
-    }
-
-    #[test]
-    fn obs_with_any_hook_is_active() {
-        let obs = Obs {
-            collector: Collector::enabled("t"),
-            ..Obs::default()
-        };
-        assert!(obs.is_active());
-        let obs = Obs {
-            progress: Progress::enabled("x", 10),
-            ..Obs::default()
-        };
-        assert!(obs.is_active());
-        let obs = Obs {
-            profiler: Profiler::enabled(Clock::tick(1.0)),
-            ..Obs::default()
-        };
-        assert!(obs.is_active());
     }
 }

@@ -14,7 +14,7 @@
 //! Profile *structure* — the set of frame paths and their invocation
 //! counts — is a pure function of the work performed: parallel workers
 //! profile into forked [`Profiler::child`] trees that are merged back
-//! in item-index order, exactly like collector children, so structure
+//! in item-index order by the calling thread, so structure
 //! is identical at any thread count. Profile *timing* depends on the
 //! installed [`Clock`]: release binaries use [`Clock::wall`], while
 //! tests install [`Clock::tick`] and get bit-exact timings too. Timing
