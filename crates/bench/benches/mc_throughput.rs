@@ -31,8 +31,8 @@ fn dice_per_second(exp: &McExperiment<'_>, design: &SrlrDesign) -> f64 {
     let start = Instant::now();
     let p = exp.error_probability(design);
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(p.trials, exp.runs);
-    exp.runs as f64 / elapsed
+    assert_eq!(p.trials, exp.runs());
+    exp.runs() as f64 / elapsed
 }
 
 fn print_throughput() {
@@ -58,7 +58,7 @@ fn print_throughput() {
     let base = McExperiment::paper_default(&tech).with_runs(n);
     run.param(
         "batch_width",
-        srlr_telemetry::Value::U64(base.batch_width as u64),
+        srlr_telemetry::Value::U64(base.batch_width() as u64),
     );
 
     // The thread ladder, deduplicated — repeated rungs on small

@@ -6,7 +6,9 @@
 //! and the device sizing. [`SrlrDesign::instantiate`] resolves those
 //! choices against a technology and one die's global variation (plus,
 //! optionally, per-stage local mismatch) into an [`SrlrChain`] of
-//! [`SrlrStage`]s ready to propagate pulses.
+//! [`SrlrStage`]s ready to propagate pulses. A swing sweep elaborates
+//! each die once and moves it between swings with
+//! [`SwingPoint::retarget`].
 
 use crate::delay::DelayCellDesign;
 use crate::driver::{DriverKind, OutputDriver};
@@ -15,7 +17,7 @@ use crate::stage::SrlrStage;
 use srlr_tech::{
     AdaptiveSwingBias, Device, GlobalVariation, MismatchSampler, MosKind, Technology, WireGeometry,
 };
-use srlr_units::{Capacitance, Energy, Length, TimeInterval, Voltage};
+use srlr_units::{Capacitance, Energy, Length, Resistance, TimeInterval, Voltage};
 
 /// A complete SRLR design point.
 ///
@@ -150,10 +152,25 @@ impl SrlrDesign {
     /// threshold via the bias generator; fixed designs lose (gain) drive
     /// when the follower's threshold rises (falls).
     pub fn commanded_drive(&self, tech: &Technology, var: &GlobalVariation) -> Voltage {
-        if self.adaptive_swing {
-            AdaptiveSwingBias::with_nominal_swing(tech, self.nominal_swing).target_swing(var)
-        } else {
-            (self.nominal_swing - var.dvth_n).max(Voltage::zero())
+        self.commanded_drive_with(self.adaptive_bias(tech).as_ref(), var)
+    }
+
+    /// The bias generator of an adaptive design at its nominal swing
+    /// (`None` for a fixed-swing design).
+    fn adaptive_bias(&self, tech: &Technology) -> Option<AdaptiveSwingBias> {
+        self.adaptive_swing
+            .then(|| AdaptiveSwingBias::with_nominal_swing(tech, self.nominal_swing))
+    }
+
+    /// [`SrlrDesign::commanded_drive`] with the bias generator built.
+    fn commanded_drive_with(
+        &self,
+        bias: Option<&AdaptiveSwingBias>,
+        var: &GlobalVariation,
+    ) -> Voltage {
+        match bias {
+            Some(bias) => bias.target_swing(var),
+            None => (self.nominal_swing - var.dvth_n).max(Voltage::zero()),
         }
     }
 
@@ -204,7 +221,7 @@ impl SrlrDesign {
         var: &GlobalVariation,
         stages: usize,
     ) -> SrlrChain {
-        self.build_chain(tech, var, stages, None)
+        SwingPoint::new(tech, self).build_chain(tech, var, stages, None)
     }
 
     /// Elaborates a chain with per-stage local mismatch drawn from `mc`
@@ -220,7 +237,90 @@ impl SrlrDesign {
         stages: usize,
         mc: &mut M,
     ) -> SrlrChain {
+        SwingPoint::new(tech, self).instantiate_with_mismatch(tech, var, stages, mc)
+    }
+}
+
+/// One point of a swing sweep: a design at one nominal swing, with the
+/// swing's die-independent work done once rather than once per die —
+/// the output driver sized (the inverter's PMOS depends on the swing)
+/// and the adaptive bias generator built.
+///
+/// The swing reaches exactly three stage fields: `drive_level`,
+/// `charge_resistance` and `internal_energy_per_pulse`. A sweep
+/// therefore elaborates each die once, at any point, and
+/// [`SwingPoint::retarget`]s the chain to every other point, which
+/// re-resolves those three fields with the expressions elaboration uses
+/// and so gives the chain bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SwingPoint {
+    design: SrlrDesign,
+    bias: Option<AdaptiveSwingBias>,
+    driver: OutputDriver,
+}
+
+impl SwingPoint {
+    /// `design` at its nominal swing, with the driver sized and the bias
+    /// generator built once for every die elaborated at this point.
+    pub fn new(tech: &Technology, design: &SrlrDesign) -> Self {
+        Self {
+            bias: design.adaptive_bias(tech),
+            driver: design.driver(tech),
+            design: design.clone(),
+        }
+    }
+
+    /// [`SrlrDesign::instantiate_with_mismatch`] for the design at this
+    /// point's swing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stages` is zero.
+    pub fn instantiate_with_mismatch<M: MismatchSampler>(
+        &self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        stages: usize,
+        mc: &mut M,
+    ) -> SrlrChain {
         self.build_chain(tech, var, stages, Some(mc))
+    }
+
+    /// Moves `chain` to this point's swing: `chain` must have been
+    /// elaborated on die `var` for this point's design at any swing.
+    /// The result equals elaborating the die at this point directly.
+    pub fn retarget(&self, tech: &Technology, var: &GlobalVariation, chain: &mut SrlrChain) {
+        // Node X's capacitance is a die-level quantity, the same in every
+        // stage.
+        let Some(c_x) = chain.stages.first().map(|stage| stage.c_x) else {
+            return;
+        };
+        let (drive_level, charge_r, internal_energy) = self.swing_fields(tech, var, c_x);
+        for stage in &mut chain.stages {
+            stage.drive_level = drive_level;
+            stage.charge_resistance = charge_r;
+            stage.internal_energy_per_pulse = internal_energy;
+        }
+    }
+
+    /// The stage fields the swing reaches, on die `var` with node-X
+    /// capacitance `c_x`: drive level, charging resistance and the fixed
+    /// internal energy per pulse (X cycle, amplifier load, driver input,
+    /// delay-cell buffers).
+    fn swing_fields(
+        &self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        c_x: Capacitance,
+    ) -> (Voltage, Resistance, Energy) {
+        let drive_command = self.design.commanded_drive_with(self.bias.as_ref(), var);
+        let drive_level = self.driver.drive_level(tech, drive_command);
+        let charge_r = self.driver.charge_resistance(tech, var);
+        let c_buffers =
+            Capacitance::from_femtofarads(2.0 * self.design.delay_cell.buffers() as f64);
+        let c_amp_load = Capacitance::from_femtofarads(2.0);
+        let c_internal = c_x + self.driver.input_capacitance() + c_buffers + c_amp_load;
+        (drive_level, charge_r, (c_internal * tech.vdd) * tech.vdd)
     }
 
     fn build_chain(
@@ -231,14 +331,11 @@ impl SrlrDesign {
         mut mc: Option<&mut dyn MismatchSampler>,
     ) -> SrlrChain {
         assert!(stages > 0, "a chain needs at least one stage");
-        let driver = self.driver(tech);
-        let drive_command = self.commanded_drive(tech, var);
-        let drive_level = driver.drive_level(tech, drive_command);
-        let charge_r = driver.charge_resistance(tech, var);
-        let discharge_r = driver.discharge_resistance(tech, var);
-        let wire = self
+        let design = &self.design;
+        let discharge_r = self.driver.discharge_resistance(tech, var);
+        let wire = design
             .wire
-            .extract(self.segment_length)
+            .extract(design.segment_length)
             .with_variation(var.wire_r_mult, var.wire_c_mult);
 
         let delay_mult = DelayCellDesign::variation_multiplier(tech, var);
@@ -246,14 +343,14 @@ impl SrlrDesign {
         // Everything below up to the per-stage loop is a function of the
         // die (design + global variation) alone, so it is evaluated once
         // per chain; only M1 carries per-stage local mismatch.
-        let lvt_dvth = var.dvth_n + self.lvt_offset;
+        let lvt_dvth = var.dvth_n + design.lvt_offset;
         let m2_model = tech.nmos.with_variation(lvt_dvth, var.drive_mult_n);
-        let m2 = Device::new(MosKind::Nmos, m2_model, self.m2_width, tech.min_length);
+        let m2 = Device::new(MosKind::Nmos, m2_model, design.m2_width, tech.min_length);
 
         // Sensitivity margin: floor plus the keeper-ratio term (a
         // relatively stronger keeper demands more overdrive).
-        let margin =
-            self.sense_margin_floor + self.sense_margin_coeff * (self.m2_width / self.m1_width);
+        let margin = design.sense_margin_floor
+            + design.sense_margin_coeff * (design.m2_width / design.m1_width);
 
         // Node X: standby at VDD − Vth(M2); the amplifier flips at the
         // CMOS midpoint of its (corner-shifted) devices.
@@ -261,20 +358,16 @@ impl SrlrDesign {
         let vth_n_eff = (tech.nmos.vth0 + var.dvth_n).volts();
         let vth_p_eff = (tech.pmos.vth0 + var.dvth_p).volts();
         let inv_threshold = Voltage::from_volts(0.5 * (vth_n_eff + tech.vdd.volts() - vth_p_eff));
-        let statically_sound = x_standby > inv_threshold + self.static_guard;
+        let statically_sound = x_standby > inv_threshold + design.static_guard;
         let x_discharge_depth = (x_standby - inv_threshold).max(Voltage::from_millivolts(20.0));
 
         // Node X loading: M1 drain, M2 source, amplifier input. Junction
         // capacitance does not move with threshold or drive variation.
         let amp_input = Capacitance::from_femtofarads(0.9);
         let c_x =
-            tech.nmos.junction_capacitance(self.m1_width) + m2.drain_capacitance() + amp_input;
+            tech.nmos.junction_capacitance(design.m1_width) + m2.drain_capacitance() + amp_input;
 
-        // Fixed internal energy: X cycle, amplifier load, driver input,
-        // delay-cell buffers.
-        let c_buffers = Capacitance::from_femtofarads(2.0 * self.delay_cell.buffers() as f64);
-        let c_amp_load = Capacitance::from_femtofarads(2.0);
-        let c_internal = c_x + driver.input_capacitance() + c_buffers + c_amp_load;
+        let (drive_level, charge_r, internal_energy) = self.swing_fields(tech, var, c_x);
 
         // Keeper opposition during a discharge: M2's current at half the
         // discharge depth of gate overdrive (its source follows X down
@@ -285,7 +378,7 @@ impl SrlrDesign {
         // Standby leakage: M1 (gate low) plus one off device in each
         // inverter of the delay cell/amplifier/pre-driver (~0.45 um each)
         // plus the idle driver pull-up.
-        let leaky_inverters = 2.0 * self.delay_cell.buffers() as f64 + 3.0;
+        let leaky_inverters = 2.0 * design.delay_cell.buffers() as f64 + 3.0;
         let reg_n = tech.nmos.with_variation(var.dvth_n, var.drive_mult_n);
         let off_current =
             |width: Length| Device::new(MosKind::Nmos, reg_n, width, tech.min_length).off_current();
@@ -293,11 +386,12 @@ impl SrlrDesign {
         let driver_off = off_current(Length::from_micrometers(4.0));
 
         // M1's drive scale before its local drive mismatch.
-        let m1_ratio = self.m1_width / tech.min_length;
+        let m1_ratio = design.m1_width / tech.min_length;
         let die_drive_scale = tech.nmos.drive_factor.amperes() * m1_ratio * var.drive_mult_n;
 
         // The delay cell depends on the stage only through its parity.
-        let delay = [0, 1].map(|parity| self.delay_cell.delay_with_multiplier(parity, delay_mult));
+        let delay =
+            [0, 1].map(|parity| design.delay_cell.delay_with_multiplier(parity, delay_mult));
 
         // The fields every stage of this die shares; the zeroed M1 fields,
         // the index and the delay are set per stage below.
@@ -313,16 +407,16 @@ impl SrlrDesign {
             sense_threshold: Voltage::zero(),
             c_x,
             x_discharge_depth,
-            t_rise0: self.t_rise0 * delay_mult,
-            t_fall: self.t_fall * delay_mult,
+            t_rise0: design.t_rise0 * delay_mult,
+            t_fall: design.t_fall * delay_mult,
             delay: delay[0],
-            min_output_width: self.min_output_width,
+            min_output_width: design.min_output_width,
             drive_level,
             charge_resistance: charge_r,
             discharge_resistance: discharge_r,
             wire_resistance: wire.resistance,
             wire_capacitance: wire.capacitance,
-            internal_energy_per_pulse: (c_internal * tech.vdd) * tech.vdd,
+            internal_energy_per_pulse: internal_energy,
             leakage: srlr_units::Power::zero(),
             statically_sound,
         };
@@ -333,15 +427,15 @@ impl SrlrDesign {
                 // input pair (M1 against the sense reference).
                 let (local_vth, local_drive) = match mc.as_deref_mut() {
                     Some(mc) => (
-                        mc.sample_local_vth(self.m1_width, tech.min_length),
-                        mc.sample_local_drive(self.m1_width, tech.min_length),
+                        mc.sample_local_vth(design.m1_width, tech.min_length),
+                        mc.sample_local_drive(design.m1_width, tech.min_length),
                     ),
                     None => (Voltage::zero(), 1.0),
                 };
                 let m1_model = tech
                     .nmos
                     .with_variation(lvt_dvth + local_vth, var.drive_mult_n * local_drive);
-                let m1 = Device::new(MosKind::Nmos, m1_model, self.m1_width, tech.min_length);
+                let m1 = Device::new(MosKind::Nmos, m1_model, design.m1_width, tech.min_length);
                 let leak_current = m1.off_current() + inv_leak + driver_off;
                 SrlrStage {
                     index,
@@ -357,20 +451,38 @@ impl SrlrDesign {
 
         SrlrChain {
             stages: built,
-            segment_length: self.segment_length,
-            launch_width: self.delay_cell.nominal_delay() * delay_mult,
+            segment_length: design.segment_length,
+            launch_width: design.delay_cell.nominal_delay() * delay_mult,
         }
     }
 }
 
 /// A resolved chain of SRLR stages on one die.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SrlrChain {
     stages: Vec<SrlrStage>,
     segment_length: Length,
     /// Width of the pulse the modulator launches on this die (the
     /// parity-free nominal delay-cell width, corner-scaled).
     launch_width: TimeInterval,
+}
+
+/// `clone_from` reuses the stage buffer, so copying one die's chain into
+/// a chain kept from an earlier die allocates nothing.
+impl Clone for SrlrChain {
+    fn clone(&self) -> Self {
+        Self {
+            stages: self.stages.clone(),
+            segment_length: self.segment_length,
+            launch_width: self.launch_width,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.stages.clone_from(&source.stages);
+        self.segment_length = source.segment_length;
+        self.launch_width = source.launch_width;
+    }
 }
 
 impl SrlrChain {
@@ -480,6 +592,45 @@ mod tests {
 
     fn tech() -> Technology {
         Technology::soi45()
+    }
+
+    #[test]
+    fn retargeting_a_die_equals_elaborating_it_at_the_new_swing() {
+        // The sweep's shortcut must be exact: a die elaborated at one
+        // swing and retargeted to another prints (shortest round-trip
+        // f64s, so bit for bit) the same as the die elaborated there.
+        let t = tech();
+        let mc = MonteCarlo::new(&t, 2013);
+        let proposed = SrlrDesign::paper_proposed(&t);
+        for design in [
+            proposed.clone(),
+            SrlrDesign::straightforward(&t),
+            proposed.with_adaptive_swing(false),
+        ] {
+            let points = [300.0, 350.0, 460.0, 550.0].map(|mv| {
+                let at = design.with_nominal_swing(Voltage::from_millivolts(mv));
+                (mv, SwingPoint::new(&t, &at))
+            });
+            for trial in 0..12 {
+                let elaborate = |point: &SwingPoint| {
+                    let mut die = mc.die(trial);
+                    let var = die.global_variation();
+                    (point.instantiate_with_mismatch(&t, &var, 10, &mut die), var)
+                };
+                for (from_mv, from) in &points {
+                    for (to_mv, to) in &points {
+                        let (mut chain, var) = elaborate(from);
+                        to.retarget(&t, &var, &mut chain);
+                        assert_eq!(
+                            format!("{chain:?}"),
+                            format!("{:?}", elaborate(to).0),
+                            "{:?} die {trial}: {from_mv} mV retargeted to {to_mv} mV",
+                            design.driver_kind
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use area::SrlrArea;
 pub use batch::DieBatch;
 pub use crossbar::SrlrCrossbar;
 pub use delay::{DelayCellDesign, DelayCellKind};
-pub use design::{SrlrChain, SrlrDesign};
+pub use design::{SrlrChain, SrlrDesign, SwingPoint};
 pub use driver::DriverKind;
 pub use energy::StageEnergyModel;
 pub use modem::{Demodulator, PulseModulator};

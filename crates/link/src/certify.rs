@@ -15,12 +15,20 @@
 //!   propagation**: if a solitary `1` on fully drained segments makes it
 //!   to the demodulator with margin, every `1` in every pattern does.
 //! * Residues only threaten `0`-bits by firing a repeater spuriously.
-//!   With every slot carrying the widest possible pulse, the per-segment
-//!   residue recurrence `b' = (b + d_max)·decay` has the fixed point
-//!   `b* = d_max·decay/(1 − decay)` (an upper bound of all reachable
-//!   baselines when `decay < 1`). Rounds of interval iteration tighten
-//!   the width/peak bounds; as soon as one round's `b*` stays below
-//!   every sense threshold, **no pattern can fire a stage spuriously**.
+//!   A pulse that delivers `d` onto a segment holding residue `b` peaks
+//!   at `b + d·(1 − b/V)` = `b·(1 − d/V) + d` (`V` the launcher's drive
+//!   level), whose slopes `1 − d/V` in `b` and `1 − b/V` in `d` are
+//!   non-negative while `b, d ≤ V`: the peak never falls as either
+//!   grows. With every slot carrying the widest possible pulse (`d ≤ D`,
+//!   `D` clamped to `V`), the residue after a slot therefore obeys the
+//!   **headroom recurrence** `b' ≤ (b·(1 − D/V) + D)·decay`, and an idle
+//!   slot only decays it further. The recurrence is increasing in `b`,
+//!   so from a drained segment it never passes its fixed point
+//!   `b* = D·decay / (1 − decay·(1 − D/V))` when `decay < 1`, and the
+//!   peak never passes `b*·(1 − D/V) + D`. Rounds of interval iteration
+//!   tighten the width/peak bounds; as soon as one round's `b*` stays
+//!   below every sense threshold, **no pattern can fire a stage
+//!   spuriously**.
 //!
 //! Every comparison carries a relative guard band ([`REL`] = 1e-9, many
 //! orders above f64 rounding) on the *conservative* side, so a certified
@@ -129,9 +137,15 @@ pub(crate) fn robustly_clean(link: &SrlrLink) -> bool {
             if decay >= 1.0 - 1e-6 {
                 return false;
             }
-            let d_max = l.delivered_swing(TimeInterval::from_seconds(wl)).volts() * (1.0 + REL);
-            b_star[i] = d_max * decay / (1.0 - decay);
-            peak_max[i] = (b_star[i] + d_max).min(l.drive_level.volts());
+            // The simulator's headroom divides by the same floored level.
+            let v = l.drive_level.volts().max(1e-9);
+            let d_max =
+                (l.delivered_swing(TimeInterval::from_seconds(wl)).volts() * (1.0 + REL)).min(v);
+            // The headroom slope `1 − D/V`; `b*` grows with it, so round
+            // it up.
+            let slope = (1.0 - d_max / v) * (1.0 + REL);
+            b_star[i] = d_max * decay / (1.0 - decay * slope);
+            peak_max[i] = (b_star[i] * slope + d_max).min(v);
         }
         if (0..n)
             .all(|i| b_star[i] * (1.0 + REL) < stages[i].sense_threshold.volts() * (1.0 - 1e-6))
@@ -147,7 +161,7 @@ mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use crate::prbs::Prbs;
-    use srlr_core::SrlrDesign;
+    use srlr_core::{DriverKind, SrlrDesign};
     use srlr_tech::{GlobalVariation, MonteCarlo, Technology};
     use srlr_units::DataRate;
 
@@ -169,10 +183,11 @@ mod tests {
         // (500 mV) operating points, for both Fig. 6 designs and at slow,
         // paper and fast rates. The certificate accepts at the first
         // round that proves a die, so round 1's bounds must carry the
-        // proof on their own. At 5.8 Gb/s the drain gap after a widest
-        // pulse is too short for the residue bound to clear any 10-stage
-        // die here, so that leg only checks that nothing is certified
-        // wrongly.
+        // proof on their own. At 5.8 Gb/s the headroom bound still
+        // proves a few proposed dice (7 of 180 here), but the inverter
+        // design's drain gap after a widest pulse is too short for the
+        // residue bound to clear any 10-stage die, so that leg only
+        // checks that nothing is certified wrongly.
         let tech = Technology::soi45();
         let mc = MonteCarlo::new(&tech, 2013);
         for design in [
@@ -201,7 +216,7 @@ mod tests {
                     }
                 }
                 assert!(
-                    certified_any || gbps > 5.0,
+                    certified_any || (gbps > 5.0 && design.driver_kind == DriverKind::Inverter),
                     "healthy {:?} dice at {gbps} Gb/s must be certifiable",
                     design.driver_kind
                 );

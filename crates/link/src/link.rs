@@ -18,7 +18,7 @@
 use crate::ber::BerReport;
 use crate::metrics::LinkMetrics;
 use crate::prbs::Prbs;
-use srlr_core::{Demodulator, PulseState, SrlrChain, SrlrDesign};
+use srlr_core::{Demodulator, PulseState, SrlrChain, SrlrDesign, SwingPoint};
 use srlr_tech::{GlobalVariation, MismatchSampler, Technology};
 use srlr_units::{DataRate, Energy, TimeInterval, Voltage};
 
@@ -88,11 +88,28 @@ impl SlotState {
 }
 
 /// A resolved SRLR link on one die.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SrlrLink {
     chain: SrlrChain,
     config: LinkConfig,
     demod: Demodulator,
+}
+
+/// `clone_from` reuses the chain's stage buffer (see [`SrlrChain`]).
+impl Clone for SrlrLink {
+    fn clone(&self) -> Self {
+        Self {
+            chain: self.chain.clone(),
+            config: self.config,
+            demod: self.demod,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.chain.clone_from(&source.chain);
+        self.config = source.config;
+        self.demod = source.demod;
+    }
 }
 
 impl SrlrLink {
@@ -156,6 +173,19 @@ impl SrlrLink {
     /// The resolved chain.
     pub fn chain(&self) -> &SrlrChain {
         &self.chain
+    }
+
+    /// Moves this link, built on die `var` for `point`'s design at any
+    /// swing, to `point`'s swing (see [`SwingPoint::retarget`]). The
+    /// demodulator stays: its sense threshold does not depend on the
+    /// swing.
+    pub(crate) fn retarget(
+        &mut self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        point: &SwingPoint,
+    ) {
+        point.retarget(tech, var, &mut self.chain);
     }
 
     /// The link configuration.

@@ -16,9 +16,11 @@
 //!
 //! # The batched hot path
 //!
-//! Trials are evaluated in batches of [`McExperiment::batch_width`]
-//! dice: each die is first screened by the conservative clean-link
-//! certificate ([`SrlrLink::robustly_clean`]), and only the unproven
+//! Trials are evaluated in batches of about [`McExperiment::batch_width`]
+//! dice. A sweep is batched trial-major: each die is elaborated once and
+//! retargeted to every swing ([`srlr_core::SwingPoint::retarget`]), and
+//! each (die, swing) is first screened by the conservative clean-link
+//! certificate ([`SrlrLink::robustly_clean`]). Only the unproven
 //! dice are packed into a structure-of-arrays [`srlr_core::DieBatch`]
 //! that advances all of them through the stage map one bit slot at a
 //! time, with a per-lane alive mask standing in for the scalar early
@@ -33,11 +35,12 @@ use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
-use srlr_core::SrlrDesign;
+use srlr_core::{SrlrDesign, SwingPoint};
 use srlr_tech::montecarlo::ErrorProbability;
 use srlr_tech::{MonteCarlo, Technology};
 use srlr_telemetry::{Obs, Profiler, Value};
 use srlr_units::Voltage;
+use std::ops::Range;
 
 /// The Sec. III-B deterministic worst-case stress patterns, shared by
 /// every trial (hoisted out of the per-die hot loop).
@@ -53,8 +56,9 @@ const WORST_PATTERNS: [&[bool]; 3] = [
 pub struct McExperiment<'a> {
     tech: &'a Technology,
     config: LinkConfig,
-    /// Number of dice per evaluation (the paper uses 1000).
-    pub runs: usize,
+    /// Number of dice per evaluation (the paper uses 1000); set through
+    /// [`McExperiment::with_runs`], which rejects zero.
+    runs: usize,
     /// RNG seed (same seed = same dice across designs, a paired
     /// comparison).
     pub seed: u64,
@@ -63,10 +67,9 @@ pub struct McExperiment<'a> {
     /// Worker threads: `Some(n)` forces `n`, `None` defers to the
     /// `SRLR_THREADS` environment variable (and ultimately the machine).
     pub threads: Option<usize>,
-    /// Dice per [`srlr_core::DieBatch`] work item. Any width gives
-    /// identical results; it only trades scheduling granularity against
-    /// batching efficiency.
-    pub batch_width: usize,
+    /// Dice per [`srlr_core::DieBatch`] work item; set through
+    /// [`McExperiment::with_batch_width`], which rejects zero.
+    batch_width: usize,
 }
 
 impl<'a> McExperiment<'a> {
@@ -93,6 +96,19 @@ impl<'a> McExperiment<'a> {
         assert!(runs > 0, "need at least one run");
         self.runs = runs;
         self
+    }
+
+    /// Number of dice per evaluation.
+    pub fn runs(&self) -> usize {
+        self.runs
+    }
+
+    /// Dice per [`srlr_core::DieBatch`] work item; a sweep over `n`
+    /// swings puts `batch_width / n` dice (at least one) at every swing
+    /// in each item. Any width gives identical results; it only trades
+    /// scheduling granularity against batching efficiency.
+    pub fn batch_width(&self) -> usize {
+        self.batch_width
     }
 
     /// Overrides the link configuration (data rate, stage count,
@@ -124,83 +140,107 @@ impl<'a> McExperiment<'a> {
         self
     }
 
-    /// Pass/fail of every die in the flattened `designs × runs` workload,
-    /// one [`srlr_core::DieBatch`] of `batch_width` dice per work item.
+    /// Pass/fail of every die in the flattened `points × runs` workload,
+    /// in point-major order (index `point * runs + trial`).
     ///
-    /// Each worker profiles its batch into a [`Profiler::child`] and
-    /// ticks `obs.progress` once per die; the calling thread merges the
-    /// profiles in batch order. The verdicts come back in flattened-index
-    /// order at any thread count and batch width.
-    fn flat_passes(&self, designs: &[SrlrDesign], obs: &mut Obs) -> Vec<bool> {
+    /// The sweep is evaluated trial-major: a work item takes
+    /// `batch_width / points.len()` consecutive trials (at least one) and
+    /// evaluates each die at every point, so a die is sampled and
+    /// elaborated once per sweep rather than once per swing. Each worker
+    /// profiles its item into a [`Profiler::child`] and ticks
+    /// `obs.progress` once per verdict; the calling thread merges the
+    /// profiles in item order. The verdicts are the same at any thread
+    /// count and batch width.
+    fn flat_passes(&self, points: &[SwingPoint], obs: &mut Obs) -> Vec<bool> {
         let mc = MonteCarlo::new(self.tech, self.seed);
         let threads = engine::resolve_threads(self.threads);
-        let total = designs.len() * self.runs;
-        let width = self.batch_width;
+        let per_item = (self.batch_width / points.len().max(1)).max(1);
         let (progress, profiler) = (&obs.progress, &obs.profiler);
-        let batches = engine::par_map_indexed(total.div_ceil(width), threads, |b| {
-            let first = b * width;
+        let items = engine::par_map_indexed(self.runs.div_ceil(per_item), threads, |b| {
+            let first = b * per_item;
+            let trials = first..self.runs.min(first + per_item);
             let mut prof = profiler.child();
-            let passes = self.eval_batch(designs, &mc, first, width.min(total - first), &mut prof);
+            let passes = self.eval_batch(points, &mc, trials, &mut prof);
             for _ in &passes {
                 progress.tick();
             }
             (passes, prof)
         });
-        let mut passes = Vec::with_capacity(total);
-        for (chunk, prof) in batches {
+        let mut passes = vec![false; points.len() * self.runs];
+        for (b, (item, prof)) in items.into_iter().enumerate() {
             obs.profiler.merge(prof);
-            passes.extend(chunk);
+            // Item `b` holds trials `b * per_item..` in trial-major order.
+            for (j, pass) in item.into_iter().enumerate() {
+                let (trial, point) = (b * per_item + j / points.len(), j % points.len());
+                passes[point * self.runs + trial] = pass;
+            }
         }
         passes
     }
 
-    /// Evaluates the flattened trials `first..first + count` as one
-    /// batch: certificate-screen each die, then advance the unproven
-    /// ones in lockstep through the stress patterns.
+    /// Evaluates `trials` at every sweep point as one batch, returning
+    /// the verdicts trial-major (index `(trial - trials.start) *
+    /// points.len() + point`): elaborate each die once and retarget it to
+    /// every point, certificate-screen each (die, point), then advance
+    /// the unproven ones in lockstep through the stress patterns.
     ///
     /// Profiling lands in `prof` (free when disabled): an `mc.batch`
-    /// frame wrapping per-die `elaborate`/`certify` frames with
-    /// `cert_hit`/`cert_miss` tallies (batch occupancy = misses per
-    /// batch), and a `kernel` frame whose `bit_slot`/`lane_kill`
-    /// children come from the lockstep harness. The timing sink is
-    /// exempt from the telemetry-byte-identity contract: its batch
-    /// frames depend on the batch width.
+    /// frame wrapping one `elaborate` frame per die (sampling, the
+    /// elaboration and the retargets) and one `certify` frame per (die,
+    /// point) with `cert_hit`/`cert_miss` tallies (batch occupancy =
+    /// misses per batch), and a `kernel` frame whose `bit_slot`/
+    /// `lane_kill` children come from the lockstep harness. The timing
+    /// sink is exempt from the telemetry-byte-identity contract: its
+    /// batch frames depend on the batch width.
     fn eval_batch(
         &self,
-        designs: &[SrlrDesign],
+        points: &[SwingPoint],
         mc: &MonteCarlo,
-        first: usize,
-        count: usize,
+        trials: Range<usize>,
         prof: &mut Profiler,
     ) -> Vec<bool> {
-        let mut pass = vec![false; count];
+        let first = trials.start;
+        let mut pass = vec![false; trials.len() * points.len()];
+        let Some((last, others)) = points.split_last() else {
+            return pass;
+        };
         prof.enter("mc.batch");
-        // Build each die; certified dice are proven clean for every
-        // pattern and skip simulation.
-        let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
-        for (k, slot) in pass.iter_mut().enumerate() {
-            let i = first + k;
-            let (point, trial) = (i / self.runs, (i % self.runs) as u64);
+        // One link per sweep point. A certified link stays in its slot
+        // and its stage buffer is reused by the next die; an unproven one
+        // moves into the lockstep set.
+        let mut at_point: Vec<Option<SrlrLink>> = vec![None; points.len()];
+        let mut lanes: Vec<(usize, SrlrLink)> = Vec::with_capacity(pass.len());
+        for (t, trial) in trials.enumerate() {
             prof.enter("elaborate");
-            let mut die = mc.die(trial);
+            let mut die = mc.die(trial as u64);
             let var = die.global_variation();
-            let link = SrlrLink::on_die_with_mismatch(
-                self.tech,
-                &designs[point],
-                self.config,
-                &var,
-                &mut die,
-            );
+            let chain =
+                last.instantiate_with_mismatch(self.tech, &var, self.config.stages, &mut die);
+            let base = SrlrLink::from_chain(chain, self.config);
+            for (slot, point) in at_point.iter_mut().zip(others) {
+                let link = match slot {
+                    Some(link) => {
+                        link.clone_from(&base);
+                        link
+                    }
+                    None => slot.insert(base.clone()),
+                };
+                link.retarget(self.tech, &var, point);
+            }
+            at_point[others.len()] = Some(base);
             prof.exit();
-            prof.enter("certify");
-            let certified = link.robustly_clean();
-            prof.exit();
-            if certified {
-                prof.count("cert_hit");
-                *slot = true;
-            } else {
-                prof.count("cert_miss");
-                lanes.push((k, link));
+            for (p, slot) in at_point.iter_mut().enumerate() {
+                let j = t * points.len() + p;
+                prof.enter("certify");
+                let certified = slot.as_ref().is_some_and(SrlrLink::robustly_clean);
+                prof.exit();
+                if certified {
+                    prof.count("cert_hit");
+                    pass[j] = true;
+                } else if let Some(link) = slot.take() {
+                    prof.count("cert_miss");
+                    lanes.push((j, link));
+                }
             }
         }
         if lanes.is_empty() {
@@ -221,9 +261,9 @@ impl<'a> McExperiment<'a> {
             let prbs: Vec<Option<Vec<bool>>> = lanes
                 .iter()
                 .enumerate()
-                .map(|(lane, (k, _))| {
+                .map(|(lane, (j, _))| {
                     run.is_contending(lane).then(|| {
-                        let trial = ((first + k) % self.runs) as u64;
+                        let trial = (first + j / points.len()) as u64;
                         Prbs::prbs15_for_stream(self.seed, trial).take_bits(self.prbs_bits)
                     })
                 })
@@ -233,8 +273,8 @@ impl<'a> McExperiment<'a> {
             run.check_per_lane(&prbs, self.prbs_bits, prof);
             prof.exit();
         }
-        for (lane, (k, _)) in lanes.iter().enumerate() {
-            pass[*k] = run.verdicts()[lane];
+        for (lane, (j, _)) in lanes.iter().enumerate() {
+            pass[*j] = run.verdicts()[lane];
         }
         prof.exit();
         pass
@@ -243,7 +283,8 @@ impl<'a> McExperiment<'a> {
     /// Runs the experiment for one design, returning the error
     /// probability over the sampled dice.
     pub fn error_probability(&self, design: &SrlrDesign) -> ErrorProbability {
-        let passes = self.flat_passes(std::slice::from_ref(design), &mut Obs::none());
+        let point = SwingPoint::new(self.tech, design);
+        let passes = self.flat_passes(std::slice::from_ref(&point), &mut Obs::none());
         ErrorProbability {
             failures: passes.iter().filter(|&&ok| !ok).count(),
             trials: self.runs,
@@ -278,12 +319,12 @@ impl<'a> McExperiment<'a> {
         swings: &[Voltage],
         obs: &mut Obs,
     ) -> Vec<(Voltage, ErrorProbability)> {
-        let designs: Vec<SrlrDesign> = swings
+        let points: Vec<SwingPoint> = swings
             .iter()
-            .map(|&s| design.with_nominal_swing(s))
+            .map(|&s| SwingPoint::new(self.tech, &design.with_nominal_swing(s)))
             .collect();
         obs.profiler.enter("mc.sweep");
-        let passes = self.flat_passes(&designs, obs);
+        let passes = self.flat_passes(&points, obs);
         obs.profiler.exit();
         let sweep: Vec<(Voltage, ErrorProbability)> = swings
             .iter()
@@ -636,11 +677,12 @@ mod tests {
                 .sum()
         };
         assert_eq!(count_of("cert_hit") + count_of("cert_miss"), 120);
-        assert_eq!(count_of("elaborate"), 120, "one elaboration per die");
+        assert_eq!(count_of("certify"), 120, "one certificate per (die, swing)");
+        assert_eq!(count_of("elaborate"), 60, "one elaboration per die");
         // Kill-on-first-error retires every failing lane exactly once.
         assert!(count_of("lane_kill") <= count_of("cert_miss"));
-        // 120 dice at batch width 32, two sweep points of 60: the
-        // flattened workload splits into 4 batches.
+        // Batch width 32 over two sweep points: 16 dice per batch, so
+        // the 60 dice split into 4 batches.
         assert_eq!(count_of("mc.batch"), 4);
     }
 
@@ -652,9 +694,15 @@ mod tests {
         // kernel is nearly idle and the per-die screen (elaboration +
         // certification) outweighs it in wall-clock self time — the
         // profile contradicts the naive guess that the bit-slot loop is
-        // hot. The screen takes 70–85% of self time here, but the run
-        // lasts only milliseconds, so one descheduling can push it under
-        // half; it outweighs the kernel 5–9×, so assert that instead.
+        // hot. Wall-clock self time sums over workers, so the sweep runs
+        // on one thread: with two, a worker waiting on a busy core
+        // inflates whichever frame it is in (the kernel read up to 3×
+        // its single-thread time). The screen outweighs the kernel
+        // 2.5–3× here (each die is elaborated once for both swings), and
+        // 2,000 dice keep the run long enough (~50 ms in a debug build)
+        // that one descheduling inside the kernel cannot close the gap.
+        // A descheduling can still push the screen under half of self
+        // time, so the test compares the two frames instead.
         use srlr_telemetry::{Clock, Profiler};
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
@@ -662,7 +710,9 @@ mod tests {
             Voltage::from_millivolts(350.0),
             Voltage::from_millivolts(450.0),
         ];
-        let exp = McExperiment::paper_default(&tech).with_runs(400);
+        let exp = McExperiment::paper_default(&tech)
+            .with_runs(2000)
+            .with_threads(Some(1));
         let mut obs = Obs {
             profiler: Profiler::enabled(Clock::wall()),
             ..Obs::default()

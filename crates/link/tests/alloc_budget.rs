@@ -16,9 +16,11 @@ use srlr_units::Voltage;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations of the 2 × 64-die, width-32, single-thread sweep below,
-/// as measured on the untraced fast path the single loop replaced.
-const UNTRACED_BASELINE: u64 = 458;
+/// Allocations of the 2 × 64-die, width-32, single-thread sweep below.
+/// The untraced fast path the single loop replaced measured 458; the
+/// trial-major sweep, which elaborates each die once and keeps one
+/// reused link per swing, measures 455, so the budget is pinned there.
+const UNTRACED_BASELINE: u64 = 455;
 
 struct CountingAlloc;
 

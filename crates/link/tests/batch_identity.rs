@@ -52,12 +52,12 @@ fn oracle_probability(
     config: LinkConfig,
     design: &SrlrDesign,
 ) -> ErrorProbability {
-    let failures = (0..exp.runs as u64)
+    let failures = (0..exp.runs() as u64)
         .filter(|&trial| !oracle_passes(tech, exp, config, design, trial))
         .count();
     ErrorProbability {
         failures,
-        trials: exp.runs,
+        trials: exp.runs(),
     }
 }
 

@@ -105,7 +105,13 @@ fn elaboration_and_certificate_are_bit_identical_to_the_pinned_fingerprints() {
             }
         }
     }
-    assert_eq!((screen.dice, screen.certified), (32_400, 12_578));
+    // The certificate bounds residues with the simulator's headroom term
+    // (`b' ≤ (b·(1 − D/V) + D)·decay`, see `certify.rs`), which proves
+    // more dice than the headroom-free `(b + D)·decay` it replaced
+    // (12,578 here and 12,947 overall). Every die it proves passes the
+    // three stress patterns and 1,024 PRBS-15 bits under the exact
+    // evaluator.
+    assert_eq!((screen.dice, screen.certified), (32_400, 15_013));
 
     // Global variation only: the four process corners and the nominal
     // die (no local mismatch, so every stage of a chain is the same
@@ -125,14 +131,14 @@ fn elaboration_and_certificate_are_bit_identical_to_the_pinned_fingerprints() {
         }
     }
 
-    assert_eq!((screen.dice, screen.certified), (33_300, 12_947));
+    assert_eq!((screen.dice, screen.certified), (33_300, 15_444));
     assert_eq!(
         screen.chains.0, 0x68e0_1075_09d0_dbb9,
         "elaborated chains changed: {:#018x}",
         screen.chains.0
     );
     assert_eq!(
-        screen.verdicts.0, 0x55de_aeee_bb30_12a0,
+        screen.verdicts.0, 0x3848_202e_8f0c_a825,
         "certificate verdicts changed: {:#018x}",
         screen.verdicts.0
     );
