@@ -13,7 +13,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::{report, thread_ladder};
 use srlr_core::SrlrDesign;
-use srlr_link::engine;
 use srlr_link::montecarlo::McExperiment;
 use srlr_tech::Technology;
 use std::time::Instant;
@@ -39,14 +38,14 @@ fn print_throughput() {
     let tech = Technology::soi45();
     let design = SrlrDesign::paper_proposed(&tech);
     let n = runs();
-    let available = engine::available_threads();
+    let available = srlr_parallel::available_threads();
 
     report::section(&format!(
         "Monte Carlo throughput — {n} dice through the Fig. 6 stress test"
     ));
     println!(
         "machine: {available} available thread(s); SRLR_THREADS={}",
-        std::env::var(engine::THREADS_ENV).unwrap_or_else(|_| "unset".into()),
+        std::env::var(srlr_parallel::THREADS_ENV).unwrap_or_else(|_| "unset".into()),
     );
 
     let mut run = srlr_telemetry::RunReport::new("mc_throughput");

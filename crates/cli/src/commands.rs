@@ -7,7 +7,6 @@ use srlr_core::SrlrDesign;
 use srlr_link::ber::BerTester;
 use srlr_link::montecarlo::McExperiment;
 use srlr_link::{measure_eye, ComparisonTable, LinkConfig, LinkErrorModel, SrlrLink};
-use srlr_lint::{sarif, Config as LintConfig};
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{
     ber_sweep_observed, DatapathKind, ExpressComparison, ExpressTopology, FaultConfig, Mesh,
@@ -43,9 +42,6 @@ pub fn help() -> String {
        temp                             temperature sweep (-40..105 C)\n\
        bathtub [--jitter PS] [--threads T]  BER vs rate under width jitter\n\
        crosstalk                        neighbour-activity scenarios\n\
-       lint   [--root DIR] [--format text|sarif] [--deny-all]\n\
-                                        workspace static analysis (see\n\
-                                        srlr-lint --list-rules)\n\
        verify-noc [--cols C] [--rows R] [--ber B] [--retries LIST]\n\
               [--packet-len L] [--variant correct|no-watermark]\n\
               [--format text|json|sarif]\n\
@@ -61,6 +57,9 @@ pub fn help() -> String {
                                         1 on an out-of-band change (the\n\
                                         CI perf-regression gate)\n\
        help                             this text\n\
+     \n\
+     Workspace static analysis is the separate `srlr-lint` binary\n\
+     (`srlr-lint --deny-all`; `srlr-lint --help` lists its flags).\n\
      \n\
      --threads T: worker threads (0 or unset = SRLR_THREADS env var, then\n\
      the machine). Results are identical at every thread count.\n\
@@ -775,7 +774,7 @@ pub fn profile(rest: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError::Experiment(format!("cannot read `{path}`: {e}")))?;
     let lines = srlr_prof::parse_folded(&text)
         .map_err(|e| CliError::Experiment(format!("`{path}` is not a folded profile: {e}")))?;
-    let spots = srlr_prof::hotspots_folded(&lines, top);
+    let spots = srlr_prof::hotspots(&lines, top);
     Ok(format!(
         "top {} of {} frames by self time ({path})\n\n{}",
         spots.len(),
@@ -788,7 +787,7 @@ pub fn profile(rest: &[String]) -> Result<String, CliError> {
 /// [--ignore csv]`: structured diff of two run reports / bench
 /// snapshots (any scalar-leaved JSON). Exit `0` when every change sits
 /// inside the tolerance band, `1` on a regression (the CI gate), `2`
-/// on usage errors — mirroring `lint`.
+/// on usage errors — the same contract as `srlr-lint`.
 pub fn bench_diff(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(
         rest,
@@ -906,63 +905,6 @@ pub fn sizing() -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `srlr lint [--root DIR] [--format text|sarif] [--deny-all]`.
-///
-/// Delegates to [`srlr_lint::run`]: exit `0` when the tree is clean,
-/// `1` on violations (or stale baseline entries under `--deny-all`) and
-/// `2` for usage errors, matching the standalone `srlr-lint` binary.
-/// `--format sarif` always succeeds so CI can upload the document as an
-/// artifact even when findings gate — the same contract as
-/// `verify-noc --format sarif`.
-pub fn lint(rest: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse_with_switches(rest, &["root", "format"], &["deny-all"])?;
-    let root = flags.get_str("root").unwrap_or(".").to_owned();
-    let format = flags.get_str("format").unwrap_or("text");
-    if !matches!(format, "text" | "sarif") {
-        return Err(CliError::Usage(format!(
-            "unknown lint format `{format}` (text|sarif)"
-        )));
-    }
-
-    let config = LintConfig::new(root);
-    let report = srlr_lint::run(&config).map_err(|e| CliError::Experiment(e.to_string()))?;
-
-    let failures = report.failures().count();
-    let stale_fails = flags.is_set("deny-all") && !report.stale.is_empty();
-    let clean = failures == 0 && !stale_fails;
-
-    let mut out = String::new();
-    if format == "sarif" {
-        // The findings travel inside the document; exporting must not
-        // fail the run or CI loses the artifact it came for.
-        out.push_str(&sarif::render(&report));
-        return Ok(out);
-    }
-    for d in &report.fresh {
-        out.push_str(&d.render());
-    }
-    for key in &report.stale {
-        let _ = writeln!(
-            out,
-            "stale-baseline: `{key}` no longer matches any violation"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "srlr-lint: {} files checked, {failures} violation(s)",
-        report.files_checked
-    );
-    if clean {
-        Ok(out)
-    } else {
-        // Experiment errors land on stderr with exit 1; keep the
-        // diagnostics as the message so they stay visible.
-        Err(CliError::Experiment(format!(
-            "lint found {failures} violation(s)\n{out}"
-        )))
-    }
-}
-
 /// `srlr verify-noc [...]`: exhaustive model check of the mesh retry
 /// protocol via `srlr-model`.
 ///
@@ -975,7 +917,7 @@ pub fn lint(rest: &[String]) -> Result<String, CliError> {
 /// counterexample traces (dumped through `--events-out`, rendered in
 /// text, and exported as SARIF results).
 ///
-/// Exit behaviour mirrors `lint`: violations fail with exit `1` in
+/// Exit behaviour mirrors `srlr-lint`: violations fail with exit `1` in
 /// `text`/`json` formats; `--format sarif` always succeeds so CI can
 /// archive the document from a failing tree (the gate is a text run).
 pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {

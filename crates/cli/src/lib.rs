@@ -15,10 +15,12 @@
 //! srlr noc-faults [--bers L | --swings MV] [--load F] [--threads T]
 //! srlr express [--interval K]
 //! srlr sizing                  M1/M2 design-space sweep
-//! srlr lint [--format sarif] [--deny-all]   workspace static analysis
 //! srlr profile --in FILE [--top N]          rank a folded profile
 //! srlr bench-diff --old A --new B [--tolerance F]   snapshot gate
 //! ```
+//!
+//! Workspace static analysis is not a subcommand: it is the separate
+//! `srlr-lint` binary (`srlr-lint --deny-all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +78,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "temp" => commands::temp(),
         "bathtub" => commands::bathtub(rest),
         "crosstalk" => commands::crosstalk(),
-        "lint" => commands::lint(rest),
         "verify-noc" => commands::verify_noc(rest),
         "profile" => commands::profile(rest),
         "bench-diff" => commands::bench_diff(rest),
@@ -113,10 +114,17 @@ mod tests {
             "ber",
             "eye",
             "noc",
+            "noc-faults",
             "express",
             "sizing",
-            "lint",
+            "shmoo",
+            "supply",
+            "temp",
+            "bathtub",
+            "crosstalk",
             "verify-noc",
+            "profile",
+            "bench-diff",
         ] {
             assert!(out.contains(cmd), "help must mention {cmd}");
         }

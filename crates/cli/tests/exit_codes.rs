@@ -14,10 +14,18 @@ fn run(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_command_exits_2() {
-    let out = run(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage error"), "stderr: {stderr}");
+    // `lint` included: workspace static analysis has one front door,
+    // the `srlr-lint` binary.
+    for command in ["frobnicate", "lint"] {
+        let out = run(&[command, "--deny-all"]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage error"), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown command `{command}`")),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]

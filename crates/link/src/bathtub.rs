@@ -7,7 +7,6 @@
 //! bathtub curve and shows how much slope sits between "rated" and
 //! "broken".
 
-use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::prbs::Prbs;
 use srlr_core::{DieBatch, SrlrDesign};
@@ -103,12 +102,12 @@ pub fn rate_bathtub_with_threads(
     // link clean — and no early exit: a bathtub counts every error.
     const BATCH_WIDTH: usize = 32;
     let n_seeds = seeds as usize;
-    let n_threads = engine::resolve_threads(threads);
+    let n_threads = srlr_parallel::resolve_threads(threads);
     let total = rates.len() * n_seeds;
     let n_batches = total.div_ceil(BATCH_WIDTH);
     let sigma_s = jitter_sigma.seconds();
     let stages = links[0].chain().stages().len();
-    let chunks = engine::par_map_indexed(n_batches, n_threads, |b| {
+    let chunks = srlr_parallel::par_map_indexed(n_batches, n_threads, |b| {
         let first = b * BATCH_WIDTH;
         let count = BATCH_WIDTH.min(total - first);
         let mut batch = DieBatch::new(stages, count);

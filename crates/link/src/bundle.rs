@@ -6,7 +6,6 @@
 //! global corner, independent per-stage local mismatch per lane) plus a
 //! single [`AdaptiveSwingBias`] generator serving every lane's drivers.
 
-use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::metrics::LinkMetrics;
 use srlr_core::SrlrDesign;
@@ -59,8 +58,8 @@ impl LinkBundle {
     ) -> Self {
         assert!(width > 0, "bundle needs at least one lane");
         let mc = MonteCarlo::new(tech, seed);
-        let n_threads = engine::resolve_threads(threads);
-        let lanes = engine::par_map_indexed(width, n_threads, |lane| {
+        let n_threads = srlr_parallel::resolve_threads(threads);
+        let lanes = srlr_parallel::par_map_indexed(width, n_threads, |lane| {
             let mut die = mc.die(lane as u64);
             SrlrLink::on_die_with_mismatch(tech, design, config, var, &mut die)
         });

@@ -15,7 +15,6 @@
 //! engine, so results are bit-identical at any thread count.
 
 use crate::ber::BerReport;
-use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::prbs::Prbs;
 use srlr_core::SrlrDesign;
@@ -99,8 +98,8 @@ impl LinkErrorModel {
         assert!(dice > 0, "need at least one die");
         assert!(bits_per_die > 0, "need at least one bit per die");
         let mc = MonteCarlo::new(tech, seed);
-        let workers = engine::resolve_threads(threads);
-        let errors_per_die = engine::par_map_indexed(dice, workers, |trial| {
+        let workers = srlr_parallel::resolve_threads(threads);
+        let errors_per_die = srlr_parallel::par_map_indexed(dice, workers, |trial| {
             let mut die = mc.die(trial as u64);
             let var = die.global_variation();
             let link = SrlrLink::on_die_with_mismatch(tech, design, config, &var, &mut die);

@@ -12,8 +12,6 @@
 //!   max-data-rate search,
 //! * [`error_model`] — aggregated effective-BER measurement over Monte
 //!   Carlo dice, the number the `srlr-noc` fault injector consumes,
-//! * [`engine`] — the deterministic parallel sweep engine (`SRLR_THREADS`)
-//!   behind the Monte Carlo, shmoo, bathtub, and bundle experiments,
 //! * [`metrics`] — the paper's headline metrics (bandwidth density,
 //!   fJ/bit/mm, link power),
 //! * [`baselines`] — behavioural models of the prior silicon-proven
@@ -47,7 +45,6 @@ pub mod bundle;
 pub(crate) mod certify;
 pub mod comparison;
 pub mod crosstalk;
-pub mod engine;
 pub mod error_model;
 pub mod eye;
 pub mod link;

@@ -8,11 +8,11 @@
 //! dice, exactly as the paper's 1000-run Monte Carlo reports it.
 //!
 //! Trials are evaluated by the deterministic parallel engine
-//! ([`crate::engine`]): die `i` draws its mismatch from the counter-based
-//! stream [`MonteCarlo::die`]`(i)` and its PRBS stimulus from
-//! [`Prbs::prbs15_for_stream`]`(seed, i)`, so every trial is a pure
-//! function of `(seed, i)` and the result is bit-identical at any thread
-//! count.
+//! ([`srlr_parallel::par_map_indexed`]): die `i` draws its mismatch from
+//! the counter-based stream [`MonteCarlo::die`]`(i)` and its PRBS
+//! stimulus from [`Prbs::prbs15_for_stream`]`(seed, i)`, so every trial
+//! is a pure function of `(seed, i)` and the result is bit-identical at
+//! any thread count.
 //!
 //! # The batched hot path
 //!
@@ -31,7 +31,6 @@
 //! every batch width and thread count, which the crate's identity tests
 //! assert against exactly that per-die oracle.
 
-use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
@@ -153,10 +152,10 @@ impl<'a> McExperiment<'a> {
     /// count and batch width.
     fn flat_passes(&self, points: &[SwingPoint], obs: &mut Obs) -> Vec<bool> {
         let mc = MonteCarlo::new(self.tech, self.seed);
-        let threads = engine::resolve_threads(self.threads);
+        let threads = srlr_parallel::resolve_threads(self.threads);
         let per_item = (self.batch_width / points.len().max(1)).max(1);
         let (progress, profiler) = (&obs.progress, &obs.profiler);
-        let items = engine::par_map_indexed(self.runs.div_ceil(per_item), threads, |b| {
+        let items = srlr_parallel::par_map_indexed(self.runs.div_ceil(per_item), threads, |b| {
             let first = b * per_item;
             let trials = first..self.runs.min(first + per_item);
             let mut prof = profiler.child();

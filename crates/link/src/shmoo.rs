@@ -5,7 +5,6 @@
 //! stress patterns; the rendered plot makes the operating region and its
 //! boundaries (ISI ceiling, sensitivity floor) visible at a glance.
 
-use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
@@ -84,9 +83,9 @@ impl ShmooPlot {
         const BATCH_WIDTH: usize = 32;
         let cols = rates.len();
         let total = swings.len() * cols;
-        let n_threads = engine::resolve_threads(threads);
+        let n_threads = srlr_parallel::resolve_threads(threads);
         let n_batches = total.div_ceil(BATCH_WIDTH);
-        let chunks = engine::par_map_indexed(n_batches, n_threads, |b| {
+        let chunks = srlr_parallel::par_map_indexed(n_batches, n_threads, |b| {
             let first = b * BATCH_WIDTH;
             let count = BATCH_WIDTH.min(total - first);
             let mut pass = vec![false; count];

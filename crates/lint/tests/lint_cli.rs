@@ -1,6 +1,7 @@
-//! Binary-level tests for `srlr lint`: the exit-code contract (`0`
-//! clean, `1` violations, `2` usage errors) and the SARIF emitter, as a
-//! CI runner would observe them.
+//! Binary-level tests for `srlr-lint` as the workspace's one lint front
+//! door, run the way CI runs it: `--deny-all` on this tree, SARIF on a
+//! clean and on a dirty tree, and the usage errors a mistyped CI step
+//! would hit.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -11,43 +12,41 @@ fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn srlr(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_srlr"))
+fn srlr_lint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_srlr-lint"))
         .args(args)
         .output()
-        .expect("spawn srlr")
+        .expect("spawn srlr-lint")
+}
+
+/// A one-file workspace whose `srlr-tech` imports `srlr-noc`: one
+/// `crate-layering` violation.
+fn dirty_fixture(name: &str) -> std::path::PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let src_dir = root.join("crates/tech/src");
+    std::fs::create_dir_all(&src_dir).expect("mkdir fixture");
+    std::fs::write(src_dir.join("lib.rs"), "use srlr_noc::Network;\n").expect("write fixture");
+    root
 }
 
 #[test]
 fn lint_deny_all_is_clean_on_this_workspace() {
     let root = workspace_root();
-    let out = srlr(&[
-        "lint",
-        "--root",
-        root.to_str().expect("utf-8"),
-        "--deny-all",
-    ]);
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8"), "--deny-all"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
         Some(0),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
+        "stdout: {stdout}\nstderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 violation(s)"), "{stdout}");
 }
 
 #[test]
 fn lint_format_sarif_emits_valid_sarif() {
     let root = workspace_root();
-    let out = srlr(&[
-        "lint",
-        "--root",
-        root.to_str().expect("utf-8"),
-        "--format",
-        "sarif",
-    ]);
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8"), "--format", "sarif"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     let doc = parse(&stdout).expect("stdout must be one valid JSON document");
@@ -60,7 +59,7 @@ fn lint_format_sarif_emits_valid_sarif() {
 
 #[test]
 fn lint_unknown_flag_is_a_usage_error() {
-    let out = srlr(&["lint", "--frobnicate"]);
+    let out = srlr_lint(&["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("frobnicate"), "{stderr}");
@@ -68,45 +67,30 @@ fn lint_unknown_flag_is_a_usage_error() {
 
 #[test]
 fn lint_bad_format_is_a_usage_error() {
-    let out = srlr(&["lint", "--format", "xml"]);
+    let out = srlr_lint(&["--format", "xml"]);
     assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
 fn lint_violations_exit_one() {
-    // A seeded one-file workspace with a layering violation: the
-    // subcommand must exit 1, not 0 or 2.
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_cli_dirty");
-    let src_dir = root.join("crates/tech/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir fixture");
-    std::fs::write(src_dir.join("lib.rs"), "use srlr_noc::Network;\n").expect("write fixture");
-    let out = srlr(&["lint", "--root", root.to_str().expect("utf-8")]);
+    let root = dirty_fixture("lint_cli_dirty");
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8")]);
     assert_eq!(
         out.status.code(),
         Some(1),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("crate-layering"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("crate-layering"), "{stdout}");
 }
 
 #[test]
 fn lint_format_sarif_exits_zero_even_with_findings() {
-    // Matching `verify-noc --format sarif`: the document carries the
-    // findings, so CI must receive it (exit 0) even when they gate.
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_cli_sarif_dirty");
-    let src_dir = root.join("crates/tech/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir fixture");
-    std::fs::write(src_dir.join("lib.rs"), "use srlr_noc::Network;\n").expect("write fixture");
-
-    let out = srlr(&[
-        "lint",
-        "--root",
-        root.to_str().expect("utf-8"),
-        "--format",
-        "sarif",
-    ]);
+    // The document carries the findings, so CI must receive it (exit 0)
+    // even when they gate.
+    let root = dirty_fixture("lint_cli_sarif_dirty");
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8"), "--format", "sarif"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -131,6 +115,6 @@ fn lint_format_sarif_exits_zero_even_with_findings() {
     );
 
     // The same workspace under the text format still gates (exit 1).
-    let out = srlr(&["lint", "--root", root.to_str().expect("utf-8")]);
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8")]);
     assert_eq!(out.status.code(), Some(1));
 }

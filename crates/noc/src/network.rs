@@ -209,8 +209,6 @@ pub struct Network {
     /// Link hops a multicast tree saved versus unicast clones (the SRLR's
     /// free multicast; see [`crate::multicast`]).
     multicast_saved_hops: u64,
-    /// When enabled, the router sequence each packet's head flit visits.
-    traces: Option<std::collections::BTreeMap<crate::packet::PacketId, Vec<Coord>>>,
     /// The link fault injector, when the config enables one.
     fault: Option<FaultModel>,
     /// Packets poisoned by an exhausted retry budget, awaiting discard at
@@ -251,7 +249,6 @@ impl Network {
             counters: EnergyCounters::default(),
             injected: 0,
             multicast_saved_hops: 0,
-            traces: None,
             fault: config.fault.map(|f| FaultModel::new(f, mesh)),
             failed: BTreeSet::new(),
             dropped: 0,
@@ -259,29 +256,6 @@ impl Network {
             link_busy_until: vec![0; n * Direction::MESH.len()],
             telemetry: None,
         }
-    }
-
-    /// Enables per-packet route tracing: every router a head flit leaves
-    /// is recorded. Costs memory proportional to traffic; intended for
-    /// validation and debugging.
-    pub fn enable_tracing(&mut self) {
-        self.traces = Some(std::collections::BTreeMap::new());
-    }
-
-    /// The recorded route of a packet (router coordinates in visit
-    /// order), if tracing was enabled and the packet moved.
-    pub fn trace_of(&self, id: crate::packet::PacketId) -> Option<&[Coord]> {
-        self.traces.as_ref()?.get(&id).map(Vec::as_slice)
-    }
-
-    /// All recorded traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tracing was never enabled.
-    pub fn traces(&self) -> &std::collections::BTreeMap<crate::packet::PacketId, Vec<Coord>> {
-        // srlr-lint: allow(no-panic, reason = "documented panic: caller must call enable_tracing first, see # Panics")
-        self.traces.as_ref().expect("tracing not enabled")
     }
 
     /// Enables the flit-lifecycle tracer: `flit.inject`, `flit.route`,
@@ -565,12 +539,6 @@ impl Network {
             for s in sent {
                 self.counters.buffer_reads += 1;
                 if s.flit.kind.is_head() {
-                    if let Some(traces) = self.traces.as_mut() {
-                        traces
-                            .entry(s.flit.packet)
-                            .or_default()
-                            .push(self.routers[i].coord());
-                    }
                     if let Some(tel) = self.telemetry.as_mut() {
                         let at = self.routers[i].coord();
                         tel.collector.event(

@@ -1,20 +1,40 @@
-//! Route-legality validation via packet tracing: XY routes must be
-//! minimal and dimension-ordered; west-first routes must be minimal and
-//! never turn into the west direction.
+//! Route-legality validation via the flit tracer: every head-flit
+//! `flit.route` event names the router it leaves, so grouping them by
+//! packet rebuilds each route. XY routes must be minimal and
+//! dimension-ordered; west-first routes must be minimal and never turn
+//! into the west direction.
+
+use std::collections::BTreeMap;
 
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, Network, NocConfig, RoutingAlgorithm};
+use srlr_telemetry::Value;
 
-fn traced_network(routing: RoutingAlgorithm, load: f64, cycles: u64) -> Network {
+/// Runs a 6x6 mesh with the flit tracer on and returns each packet's
+/// route: the routers its head flit left, in visit order.
+fn traced_routes(routing: RoutingAlgorithm, load: f64, cycles: u64) -> BTreeMap<u64, Vec<Coord>> {
     let mut net = Network::new(
         NocConfig::paper_default()
             .with_size(6, 6)
             .with_routing(routing),
     );
-    net.enable_tracing();
+    net.enable_flit_telemetry();
     let _ = net.run_warmup_and_measure(Pattern::UniformRandom, load, 0, cycles);
     assert!(net.drain(50_000), "network must drain");
-    net
+    let tel = net.take_flit_telemetry().expect("tracer was enabled");
+    let mut routes: BTreeMap<u64, Vec<Coord>> = BTreeMap::new();
+    for event in tel.events().iter().filter(|e| e.name == "flit.route") {
+        let field = |key: &str| match event.fields.get(key) {
+            Some(Value::U64(v)) => *v,
+            other => panic!("flit.route field `{key}` is {other:?}"),
+        };
+        let coord = |key: &str| u16::try_from(field(key)).expect("mesh coordinate fits u16");
+        routes
+            .entry(field("packet"))
+            .or_default()
+            .push(Coord::new(coord("x"), coord("y")));
+    }
+    routes
 }
 
 /// Direction of one step, as (dx, dy).
@@ -27,9 +47,8 @@ fn step(a: Coord, b: Coord) -> (i32, i32) {
 
 #[test]
 fn xy_routes_are_minimal_and_dimension_ordered() {
-    let net = traced_network(RoutingAlgorithm::Xy, 0.05, 800);
     let mut checked = 0;
-    for trace in net.traces().values() {
+    for trace in traced_routes(RoutingAlgorithm::Xy, 0.05, 800).values() {
         if trace.len() < 2 {
             continue;
         }
@@ -59,9 +78,8 @@ fn xy_routes_are_minimal_and_dimension_ordered() {
 
 #[test]
 fn west_first_routes_are_minimal_and_turn_legal() {
-    let net = traced_network(RoutingAlgorithm::WestFirst, 0.05, 800);
     let mut checked = 0;
-    for trace in net.traces().values() {
+    for trace in traced_routes(RoutingAlgorithm::WestFirst, 0.05, 800).values() {
         if trace.len() < 2 {
             continue;
         }
@@ -91,8 +109,9 @@ fn west_first_routes_are_minimal_and_turn_legal() {
 fn tracing_is_opt_in() {
     let mut net = Network::new(NocConfig::paper_default().with_size(4, 4));
     let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 0, 200);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = net.traces();
-    }));
-    assert!(result.is_err(), "traces() must panic when not enabled");
+    assert!(!net.flit_telemetry_enabled());
+    assert!(
+        net.take_flit_telemetry().is_none(),
+        "no routes are recorded unless the tracer was enabled"
+    );
 }

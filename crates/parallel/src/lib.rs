@@ -19,6 +19,14 @@
 //! cannot be vendored. The API is deliberately rayon-shaped so the
 //! implementation could be swapped for a work-stealing pool without
 //! touching callers.
+//!
+//! # Examples
+//!
+//! ```
+//! let serial: Vec<u64> = (0..100u64).map(|i| i * i).collect();
+//! let parallel = srlr_parallel::par_map_indexed(100, 4, |i| (i as u64) * (i as u64));
+//! assert_eq!(serial, parallel);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
-//! Structured diff of two profiles or two `RunReport`/`BENCH_*.json`
-//! snapshots, with tolerance bands — the engine behind `srlr
-//! bench-diff` and the CI `perf-regression` gate.
+//! Structured diff of two `RunReport`/`BENCH_*.json` snapshots, with
+//! tolerance bands — the engine behind `srlr bench-diff` and the CI
+//! `perf-regression` gate.
 //!
 //! Both inputs are flattened to `dotted.path → scalar` maps; the diff
 //! reports keys that appeared, disappeared, or changed. A numeric
@@ -20,7 +20,6 @@
 //! the same PR.
 
 use srlr_telemetry::json::{self, Json};
-use srlr_telemetry::Profile;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -194,21 +193,6 @@ fn flatten_doc(doc: &Json) -> BTreeMap<String, Flat> {
     out
 }
 
-/// Flattens a [`Profile`] to the same keyspace the JSON diff uses:
-/// `<path>.count`, `<path>.total_s`, `<path>.self_s` per node, plus
-/// `clock`.
-fn flatten_profile(p: &Profile) -> BTreeMap<String, Flat> {
-    let mut out = BTreeMap::new();
-    out.insert("clock".to_owned(), Flat::Text(p.clock.clone()));
-    for (i, n) in p.nodes.iter().enumerate() {
-        let path = p.path(i);
-        out.insert(format!("{path}.count"), Flat::Num(n.count as f64));
-        out.insert(format!("{path}.total_s"), Flat::Num(n.total_s));
-        out.insert(format!("{path}.self_s"), Flat::Num(n.self_s));
-    }
-    out
-}
-
 fn diff_maps(
     old: &BTreeMap<String, Flat>,
     new: &BTreeMap<String, Flat>,
@@ -283,12 +267,6 @@ fn render_flat(f: &Flat) -> String {
     }
 }
 
-/// Diffs two JSON documents (run reports, bench snapshots, or any
-/// scalar-leaved JSON) already parsed.
-pub fn diff_flat(old: &Json, new: &Json, opts: &DiffOptions) -> DiffReport {
-    diff_maps(&flatten_doc(old), &flatten_doc(new), opts)
-}
-
 /// Diffs two report/snapshot files by text.
 ///
 /// # Errors
@@ -301,20 +279,12 @@ pub fn diff_reports(
 ) -> Result<DiffReport, String> {
     let old = json::parse(old_text).map_err(|e| format!("old input: {e}"))?;
     let new = json::parse(new_text).map_err(|e| format!("new input: {e}"))?;
-    Ok(diff_flat(&old, &new, opts))
-}
-
-/// Diffs two profiles over `<path>.{count,total_s,self_s}` keys —
-/// structure changes (paths appearing/disappearing, count changes)
-/// regress under zero tolerance; timing keys band like any metric.
-pub fn diff_profiles(old: &Profile, new: &Profile, opts: &DiffOptions) -> DiffReport {
-    diff_maps(&flatten_profile(old), &flatten_profile(new), opts)
+    Ok(diff_maps(&flatten_doc(&old), &flatten_doc(&new), opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srlr_telemetry::{Clock, Profiler};
 
     fn opts(rel: f64) -> DiffOptions {
         DiffOptions {
@@ -419,26 +389,6 @@ mod tests {
         assert!(diff_reports("{}", "[1,", &opts(0.0))
             .expect_err("bad new")
             .starts_with("new input"));
-    }
-
-    #[test]
-    fn profile_diff_sees_structure_and_timing() {
-        let make = |extra: bool, slow: f64| {
-            let mut p = Profiler::enabled(Clock::tick(slow));
-            p.enter("a");
-            if extra {
-                p.enter("b");
-                p.exit();
-            }
-            p.exit();
-            p.snapshot()
-        };
-        let r = diff_profiles(&make(false, 1.0), &make(true, 1.0), &opts(0.0));
-        assert!(r.regressed(), "new frame path is a structural change");
-        let r = diff_profiles(&make(false, 1.0), &make(false, 2.0), &opts(0.0));
-        assert!(r.regressed(), "timing drift caught at zero tolerance");
-        let r = diff_profiles(&make(false, 1.0), &make(false, 2.0), &opts(0.6));
-        assert!(!r.regressed(), "banded timing drift passes");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct FoldedLine {
 /// The folded lines of `profile`, one per node, sorted by path.
 /// Count-only frames (zero self time) keep their zero-valued lines so
 /// the full structure survives the round trip.
-pub fn fold_lines(profile: &Profile) -> Vec<FoldedLine> {
+fn fold_lines(profile: &Profile) -> Vec<FoldedLine> {
     let mut lines: Vec<FoldedLine> = profile
         .nodes
         .iter()

@@ -2,13 +2,11 @@
 //!
 //! A flame graph answers "what does the time distribution look like";
 //! the hotspot table answers the optimization question directly: which
-//! frames own the most *self* time, what fraction of the run is that,
-//! and how often were they entered. Works from either a live
-//! [`Profile`] (counts available) or parsed folded lines (counts
-//! unknown, e.g. a file from another tool).
+//! frames own the most *self* time, and what fraction of the run is
+//! that. It reads parsed folded lines, so it ranks a `--profile-out`
+//! file or any other stackcollapse tool's output alike.
 
 use crate::folded::FoldedLine;
-use srlr_telemetry::Profile;
 use std::fmt::Write as _;
 
 /// One hotspot row.
@@ -20,47 +18,22 @@ pub struct Hotspot {
     pub self_us: u64,
     /// Share of the profile's total self time, in percent.
     pub pct: f64,
-    /// Invocation count when known (`None` for folded-file input).
-    pub count: Option<u64>,
 }
 
-/// The top `n` frames of `profile` by self time, descending; ties break
-/// by path so the table is deterministic.
-pub fn hotspots(profile: &Profile, n: usize) -> Vec<Hotspot> {
-    let counts: std::collections::BTreeMap<String, u64> = profile
-        .nodes
+/// The top `n` folded lines by self value, descending; ties break by
+/// path so the table is deterministic.
+pub fn hotspots(lines: &[FoldedLine], n: usize) -> Vec<Hotspot> {
+    let total: u64 = lines.iter().map(|l| l.value).sum();
+    let mut spots: Vec<Hotspot> = lines
         .iter()
-        .enumerate()
-        .map(|(i, node)| (profile.path(i), node.count))
-        .collect();
-    let rows = crate::folded::fold_lines(profile)
-        .into_iter()
-        .map(|l| {
-            let count = counts.get(&l.path).copied();
-            (l, count)
-        })
-        .collect::<Vec<_>>();
-    rank(rows, n)
-}
-
-/// The top `n` folded lines by value, descending.
-pub fn hotspots_folded(lines: &[FoldedLine], n: usize) -> Vec<Hotspot> {
-    rank(lines.iter().map(|l| (l.clone(), None)).collect(), n)
-}
-
-fn rank(rows: Vec<(FoldedLine, Option<u64>)>, n: usize) -> Vec<Hotspot> {
-    let total: u64 = rows.iter().map(|(l, _)| l.value).sum();
-    let mut spots: Vec<Hotspot> = rows
-        .into_iter()
-        .map(|(l, count)| Hotspot {
+        .map(|l| Hotspot {
             pct: if total > 0 {
                 l.value as f64 * 100.0 / total as f64
             } else {
                 0.0
             },
-            path: l.path,
+            path: l.path.clone(),
             self_us: l.value,
-            count,
         })
         .collect();
     spots.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.path.cmp(&b.path)));
@@ -76,18 +49,9 @@ pub fn render_table(rows: &[Hotspot]) -> String {
         out.push_str("(empty profile)\n");
         return out;
     }
-    let _ = writeln!(
-        out,
-        "{:>12}  {:>6}  {:>10}  FRAME",
-        "SELF(us)", "PCT", "COUNT"
-    );
+    let _ = writeln!(out, "{:>12}  {:>6}  FRAME", "SELF(us)", "PCT");
     for r in rows {
-        let count = r.count.map_or_else(|| "-".to_owned(), |c| c.to_string());
-        let _ = writeln!(
-            out,
-            "{:>12}  {:>5.1}%  {:>10}  {}",
-            r.self_us, r.pct, count, r.path
-        );
+        let _ = writeln!(out, "{:>12}  {:>5.1}%  {}", r.self_us, r.pct, r.path);
     }
     out
 }
@@ -95,27 +59,25 @@ pub fn render_table(rows: &[Hotspot]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srlr_telemetry::{Clock, Profiler};
+    use crate::folded::parse_folded;
 
-    fn profile() -> Profile {
-        let mut p = Profiler::enabled(Clock::tick(1.0));
-        p.enter("root"); // 0
-        p.enter("hot"); // 1
-        p.enter("inner"); // 2
-        p.exit(); // 3: inner self 1
-        p.exit(); // 4: hot total 3 self 2
-        p.enter("cold"); // 5
-        p.exit(); // 6: cold self 1
-        p.exit(); // 7: root total 7 self 3
-        p.snapshot()
+    /// A root (self 3 s) with a hot child (self 2 s, one inner frame of
+    /// 1 s) and a cold child (1 s), in folded microseconds.
+    fn lines() -> Vec<FoldedLine> {
+        parse_folded(
+            "root 3000000\n\
+             root;cold 1000000\n\
+             root;hot 2000000\n\
+             root;hot;inner 1000000\n",
+        )
+        .expect("fixture parses")
     }
 
     #[test]
     fn hotspots_rank_by_self_time() {
-        let spots = hotspots(&profile(), 10);
+        let spots = hotspots(&lines(), 10);
         assert_eq!(spots[0].path, "root");
         assert_eq!(spots[0].self_us, 3_000_000);
-        assert_eq!(spots[0].count, Some(1));
         assert_eq!(spots[1].path, "root;hot");
         assert_eq!(spots[1].self_us, 2_000_000);
         // Total self = 7 s; root owns 3/7.
@@ -124,30 +86,20 @@ mod tests {
 
     #[test]
     fn top_n_truncates() {
-        assert_eq!(hotspots(&profile(), 2).len(), 2);
-        assert_eq!(hotspots(&profile(), 0).len(), 0);
+        assert_eq!(hotspots(&lines(), 2).len(), 2);
+        assert_eq!(hotspots(&lines(), 0).len(), 0);
     }
 
     #[test]
     fn ties_break_by_path() {
-        let lines = vec![
-            FoldedLine {
-                path: "b".into(),
-                value: 5,
-            },
-            FoldedLine {
-                path: "a".into(),
-                value: 5,
-            },
-        ];
-        let spots = hotspots_folded(&lines, 10);
+        let spots = hotspots(&parse_folded("b 5\na 5\n").expect("parses"), 10);
         assert_eq!(spots[0].path, "a");
-        assert_eq!(spots[0].count, None);
+        assert_eq!(spots[1].path, "b");
     }
 
     #[test]
     fn table_renders_every_row() {
-        let text = render_table(&hotspots(&profile(), 10));
+        let text = render_table(&hotspots(&lines(), 10));
         assert!(text.contains("FRAME"));
         assert!(text.contains("root;hot;inner"));
         assert_eq!(text.lines().count(), 5, "header + four frames");
@@ -156,11 +108,7 @@ mod tests {
 
     #[test]
     fn all_zero_profile_reports_zero_pct() {
-        let lines = vec![FoldedLine {
-            path: "x".into(),
-            value: 0,
-        }];
-        let spots = hotspots_folded(&lines, 1);
+        let spots = hotspots(&parse_folded("x 0\n").expect("parses"), 1);
         assert_eq!(spots[0].pct, 0.0);
     }
 }

@@ -7,14 +7,15 @@
 //!
 //! * [`folded`] — folded-stack rendering (`frame;frame value` lines,
 //!   the format speedscope and inferno/`flamegraph.pl` load directly),
-//!   plus a parser for reading folded files back.
-//! * [`hotspot`] — top-N self-time attribution tables, the numbers an
-//!   optimization PR argues from.
-//! * [`diff`] — structured comparison of two profiles or two
-//!   `RunReport`/`BENCH_*.json` snapshots with relative tolerance
-//!   bands; drives the `srlr bench-diff` CLI and the CI
-//!   `perf-regression` gate (exit 1 on regression, 2 on usage, 0 when
-//!   clean — the workspace-wide contract).
+//!   plus a parser for reading folded files back. Folded stacks are the
+//!   one on-disk profile format.
+//! * [`hotspot`] — top-N self-time attribution tables ranked from
+//!   folded lines, the numbers an optimization PR argues from.
+//! * [`diff`] — structured comparison of two `RunReport`/`BENCH_*.json`
+//!   snapshots with relative tolerance bands; drives the `srlr
+//!   bench-diff` CLI and the CI `perf-regression` gate (exit 1 on
+//!   regression, 2 on usage, 0 when clean — the workspace-wide
+//!   contract).
 //!
 //! The crate is deliberately a *consumer*: it depends only on
 //! `srlr-telemetry` and never touches the clock itself, so analysis is
@@ -24,8 +25,6 @@ pub mod diff;
 pub mod folded;
 pub mod hotspot;
 
-pub use diff::{
-    diff_flat, diff_profiles, diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport,
-};
-pub use folded::{fold, fold_lines, parse_folded, FoldedLine};
-pub use hotspot::{hotspots, hotspots_folded, render_table, Hotspot};
+pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport};
+pub use folded::{fold, parse_folded, FoldedLine};
+pub use hotspot::{hotspots, render_table, Hotspot};

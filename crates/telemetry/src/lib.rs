@@ -45,7 +45,7 @@ pub mod sarif;
 pub use clock::Clock;
 pub use collect::{Collector, Event, Span};
 pub use json::{Json, Value};
-pub use profile::{Profile, ProfileNode, Profiler, PROFILE_VERSION};
+pub use profile::{Profile, ProfileNode, Profiler};
 pub use progress::Progress;
 pub use report::{RunReport, RUN_REPORT_VERSION};
 pub use sarif::SarifDoc;

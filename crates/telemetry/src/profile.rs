@@ -23,11 +23,6 @@
 //! the workspace's byte-identity assertions intact.
 
 use crate::clock::Clock;
-use crate::json::{self, Json};
-use std::fmt::Write as _;
-
-/// Version stamp written into every serialized [`Profile`].
-pub const PROFILE_VERSION: u32 = 1;
 
 /// One aggregated call-tree node (unique by path, not by invocation).
 #[derive(Debug, Clone)]
@@ -256,9 +251,8 @@ pub struct ProfileNode {
     pub self_s: f64,
 }
 
-/// An immutable aggregated profile: the timing sink. Serialized with a
-/// version stamp; rendered to folded stacks and hotspot tables by
-/// `srlr-prof`.
+/// An immutable aggregated profile: the timing sink. Rendered to
+/// folded stacks by `srlr-prof`, whose hotspot table reads them back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Which [`Clock`] kind produced the timings (`wall`, `tick`,
@@ -280,93 +274,6 @@ impl Profile {
         }
         parts.reverse();
         parts.join(";")
-    }
-
-    /// Serializes the profile as versioned JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"srlr_profile_version\": {PROFILE_VERSION},");
-        out.push_str("  \"clock\": ");
-        json::write_str(&mut out, &self.clock);
-        out.push_str(",\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json::write_str(&mut out, &n.name);
-            out.push_str(", \"parent\": ");
-            match n.parent {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ", \"count\": {}, \"total_s\": ", n.count);
-            json::write_f64(&mut out, n.total_s);
-            out.push_str(", \"self_s\": ");
-            json::write_f64(&mut out, n.self_s);
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses a profile serialized by [`Profile::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax or schema problem.
-    pub fn from_json(text: &str) -> Result<Profile, String> {
-        let doc = json::parse(text)?;
-        let version = doc
-            .get("srlr_profile_version")
-            .and_then(Json::as_num)
-            .ok_or("missing srlr_profile_version")?;
-        if version != f64::from(PROFILE_VERSION) {
-            return Err(format!("unsupported profile version {version}"));
-        }
-        let clock = doc
-            .get("clock")
-            .and_then(Json::as_str)
-            .ok_or("missing clock")?
-            .to_owned();
-        let nodes_json = doc
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .ok_or("missing nodes array")?;
-        let mut nodes = Vec::with_capacity(nodes_json.len());
-        for (i, n) in nodes_json.iter().enumerate() {
-            let name = n
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("node {i}: missing name"))?
-                .to_owned();
-            let parent = match n.get("parent") {
-                Some(Json::Null) | None => None,
-                Some(p) => {
-                    let p = p.as_num().ok_or_else(|| format!("node {i}: bad parent"))? as usize;
-                    if p >= i {
-                        return Err(format!("node {i}: parent {p} does not precede it"));
-                    }
-                    Some(p)
-                }
-            };
-            let num = |key: &str| {
-                n.get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("node {i}: missing {key}"))
-            };
-            nodes.push(ProfileNode {
-                name,
-                parent,
-                count: num("count")? as u64,
-                total_s: num("total_s")?,
-                self_s: num("self_s")?,
-            });
-        }
-        Ok(Profile { clock, nodes })
     }
 }
 
@@ -552,32 +459,6 @@ mod tests {
         let s = root.snapshot();
         assert_eq!(s.nodes.len(), 1);
         assert_eq!(s.nodes[0].parent, None);
-    }
-
-    #[test]
-    fn profile_json_round_trips() {
-        let mut p = tick_profiler();
-        p.enter("outer \"quoted\"");
-        p.enter("inner");
-        p.exit();
-        p.count("tally");
-        p.exit();
-        let s = p.snapshot();
-        let text = s.to_json();
-        let back = Profile::from_json(&text).expect("round trip");
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn profile_json_rejects_bad_documents() {
-        assert!(Profile::from_json("{}").is_err());
-        assert!(Profile::from_json(
-            "{\"srlr_profile_version\": 99, \"clock\": \"tick\", \"nodes\": []}"
-        )
-        .is_err());
-        // Forward parent reference.
-        let bad = "{\"srlr_profile_version\": 1, \"clock\": \"tick\", \"nodes\": [{\"name\": \"a\", \"parent\": 3, \"count\": 1, \"total_s\": 0, \"self_s\": 0}]}";
-        assert!(Profile::from_json(bad).is_err());
     }
 
     #[test]
