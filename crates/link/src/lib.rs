@@ -10,6 +10,8 @@
 //!   interference (residual-charge) tracking and energy accounting,
 //! * [`ber`] — bit-error-rate measurement with confidence bounds and the
 //!   max-data-rate search,
+//! * [`certify`] — the conservative clean-link certificate that lets the
+//!   Monte Carlo engine skip simulating provably robust dice,
 //! * [`error_model`] — aggregated effective-BER measurement over Monte
 //!   Carlo dice, the number the `srlr-noc` fault injector consumes,
 //! * [`metrics`] — the paper's headline metrics (bandwidth density,
@@ -42,7 +44,7 @@ pub mod baselines;
 pub mod bathtub;
 pub mod ber;
 pub mod bundle;
-pub(crate) mod certify;
+pub mod certify;
 pub mod comparison;
 pub mod crosstalk;
 pub mod error_model;

@@ -332,7 +332,7 @@ impl SrlrLink {
     /// Conservatively certifies that this die transmits **every** bit
     /// pattern cleanly at the configured rate: the zero-baseline chain
     /// propagates a `1` with margin, and no reachable ISI residue can
-    /// fire a repeater spuriously (see the `certify` module's bounds).
+    /// fire a repeater spuriously (see [`crate::certify`] for the bounds).
     ///
     /// `true` is a proof (with a 1e-9 relative guard band over exact
     /// f64 evaluation); `false` only means "unproven" — the batched

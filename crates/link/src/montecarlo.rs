@@ -19,18 +19,25 @@
 //! Trials are evaluated in batches of about [`McExperiment::batch_width`]
 //! dice. A sweep is batched trial-major: each die is elaborated once and
 //! retargeted to every swing ([`srlr_core::SwingPoint::retarget`]), and
-//! each (die, swing) is first screened by the conservative clean-link
-//! certificate ([`SrlrLink::robustly_clean`]). Only the unproven
-//! dice are packed into a structure-of-arrays [`srlr_core::DieBatch`]
-//! that advances all of them through the stage map one bit slot at a
-//! time, with a per-lane alive mask standing in for the scalar early
-//! exit. Because the certificate is conservative and the batch evaluator
-//! shares its arithmetic with the scalar stage map (see
-//! [`srlr_core::batch`]), the result is **bit-identical** to running
-//! every die through [`SrlrLink::transmits_cleanly`] one at a time — at
-//! every batch width and thread count, which the crate's identity tests
-//! assert against exactly that per-die oracle.
+//! the die's whole sweep is first screened by the conservative clean-link
+//! certificate as one interval ([`crate::certify::sweep_clean`]). The
+//! certificate's 1-bit half only gets easier as the swing rises (the
+//! swing-dominance lemma in [`crate::certify`]), so the screen bisects
+//! it along the die's swings, at most `⌈log2(points + 1)⌉` evaluations
+//! instead of one per swing, and runs the cheap 0-bit half at each swing
+//! the bisection accepts. Its verdicts equal
+//! [`SrlrLink::robustly_clean`] at every point. Only the unproven
+//! (die, swing) pairs are packed into a structure-of-arrays
+//! [`srlr_core::DieBatch`] that advances all of them through the stage
+//! map one bit slot at a time, with a per-lane alive mask standing in
+//! for the scalar early exit. Because the certificate is conservative
+//! and the batch evaluator shares its arithmetic with the scalar stage
+//! map (see [`srlr_core::batch`]), the result is **bit-identical** to
+//! running every die through [`SrlrLink::transmits_cleanly`] one at a
+//! time — at every batch width and thread count, which the crate's
+//! identity tests assert against exactly that per-die oracle.
 
+use crate::certify;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
@@ -180,14 +187,15 @@ impl<'a> McExperiment<'a> {
     /// Evaluates `trials` at every sweep point as one batch, returning
     /// the verdicts trial-major (index `(trial - trials.start) *
     /// points.len() + point`): elaborate each die once and retarget it to
-    /// every point, certificate-screen each (die, point), then advance
-    /// the unproven ones in lockstep through the stress patterns.
+    /// every point, certificate-screen the die's sweep as one interval,
+    /// then advance the unproven (die, point) pairs in lockstep through
+    /// the stress patterns.
     ///
     /// Profiling lands in `prof` (free when disabled): an `mc.batch`
     /// frame wrapping one `elaborate` frame per die (sampling, the
-    /// elaboration and the retargets) and one `certify` frame per (die,
-    /// point) with `cert_hit`/`cert_miss` tallies (batch occupancy =
-    /// misses per batch), and a `kernel` frame whose `bit_slot`/
+    /// elaboration and the retargets) and one `certify` frame per die,
+    /// with `cert_hit`/`cert_miss` tallies per (die, point) (batch
+    /// occupancy = misses per batch), and a `kernel` frame whose `bit_slot`/
     /// `lane_kill` children come from the lockstep harness. The timing
     /// sink is exempt from the telemetry-byte-identity contract: its
     /// batch frames depend on the batch width.
@@ -204,10 +212,12 @@ impl<'a> McExperiment<'a> {
             return pass;
         };
         prof.enter("mc.batch");
-        // One link per sweep point. A certified link stays in its slot
-        // and its stage buffer is reused by the next die; an unproven one
-        // moves into the lockstep set.
-        let mut at_point: Vec<Option<SrlrLink>> = vec![None; points.len()];
+        // One link per sweep point, reused from die to die; an unproven
+        // one is copied into the lockstep set. `order` is the
+        // certificate's scratch, and it writes each die's verdicts
+        // straight into `pass`.
+        let mut at_point: Vec<SrlrLink> = Vec::with_capacity(points.len());
+        let mut order = vec![0; points.len()];
         let mut lanes: Vec<(usize, SrlrLink)> = Vec::with_capacity(pass.len());
         for (t, trial) in trials.enumerate() {
             prof.enter("elaborate");
@@ -216,29 +226,28 @@ impl<'a> McExperiment<'a> {
             let chain =
                 last.instantiate_with_mismatch(self.tech, &var, self.config.stages, &mut die);
             let base = SrlrLink::from_chain(chain, self.config);
-            for (slot, point) in at_point.iter_mut().zip(others) {
-                let link = match slot {
-                    Some(link) => {
-                        link.clone_from(&base);
-                        link
-                    }
-                    None => slot.insert(base.clone()),
-                };
-                link.retarget(self.tech, &var, point);
+            match at_point.last_mut() {
+                Some(slot) => *slot = base,
+                None => at_point.resize(points.len(), base),
             }
-            at_point[others.len()] = Some(base);
+            if let Some((base, retargeted)) = at_point.split_last_mut() {
+                for (link, point) in retargeted.iter_mut().zip(others) {
+                    link.clone_from(base);
+                    link.retarget(self.tech, &var, point);
+                }
+            }
             prof.exit();
-            for (p, slot) in at_point.iter_mut().enumerate() {
-                let j = t * points.len() + p;
-                prof.enter("certify");
-                let certified = slot.as_ref().is_some_and(SrlrLink::robustly_clean);
-                prof.exit();
+            prof.enter("certify");
+            let first_j = t * points.len();
+            let verdicts = &mut pass[first_j..first_j + points.len()];
+            certify::sweep_clean(&at_point, &mut order, verdicts);
+            prof.exit();
+            for (p, (link, &certified)) in at_point.iter().zip(&*verdicts).enumerate() {
                 if certified {
                     prof.count("cert_hit");
-                    pass[j] = true;
-                } else if let Some(link) = slot.take() {
+                } else {
                     prof.count("cert_miss");
-                    lanes.push((j, link));
+                    lanes.push((first_j + p, link.clone()));
                 }
             }
         }
@@ -676,7 +685,7 @@ mod tests {
                 .sum()
         };
         assert_eq!(count_of("cert_hit") + count_of("cert_miss"), 120);
-        assert_eq!(count_of("certify"), 120, "one certificate per (die, swing)");
+        assert_eq!(count_of("certify"), 60, "one certificate per die per sweep");
         assert_eq!(count_of("elaborate"), 60, "one elaboration per die");
         // Kill-on-first-error retires every failing lane exactly once.
         assert!(count_of("lane_kill") <= count_of("cert_miss"));
@@ -697,9 +706,10 @@ mod tests {
         // on one thread: with two, a worker waiting on a busy core
         // inflates whichever frame it is in (the kernel read up to 3×
         // its single-thread time). The screen outweighs the kernel
-        // 2.5–3× here (each die is elaborated once for both swings), and
-        // 2,000 dice keep the run long enough (~50 ms in a debug build)
-        // that one descheduling inside the kernel cannot close the gap.
+        // about 2× here (each die is elaborated and certified once for
+        // both swings), and 2,000 dice keep the run long enough (~50 ms
+        // in a debug build) that one descheduling inside the kernel
+        // cannot close the gap.
         // A descheduling can still push the screen under half of self
         // time, so the test compares the two frames instead.
         use srlr_telemetry::{Clock, Profiler};

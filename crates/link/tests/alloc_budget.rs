@@ -19,8 +19,11 @@ use std::cell::Cell;
 /// Allocations of the 2 × 64-die, width-32, single-thread sweep below.
 /// The untraced fast path the single loop replaced measured 458; the
 /// trial-major sweep, which elaborates each die once and keeps one
-/// reused link per swing, measures 455, so the budget is pinned there.
-const UNTRACED_BASELINE: u64 = 455;
+/// reused link per swing, measured 455. The certificate now works in
+/// stack state and one per-batch scratch buffer instead of three heap
+/// vectors per call, and the sweep measures 299, so the budget is
+/// pinned there.
+const UNTRACED_BASELINE: u64 = 299;
 
 struct CountingAlloc;
 
