@@ -960,9 +960,11 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
             )))
         }
     };
-    // Exhaustive enumeration is exponential in packet length and route
-    // length; these bounds keep a check interactive (well under a
-    // second on the 2x2 CI configuration).
+    // The state space is exponential in packet length and route length;
+    // the search and the chain solve are linear in the states and
+    // transitions. These bounds keep a check interactive: both CI
+    // configurations (2x2, and 3x3 with 4-flit packets, at budgets
+    // 0, 1, 3) finish in well under a second.
     if !(1..=4).contains(&cols) || !(1..=4).contains(&rows) {
         return Err(CliError::Usage("mesh sides must be in 1..=4".into()));
     }

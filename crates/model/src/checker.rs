@@ -723,18 +723,23 @@ fn check_pair_profiled(
         };
     }
 
-    let mut ids: BTreeMap<State, usize> = BTreeMap::new();
-    let mut states: Vec<State> = Vec::new();
+    // State ids, one interning map per progress value: a state's
+    // progress is a function of the state, so a successor is looked up
+    // only among the states of its own progress layer.
+    let mut layers: Vec<BTreeMap<State, usize>> =
+        vec![BTreeMap::new(); config.packet_len * hops + 1];
+    // Per state id: `None` while transient, `Some(delivered)` once terminal.
+    let mut absorbed: Vec<Option<bool>> = Vec::new();
     let mut parents: Vec<Option<(usize, usize)>> = Vec::new();
     let mut succs: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut queue: VecDeque<(usize, State)> = VecDeque::new();
 
     let initial = State::initial(config.packet_len, hops).canonicalize();
-    ids.insert(initial.clone(), 0);
-    states.push(initial);
+    layers[0].insert(initial.clone(), 0);
+    absorbed.push(None);
     parents.push(None);
     succs.push(Vec::new());
-    queue.push_back(0);
+    queue.push_back((0, initial));
 
     let mut transitions = 0usize;
     let mut delivered_reachable = false;
@@ -777,8 +782,7 @@ fn check_pair_profiled(
     };
 
     prof.enter("model.bfs");
-    while let Some(id) = queue.pop_front() {
-        let state = states[id].clone();
+    while let Some((id, state)) = queue.pop_front() {
         if state.is_terminal() {
             if state.poisoned {
                 drop_reachable = true;
@@ -821,7 +825,8 @@ fn check_pair_profiled(
                     &mut violations,
                 );
             }
-            if applied.state.progress(hops) != progress_here + 1 {
+            let progress_next = applied.state.progress(hops);
+            if progress_next != progress_here + 1 {
                 progress_monotone = false;
                 let mut choices = path_to(&parents, id);
                 choices.push(pick);
@@ -834,15 +839,16 @@ fn check_pair_profiled(
                 );
             }
             let canonical = applied.state.canonicalize();
-            let next_id = match ids.get(&canonical) {
+            let layer = &mut layers[progress_next as usize];
+            let next_id = match layer.get(&canonical) {
                 Some(&existing) => existing,
                 None => {
-                    let fresh = states.len();
-                    ids.insert(canonical.clone(), fresh);
-                    states.push(canonical);
+                    let fresh = absorbed.len();
+                    layer.insert(canonical.clone(), fresh);
+                    absorbed.push(canonical.is_terminal().then_some(!canonical.poisoned));
                     parents.push(Some((id, pick)));
                     succs.push(Vec::new());
-                    queue.push_back(fresh);
+                    queue.push_back((fresh, canonical));
                     fresh
                 }
             };
@@ -853,10 +859,10 @@ fn check_pair_profiled(
 
     prof.enter("model.dtmc");
     // Absorbing-DTMC solve: x_t = sum_succ p * (x_succ | [delivered]).
-    let mut transient_index: Vec<Option<usize>> = vec![None; states.len()];
+    let mut transient_index: Vec<Option<usize>> = vec![None; absorbed.len()];
     let mut transient = 0usize;
-    for (id, state) in states.iter().enumerate() {
-        if !state.is_terminal() {
+    for (id, end) in absorbed.iter().enumerate() {
+        if end.is_none() {
             transient_index[id] = Some(transient);
             transient += 1;
         }
@@ -871,7 +877,7 @@ fn check_pair_profiled(
             match transient_index[next_id] {
                 Some(col) => system.add(row, col, -p),
                 None => {
-                    if !states[next_id].poisoned {
+                    if absorbed[next_id] == Some(true) {
                         system.add_rhs(row, p);
                     }
                 }
@@ -892,7 +898,7 @@ fn check_pair_profiled(
         src,
         dst,
         hops,
-        states: states.len(),
+        states: absorbed.len(),
         transitions,
         transient,
         deliver_probability,
