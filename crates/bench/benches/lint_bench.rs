@@ -1,31 +1,28 @@
-//! Throughput and shape of the `srlr-lint` workspace pass: how long the
-//! full scan (lex → item tree → expression walk → call graph → rules)
-//! takes, and the deterministic counts CI gates.
+//! Regenerates `BENCH_lint.json`: the deterministic counts of the
+//! `srlr-lint` workspace pass (files scanned, call-graph size, declared
+//! hot roots, fresh violations — which must be zero) plus its wall time.
 //!
-//! Besides the `target/srlr-reports/lint.json` run report, it writes
-//! the committed snapshot `BENCH_lint.json` at the repo root. The
-//! counts (files scanned, call-graph size, declared hot roots, fresh
-//! violations — which must be zero) are deterministic, so CI's
-//! perf-regression job gates them with `srlr bench-diff`; the wall-time
-//! key is an honest measurement but meaningless across runners, so the
-//! gate ignores it.
+//! CI's perf-regression job gates the counts with `srlr bench-diff`; the
+//! wall-time key is an honest measurement but meaningless across
+//! runners, so the gate ignores it. Run with
+//! `cargo bench -p srlr-bench --bench lint_bench`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use srlr_bench::report;
 use srlr_lint::rules::ALL_RULES;
 use srlr_lint::semantic::ParsedFile;
 use srlr_lint::{exprs, items, semantic, walk, Config};
-use srlr_telemetry::{Clock, Value};
-use std::path::{Path, PathBuf};
+use srlr_telemetry::{Clock, RunReport, Value};
+use std::path::PathBuf;
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
+fn main() {
+    let config = Config::new(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let clock = Clock::wall();
+    let start = clock.now();
+    let lint = srlr_lint::run(&config).expect("workspace lint runs");
+    let wall_ms = (clock.now() - start) * 1e3;
 
-/// Parses every workspace file the way the lint's own scan does, so the
-/// call-graph stage can be benched in isolation.
-fn parse_workspace(root: &Path) -> Vec<ParsedFile> {
-    walk::workspace_files(root)
+    // Parse every workspace file the way the lint's own scan does, to
+    // size the call graph.
+    let parsed: Vec<ParsedFile> = walk::workspace_files(&config.root)
         .expect("walk workspace")
         .iter()
         .map(|file| {
@@ -40,37 +37,14 @@ fn parse_workspace(root: &Path) -> Vec<ParsedFile> {
                 fns,
             }
         })
-        .collect()
-}
-
-fn print_tables() {
-    let config = Config::new(workspace_root());
-    let clock = Clock::wall();
-    let start = clock.now();
-    let lint = srlr_lint::run(&config).expect("workspace lint runs");
-    let wall_ms = (clock.now() - start) * 1e3;
-
-    let parsed = parse_workspace(&config.root);
+        .collect();
     let graph = semantic::build_call_graph(&parsed);
     let hot = semantic::load_hotpaths(&config.root).expect("committed lint-hotpaths.txt");
-
-    report::section("srlr-lint — full workspace pass");
-    println!("{:>24} {:>10}", "metric", "value");
     let fresh = lint.fresh.len();
-    for (name, value) in [
-        ("files_checked", lint.files_checked),
-        ("fresh_violations", fresh),
-        ("rules", ALL_RULES.len()),
-        ("callgraph_nodes", graph.nodes().len()),
-        ("hot_roots", hot.roots.len()),
-    ] {
-        println!("{name:>24} {value:>10}");
-    }
-    println!("{:>24} {wall_ms:>10.1}", "wall_ms");
     assert_eq!(fresh, 0, "the committed tree must lint clean");
     assert!(!hot.roots.is_empty(), "hot roots are declared");
 
-    let mut run = srlr_telemetry::RunReport::new("lint");
+    let mut run = RunReport::new("lint");
     run.section_metric(
         "scan",
         "files_checked",
@@ -81,24 +55,5 @@ fn print_tables() {
     run.section_metric("callgraph", "nodes", Value::U64(graph.nodes().len() as u64));
     run.section_metric("callgraph", "hot_roots", Value::U64(hot.roots.len() as u64));
     run.section_metric("timing", "wall_ms", Value::F64(wall_ms));
-    report::emit_run_report(&run);
-    report::emit_bench_snapshot(&run);
+    srlr_bench::report::emit_bench_snapshot(&run);
 }
-
-fn bench(c: &mut Criterion) {
-    print_tables();
-    let config = Config::new(workspace_root());
-    // The full pass, as CI runs it: every rule over every file.
-    c.bench_function("lint_workspace_full", |b| {
-        b.iter(|| srlr_lint::run(&config).expect("lint runs"))
-    });
-    // Call-graph construction in isolation — the layer this lint's
-    // dataflow rules added on top of the item tree.
-    let parsed = parse_workspace(&config.root);
-    c.bench_function("lint_callgraph_build", |b| {
-        b.iter(|| semantic::build_call_graph(&parsed))
-    });
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,16 +1,13 @@
-//! Shared experiment harnesses behind the Criterion benches.
+//! Regenerators of the committed `BENCH_*.json` snapshots.
 //!
-//! Every table and figure of the paper has a bench target that (a) prints
-//! the regenerated rows/series and (b) times the underlying kernel. The
-//! figure/table assembly lives here so the integration tests and examples
-//! can reuse it.
+//! Each bench target under `benches/` (`noc_faults`, `model_check`,
+//! `lint_bench`) is a plain `harness = false` program that recomputes one
+//! deterministic snapshot and writes it through [`report`]. CI's
+//! perf-regression job gates the regenerated files against the committed
+//! ones with `srlr bench-diff`. The paper's tables and figures are
+//! printed by the `srlr` binary, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fig8;
-pub mod ladder;
 pub mod report;
-
-pub use fig8::{fig8_measured_series, fig8_published_points, Fig8Point};
-pub use ladder::thread_ladder;

@@ -78,14 +78,22 @@ impl Flags {
     ///
     /// # Errors
     ///
-    /// Returns a usage error when the value does not parse.
+    /// Returns a usage error when the value does not parse or spells a
+    /// non-finite number (`nan`, `inf`, or a literal that overflows to
+    /// infinity): no experiment takes one.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| {
-                CliError::Usage(format!("flag `--{name}` got unparsable value `{raw}`"))
-            }),
+        let Some(raw) = self.values.get(name) else {
+            return Ok(default);
+        };
+        let value = raw.parse().map_err(|_| {
+            CliError::Usage(format!("flag `--{name}` got unparsable value `{raw}`"))
+        })?;
+        if raw.parse::<f64>().is_ok_and(|x| !x.is_finite()) {
+            return Err(CliError::Usage(format!(
+                "flag `--{name}` needs a finite number, got `{raw}`"
+            )));
         }
+        Ok(value)
     }
 
     /// Returns the raw string of a flag, if present.
@@ -141,6 +149,17 @@ mod tests {
     fn unparsable_value_rejected() {
         let f = Flags::parse(&argv(&["--bits", "soup"]), &["bits"]).unwrap();
         assert!(f.get_or("bits", 0usize).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_rejected() {
+        for raw in ["nan", "NaN", "inf", "-inf", "1e400"] {
+            let f = Flags::parse(&argv(&["--gbps", raw]), &["gbps"]).unwrap();
+            let err = f.get_or("gbps", 4.1f64).unwrap_err();
+            assert!(err.to_string().contains("finite"), "{raw}: {err}");
+        }
+        let f = Flags::parse(&argv(&["--gbps", "1e300"]), &["gbps"]).unwrap();
+        assert!(f.get_or("gbps", 4.1f64).is_ok(), "large finite values pass");
     }
 
     #[test]

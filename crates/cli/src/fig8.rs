@@ -15,17 +15,17 @@ use srlr_units::{DataRate, Length};
 
 /// One Fig. 8 point.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig8Point {
+pub(crate) struct Fig8Point {
     /// Series / design label.
-    pub label: String,
+    pub(crate) label: String,
     /// Bandwidth density in Gb/s/um.
-    pub bandwidth_density_gbps_um: f64,
+    pub(crate) bandwidth_density_gbps_um: f64,
     /// 10 mm link-traversal energy in fJ/bit/cm.
-    pub energy_fj_per_bit_cm: f64,
+    pub(crate) energy_fj_per_bit_cm: f64,
 }
 
 /// The published prior-work points plus the paper's own.
-pub fn fig8_published_points() -> Vec<Fig8Point> {
+pub(crate) fn fig8_published_points() -> Vec<Fig8Point> {
     let mut pts: Vec<Fig8Point> = PublishedInterconnect::prior_works()
         .into_iter()
         .map(|p| Fig8Point {
@@ -48,43 +48,38 @@ pub fn fig8_published_points() -> Vec<Fig8Point> {
 /// start failing on a nominal die; silicon is rated with margin for
 /// jitter, supply noise and BER < 1e-9 across dice. 0.7 x cliff puts the
 /// paper-geometry point at ≈4.2 Gb/s against the measured 4.1 Gb/s.
-pub const RATE_MARGIN: f64 = 0.7;
+pub(crate) const RATE_MARGIN: f64 = 0.7;
 
-/// Measures the SRLR link across wire spacings, each rated at
-/// [`RATE_MARGIN`] of its maximum error-free data rate.
-pub fn fig8_measured_series(tech: &Technology, spacings_um: &[f64]) -> Vec<Fig8Point> {
-    let base = SrlrDesign::paper_proposed(tech);
+/// Measures the SRLR link at one wire spacing, rated at [`RATE_MARGIN`]
+/// of its maximum error-free data rate; `None` when no rate in the
+/// 0.5–12 Gb/s search range carries the stress patterns.
+pub(crate) fn fig8_point(tech: &Technology, space_um: f64) -> Option<Fig8Point> {
     let nominal = GlobalVariation::nominal();
-    spacings_um
-        .iter()
-        .filter_map(|&space_um| {
-            let wire = tech.wire.with_space(Length::from_micrometers(space_um));
-            let design = SrlrDesign {
-                wire,
-                ..base.clone()
-            };
-            let cliff = max_data_rate(
-                tech,
-                &design,
-                LinkConfig::paper_default(),
-                &nominal,
-                DataRate::from_gigabits_per_second(0.5),
-                DataRate::from_gigabits_per_second(12.0),
-                DataRate::from_gigabits_per_second(0.1),
-            )?;
-            let rate = cliff * RATE_MARGIN;
-            let config = LinkConfig::paper_default().with_data_rate(rate);
-            let link = SrlrLink::on_die(tech, &design, config, &nominal);
-            let metrics = LinkMetrics::measure_with_pitch(&link, wire.pitch());
-            Some(Fig8Point {
-                label: format!("SRLR (space {space_um:.2} um)"),
-                bandwidth_density_gbps_um: metrics
-                    .bandwidth_density
-                    .gigabits_per_second_per_micrometer(),
-                energy_fj_per_bit_cm: metrics.energy.femtojoules_per_bit_per_centimeter(),
-            })
-        })
-        .collect()
+    let wire = tech.wire.with_space(Length::from_micrometers(space_um));
+    let design = SrlrDesign {
+        wire,
+        ..SrlrDesign::paper_proposed(tech)
+    };
+    let cliff = max_data_rate(
+        tech,
+        &design,
+        LinkConfig::paper_default(),
+        &nominal,
+        DataRate::from_gigabits_per_second(0.5),
+        DataRate::from_gigabits_per_second(12.0),
+        DataRate::from_gigabits_per_second(0.1),
+    )?;
+    let rate = cliff * RATE_MARGIN;
+    let config = LinkConfig::paper_default().with_data_rate(rate);
+    let link = SrlrLink::on_die(tech, &design, config, &nominal);
+    let metrics = LinkMetrics::measure_with_pitch(&link, wire.pitch());
+    Some(Fig8Point {
+        label: format!("SRLR (space {space_um:.2} um)"),
+        bandwidth_density_gbps_um: metrics
+            .bandwidth_density
+            .gigabits_per_second_per_micrometer(),
+        energy_fj_per_bit_cm: metrics.energy.femtojoules_per_bit_per_centimeter(),
+    })
 }
 
 #[cfg(test)]
@@ -101,7 +96,10 @@ mod tests {
     #[test]
     fn measured_series_shows_the_density_energy_tradeoff() {
         let tech = Technology::soi45();
-        let series = fig8_measured_series(&tech, &[0.2, 0.3, 0.5]);
+        let series: Vec<Fig8Point> = [0.2, 0.3, 0.5]
+            .iter()
+            .filter_map(|&s| fig8_point(&tech, s))
+            .collect();
         assert_eq!(series.len(), 3, "every spacing should yield a point");
         // Tighter spacing (first point): higher density, higher energy.
         assert!(
@@ -117,9 +115,7 @@ mod tests {
     #[test]
     fn paper_spacing_point_matches_headline() {
         let tech = Technology::soi45();
-        let series = fig8_measured_series(&tech, &[0.3]);
-        assert_eq!(series.len(), 1);
-        let p = &series[0];
+        let p = fig8_point(&tech, 0.3).expect("the paper geometry signals");
         // Near the paper's 6.83 Gb/s/um and 404 fJ/bit/cm corner of the
         // tradeoff (max rate may land slightly off 4.1 Gb/s).
         assert!(

@@ -1,14 +1,17 @@
 //! Implementation of the `srlr` command-line tool.
 //!
-//! Each subcommand wraps one of the workspace's experiment harnesses so a
-//! user can regenerate any of the paper's results without touching
-//! Criterion:
+//! `srlr` is the one front door to every table and figure of the paper:
+//! each subcommand runs one experiment and returns its rendered text.
 //!
 //! ```text
-//! srlr table1                  Table I + headline measurements
+//! srlr table1                  Table I + Sec. IV headline measurements
 //! srlr fig6 [--runs N] [--threads T]   Monte Carlo swing sweep
 //! srlr fig8                    energy vs bandwidth density
 //! srlr waveforms               Fig. 4 transient waveforms
+//! srlr pulse-width             Sec. III pulse-width drift + driver headroom
+//! srlr router                  Sec. IV router power, area and floorplan
+//! srlr ablation [--runs N]     Sec. III technique ablation + multicast
+//! srlr latency                 mesh latency vs offered load
 //! srlr ber [--bits N] [--gbps R]
 //! srlr eye [--bits N]
 //! srlr noc [--cols C --rows R --load F --datapath srlr|full]
@@ -27,6 +30,8 @@
 
 pub mod args;
 pub mod commands;
+mod fig8;
+mod report;
 
 use std::fmt;
 
@@ -67,6 +72,10 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "fig6" => commands::fig6(rest),
         "fig8" => commands::fig8(),
         "waveforms" => commands::waveforms(rest),
+        "pulse-width" => commands::pulse_width(),
+        "router" => commands::router(),
+        "ablation" => commands::ablation(rest),
+        "latency" => commands::latency(),
         "ber" => commands::ber(rest),
         "eye" => commands::eye(rest),
         "noc" => commands::noc(rest),
@@ -111,6 +120,10 @@ mod tests {
             "fig6",
             "fig8",
             "waveforms",
+            "pulse-width",
+            "router",
+            "ablation",
+            "latency",
             "ber",
             "eye",
             "noc",
@@ -142,6 +155,65 @@ mod tests {
         let out = call(&["table1"]).unwrap();
         assert!(out.contains("This Work (measured)"));
         assert!(out.contains("fJ/bit"));
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with("link-traversal energy") && l.contains("40.400 fJ/bit/mm")),
+            "the Sec. IV 40.4 fJ/bit/mm row: {out}"
+        );
+    }
+
+    #[test]
+    fn router_prints_the_calibration_split() {
+        // The calibration rows do not depend on the live mesh; a 2x2
+        // mesh keeps the debug-profile run short.
+        let out = commands::router_report(2, 2);
+        for (label, paper) in [
+            ("input buffers", "38.800 mW"),
+            ("control logic", "5.200 mW"),
+            ("SRLR low-swing datapath (incl. bias)", "12.900 mW"),
+        ] {
+            assert!(
+                out.lines()
+                    .any(|l| l.starts_with(label) && l.contains(paper)),
+                "missing `{label}` row: {out}"
+            );
+        }
+        assert!(out.contains("2x2 mesh at uniform random load"));
+        assert!(out.contains("deflections"));
+    }
+
+    #[test]
+    fn pulse_width_loses_the_single_cell_pulse_at_a_slow_corner() {
+        let out = call(&["pulse-width"]).unwrap();
+        let slow_single = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("+35mV single"))
+            .expect("the +35 mV single-cell trace");
+        assert!(slow_single.ends_with('X'), "{slow_single}");
+        assert!(out.contains("max clean rate"));
+    }
+
+    #[test]
+    fn ablation_prints_every_technique_combination() {
+        let out = call(&["ablation", "--runs", "20"]).unwrap();
+        let rows = out.lines().filter(|l| l.contains("/20 (")).count();
+        assert_eq!(rows, 8, "{out}");
+        assert!(out.contains("(20 dice)"));
+        assert!(matches!(
+            call(&["ablation", "--runs", "0"]).unwrap_err(),
+            CliError::Usage(_)
+        ));
+    }
+
+    #[test]
+    fn latency_builds_its_table() {
+        let out = commands::latency_table(3, 3);
+        assert!(out.contains("3x3 mesh latency"));
+        assert_eq!(
+            out.matches(" cyc").count(),
+            6 * 3,
+            "6 loads x 3 patterns: {out}"
+        );
     }
 
     #[test]

@@ -68,3 +68,19 @@ fn help_succeeds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("noc-faults"), "stdout: {stdout}");
 }
+
+#[test]
+fn non_finite_and_too_short_inputs_exit_2_without_panic() {
+    for (args, flag) in [
+        (&["bathtub", "--jitter", "nan"][..], "--jitter"),
+        (&["ber", "--gbps", "nan"][..], "--gbps"),
+        (&["ber", "--gbps", "inf"][..], "--gbps"),
+        (&["eye", "--bits", "14"][..], "--bits"),
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -217,9 +217,9 @@ fn bench_diff_gates_the_committed_snapshots_against_themselves() {
     // against itself (schema parses, nothing regresses).
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     for name in [
-        "BENCH_mc_throughput.json",
         "BENCH_noc_faults.json",
         "BENCH_model_check.json",
+        "BENCH_lint.json",
     ] {
         let snap = root.join(name);
         let path = snap.to_str().expect("utf-8 path");

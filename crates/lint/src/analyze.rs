@@ -46,7 +46,7 @@ pub struct AnalyzeOptions {
     /// Enforce doc comments on public items (`srlr-tech`, `srlr-circuit`,
     /// `srlr-units`).
     pub check_missing_doc: bool,
-    /// Allow `Instant`/`SystemTime` (the `crates/criterion` timing shim).
+    /// Allow `Instant`/`SystemTime` (`srlr-telemetry`'s `clock` module).
     pub allow_time: bool,
     /// Allow `spawn(…)` (the `srlr-parallel` worker pool).
     pub allow_spawn: bool,
@@ -466,8 +466,8 @@ fn scan_code_rules(view: &FileView<'_>, opts: AnalyzeOptions, diags: &mut Vec<Di
                         RuleId::DetTime,
                         format!(
                             "`{text}` reads the wall clock; timing belongs in \
-                             `crates/criterion` or `srlr-telemetry`'s `clock` module \
-                             (use the `Clock` abstraction), results must not depend on it"
+                             `srlr-telemetry`'s `clock` module (use the `Clock` \
+                             abstraction), results must not depend on it"
                         ),
                     ));
                 } else if text == "spawn"

@@ -26,10 +26,9 @@ pub enum RuleId {
     /// randomized per process, which can leak into results. Use
     /// `BTreeMap`/`BTreeSet` or suppress with a justification.
     DetMap,
-    /// `Instant`/`SystemTime` outside the `crates/criterion` timing shim
-    /// and `srlr-telemetry`'s `clock` module (which fences the wall clock
-    /// behind the `Clock` abstraction): wall-clock reads make results
-    /// time-dependent.
+    /// `Instant`/`SystemTime` outside `srlr-telemetry`'s `clock` module
+    /// (which fences the wall clock behind the `Clock` abstraction):
+    /// wall-clock reads make results time-dependent.
     DetTime,
     /// `spawn(...)` calls outside `srlr-parallel`: all concurrency must go
     /// through the deterministic index-ordered pool.
@@ -57,7 +56,7 @@ pub enum RuleId {
     RawF64Api,
     /// A `use srlr_*` import or a `Cargo.toml` dependency that points
     /// against the crate DAG `units → tech → circuit → core → link → noc`
-    /// (with `rng`/`parallel`/`telemetry`/`criterion` as shared leaves).
+    /// (with `rng`/`parallel`/`telemetry` as shared leaves).
     CrateLayering,
     /// The crate's public surface drifted from its committed
     /// `api-lock.txt` snapshot: an addition or removal that nobody
@@ -150,9 +149,7 @@ impl RuleId {
                 "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test library code"
             }
             RuleId::DetMap => "no HashMap/HashSet (iteration order leaks): use BTreeMap/BTreeSet",
-            RuleId::DetTime => {
-                "no Instant/SystemTime outside crates/criterion and telemetry::clock"
-            }
+            RuleId::DetTime => "no Instant/SystemTime outside telemetry::clock",
             RuleId::DetSpawn => "no spawn() outside srlr-parallel",
             RuleId::FloatEq => "no ==/!= against float literals",
             RuleId::NoPrint => {

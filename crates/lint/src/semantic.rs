@@ -40,7 +40,7 @@ const LAYERS: &[&str] = &[
 ];
 /// Leaf utility crates: usable from any layer, may use no `srlr` crate
 /// themselves.
-const LEAVES: &[&str] = &["rng", "parallel", "telemetry", "criterion"];
+const LEAVES: &[&str] = &["rng", "parallel", "telemetry"];
 /// Tool/front-end crates: consumers of the whole stack, unconstrained.
 const TOOLS: &[&str] = &["cli", "bench", "lint"];
 
@@ -651,10 +651,7 @@ fn allocates(call: &CallEvent) -> bool {
 /// `crates/telemetry/` is exempt: the profiler's record-keeping
 /// (entered frames, counters) allocates only when profiling is enabled,
 /// and its zero-cost-when-disabled contract is enforced by its own
-/// tests — the hot path's *disabled* cost is one branch. `crates/criterion/`
-/// is exempt for the same structural reason: the bench shim wraps kernels
-/// from the *outside* (timing loops allocate sample vectors between
-/// measured iterations) and is never linked into the simulation hot path.
+/// tests — the hot path's *disabled* cost is one branch.
 pub fn check_alloc_in_hot_path(
     files: &[ParsedFile],
     graph: &CallGraph,
@@ -695,7 +692,7 @@ pub fn check_alloc_in_hot_path(
     for (id, node) in graph.nodes().iter().enumerate() {
         let Some(root_id) = reached[id] else { continue };
         let file = &files[node.file];
-        if file.rel.starts_with("crates/telemetry/") || file.rel.starts_with("crates/criterion/") {
+        if file.rel.starts_with("crates/telemetry/") {
             continue;
         }
         let def = &file.fns[node.def];

@@ -2,7 +2,7 @@
 //!
 //! Everything else in the workspace is deterministic — simulated time,
 //! trial indices, cycle counts — and the `det-time` lint bans the wall
-//! clock outside the `crates/criterion` shim and this module. Profiling
+//! clock outside this module. Profiling
 //! is the one place real time is genuinely wanted, so [`Clock`] fences
 //! it: release binaries profile against [`Clock::wall`], while tests use
 //! [`Clock::tick`] (every read advances a virtual counter, so timings

@@ -11,7 +11,7 @@
 //!
 //! Timestamps are **simulated or logical time** (cycles, trial indices,
 //! simulated picoseconds) — never the wall clock, which only the
-//! `crates/criterion` shim may read. Parallel stages return their
+//! [`crate::clock`] module may read. Parallel stages return their
 //! results in item-index order (`par_map_indexed`) and the calling
 //! thread records them, so the byte stream every sink produces is
 //! identical at 1, 2, or 8 workers.

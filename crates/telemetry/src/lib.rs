@@ -23,9 +23,8 @@
 //!   allocating. Instrumented hot loops are free when telemetry is off.
 //! * **Simulated time only.** Timestamps are cycles, trial indices, or
 //!   simulated picoseconds — never the wall clock (`det-time` reserves
-//!   that for the `crates/criterion` shim and this crate's [`clock`]
-//!   module, where profiling fences it behind the [`Clock`]
-//!   abstraction).
+//!   that for this crate's [`clock`] module, where profiling fences it
+//!   behind the [`Clock`] abstraction).
 //! * **Bit-identical at any worker count.** Parallel stages return
 //!   their results in item-index order (`par_map_indexed`), and the
 //!   calling thread records every span and metric from those ordered
