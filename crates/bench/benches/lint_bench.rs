@@ -7,9 +7,10 @@
 //! runners, so the gate ignores it. Run with
 //! `cargo bench -p srlr-bench --bench lint_bench`.
 
+use srlr_lint::analyze::AnalyzeOptions;
 use srlr_lint::rules::ALL_RULES;
 use srlr_lint::semantic::ParsedFile;
-use srlr_lint::{exprs, items, semantic, walk, Config};
+use srlr_lint::{semantic, walk, Config};
 use srlr_telemetry::{Clock, RunReport, Value};
 use std::path::PathBuf;
 
@@ -28,14 +29,7 @@ fn main() {
         .map(|file| {
             let src = std::fs::read_to_string(&file.abs).expect("read source");
             let rel = file.rel.replace('\\', "/");
-            let tree = items::parse_items(&rel, &src);
-            let fns = exprs::parse_fns(&rel, &src);
-            ParsedFile {
-                rel,
-                src,
-                tree,
-                fns,
-            }
+            ParsedFile::parse(rel, src, AnalyzeOptions::default()).0
         })
         .collect();
     let graph = semantic::build_call_graph(&parsed);

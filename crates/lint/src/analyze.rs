@@ -1,5 +1,10 @@
 //! The rule engine: token-level analysis of one source file.
 //!
+//! `FileView` lexes a file once; the token rules here and the item
+//! walker in [`crate::items`] both read that one view. `missing-doc` is
+//! the one rule here that needs items: it checks the `pub` items the
+//! walk found, so it agrees with the api-lock surface by construction.
+//!
 //! All rules share three pieces of context computed up front:
 //!
 //! * **Test exclusion** — items annotated `#[cfg(test)]` or `#[test]`
@@ -24,12 +29,6 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"]
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 /// Macros that write straight to stdout/stderr.
 const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-/// Keywords that complete a `pub` item for `missing-doc`.
-const ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "type", "static", "mod", "union",
-];
-/// Keywords that may sit between `pub` and the item keyword.
-const ITEM_MODIFIERS: &[&str] = &["unsafe", "async", "extern"];
 /// Keywords after which `[` opens an array/slice, not an index.
 const NON_INDEX_KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
@@ -67,8 +66,8 @@ pub struct Suppression {
 
 /// A file's token stream plus the index of non-comment ("code") tokens.
 ///
-/// Shared between the token-level rule engine here and the item-tree
-/// parser in [`crate::items`].
+/// Built once per file and shared by the token-level rule engine here
+/// and the item walker in [`crate::items`].
 pub(crate) struct FileView<'a> {
     pub(crate) path: &'a str,
     pub(crate) src: &'a str,
@@ -283,15 +282,19 @@ pub struct FileAnalysis {
     pub suppressions: Vec<Suppression>,
 }
 
-/// Runs the token-level rules on one file without applying suppressions.
-pub fn analyze_file(path: &str, src: &str, opts: AnalyzeOptions) -> FileAnalysis {
-    let view = FileView::new(path, src);
+/// Runs the token-level rules on one file without applying suppressions;
+/// `missing-doc` checks `pub_items`, the walker's `(pub index, keyword)`
+/// list.
+pub(crate) fn analyze_view(
+    view: &FileView<'_>,
+    opts: AnalyzeOptions,
+    pub_items: &[(usize, &str)],
+) -> FileAnalysis {
     let mut diags: Vec<Diagnostic> = Vec::new();
-
-    let suppressions = parse_suppressions(&view, &mut diags);
-    scan_code_rules(&view, opts, &mut diags);
+    let suppressions = parse_suppressions(view, &mut diags);
+    scan_code_rules(view, opts, &mut diags);
     if opts.check_missing_doc {
-        scan_missing_doc(&view, &mut diags);
+        check_missing_doc(view, pub_items, &mut diags);
     }
     FileAnalysis {
         diags,
@@ -308,14 +311,6 @@ pub fn apply_suppressions(diags: &mut Vec<Diagnostic>, suppressions: &[Suppressi
                 .iter()
                 .any(|s| s.rule == d.rule && (d.line == s.line || d.line == s.line + 1)))
     });
-}
-
-/// Analyzes one file and returns its diagnostics, sorted by position.
-pub fn analyze_source(path: &str, src: &str, opts: AnalyzeOptions) -> Vec<Diagnostic> {
-    let mut analysis = analyze_file(path, src, opts);
-    apply_suppressions(&mut analysis.diags, &analysis.suppressions);
-    analysis.diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    analysis.diags
 }
 
 /// Parses every `srlr-lint:` comment; malformed ones become
@@ -417,16 +412,19 @@ fn scan_code_rules(view: &FileView<'_>, opts: AnalyzeOptions, diags: &mut Vec<Di
             TokenKind::Ident => {
                 let next_kind = view.ctok(ci + 1).map(|t| t.kind);
                 let next_is_bang = view.ctext(ci + 1) == Some("!");
-                let prev_is_dot = ci > 0 && view.ctext(ci - 1) == Some(".");
+                let prev = if ci > 0 { view.ctext(ci - 1) } else { None };
+                let prev_is_dot = prev == Some(".");
+                // `x.unwrap()` and its path-call form `Option::unwrap(x)`.
                 if PANIC_METHODS.contains(&text)
-                    && prev_is_dot
+                    && (prev_is_dot || prev == Some("::"))
                     && next_kind == Some(TokenKind::OpenParen)
                 {
+                    let sep = prev.unwrap_or(".");
                     diags.push(view.diag(
                         &tok,
                         RuleId::NoPanic,
                         format!(
-                            "`.{text}()` can panic in library code; return a typed error, \
+                            "`{sep}{text}()` can panic in library code; return a typed error, \
                              degrade gracefully, or add a justified suppression"
                         ),
                     ));
@@ -486,8 +484,11 @@ fn scan_code_rules(view: &FileView<'_>, opts: AnalyzeOptions, diags: &mut Vec<Di
                 }
             }
             TokenKind::Op if text == "==" || text == "!=" => {
-                let float_operand = view.ctok(ci + 1).map(|t| t.kind) == Some(TokenKind::Float)
-                    || (ci > 0 && view.ctok(ci - 1).map(|t| t.kind) == Some(TokenKind::Float));
+                let is_float = |k: usize| view.ctok(k).map(|t| t.kind) == Some(TokenKind::Float);
+                // A negated literal on the right (`x == -1.0`) counts too.
+                let float_operand = is_float(ci + 1)
+                    || (view.ctext(ci + 1) == Some("-") && is_float(ci + 2))
+                    || (ci > 0 && is_float(ci - 1));
                 if float_operand {
                     diags.push(view.diag(
                         &tok,
@@ -526,59 +527,24 @@ fn scan_code_rules(view: &FileView<'_>, opts: AnalyzeOptions, diags: &mut Vec<Di
     }
 }
 
-/// Flags `pub` items in doc-covered crates that lack a doc comment.
-fn scan_missing_doc(view: &FileView<'_>, diags: &mut Vec<Diagnostic>) {
-    for ci in 0..view.code.len() {
-        if view.ctext(ci) != Some("pub") || view.is_excluded(ci) || view.is_in_macro(ci) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` / `pub(in …)` items are not public
-        // API: no doc requirement.
-        let j = ci + 1;
-        if view.ctok(j).map(|t| t.kind) == Some(TokenKind::OpenParen) {
-            continue;
-        }
-        let Some(kind) = item_keyword(view, j) else {
-            continue; // a field, a re-export, or not an item at all
-        };
-        let Some(&raw_pub) = view.code.get(ci) else {
+/// Flags the walker's `pub` items that lack a doc comment.
+fn check_missing_doc(
+    view: &FileView<'_>,
+    pub_items: &[(usize, &str)],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for &(ci, kind) in pub_items {
+        let (Some(&raw_pub), Some(tok)) = (view.code.get(ci), view.ctok(ci)) else {
             continue;
         };
         if !has_doc_before(view, raw_pub) {
-            let Some(tok) = view.ctok(ci) else { continue };
-            let tok = *tok;
             diags.push(view.diag(
-                &tok,
+                tok,
                 RuleId::MissingDoc,
                 format!("public {kind} is missing a doc comment"),
             ));
         }
     }
-}
-
-/// Resolves the item keyword after a `pub`, skipping modifiers. Returns
-/// `None` for struct fields and `use` re-exports (no doc required).
-fn item_keyword<'a>(view: &FileView<'a>, mut j: usize) -> Option<&'a str> {
-    for _ in 0..4 {
-        let text = view.ctext(j)?;
-        if ITEM_KEYWORDS.contains(&text) {
-            return Some(text);
-        }
-        if text == "const" {
-            // `pub const NAME: …` is an item; `pub const fn` keeps going.
-            return if view.ctext(j + 1) == Some("fn") {
-                Some("fn")
-            } else {
-                Some("const")
-            };
-        }
-        if ITEM_MODIFIERS.contains(&text) || view.ctok(j)?.kind == TokenKind::Str {
-            j += 1; // `unsafe`, `async`, `extern "C"`, …
-            continue;
-        }
-        return None;
-    }
-    None
 }
 
 /// Walks raw tokens backwards from `raw_pub` looking for an outer doc
@@ -658,6 +624,15 @@ fn matching_open_bracket(view: &FileView<'_>, close: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semantic::ParsedFile;
+
+    /// Analyzes one file and returns its diagnostics, sorted by position.
+    fn analyze_source(path: &str, src: &str, opts: AnalyzeOptions) -> Vec<Diagnostic> {
+        let (_, mut analysis) = ParsedFile::parse(path.to_string(), src.to_string(), opts);
+        apply_suppressions(&mut analysis.diags, &analysis.suppressions);
+        analysis.diags.sort_by_key(|d| (d.line, d.col, d.rule));
+        analysis.diags
+    }
 
     fn run(src: &str) -> Vec<Diagnostic> {
         analyze_source("test.rs", src, AnalyzeOptions::default())
@@ -694,6 +669,16 @@ mod tests {
     }
 
     #[test]
+    fn catches_path_call_unwrap_and_expect() {
+        let d = run("fn f(x: Option<u8>) -> u8 { Option::unwrap(x) }");
+        assert_eq!(rules(&d), [RuleId::NoPanic]);
+        assert!(d[0].message.contains("`::unwrap()`"), "{}", d[0].message);
+        let d = run("fn f(r: Result<u8, ()>) -> u8 { Result::expect(r, \"boom\") }");
+        assert_eq!(rules(&d), [RuleId::NoPanic]);
+        assert!(run("fn f(x: Option<u8>) -> u8 { Option::unwrap_or(x, 0) }").is_empty());
+    }
+
+    #[test]
     fn catches_unreachable_todo_unimplemented() {
         let d = run("fn f() { unreachable!() } fn g() { todo!() } fn h() { unimplemented!() }");
         assert_eq!(d.len(), 3);
@@ -720,6 +705,9 @@ mod tests {
         assert_eq!(rules(&d), [RuleId::FloatEq]);
         let d = run("fn f(x: f64) -> bool { 0.0 != x }");
         assert_eq!(rules(&d), [RuleId::FloatEq]);
+        let d = run("fn f(x: f64) -> bool { x == -1.0 }");
+        assert_eq!(rules(&d), [RuleId::FloatEq]);
+        assert!(run("fn f(x: i32) -> bool { x == -1 }").is_empty());
     }
 
     #[test]
@@ -942,6 +930,14 @@ mod tests {
         assert_eq!(rules(&d), [RuleId::MissingDoc, RuleId::MissingDoc]);
         assert!(d[0].message.contains("const"));
         assert!(d[1].message.contains("fn"));
+    }
+
+    #[test]
+    fn pub_items_in_bodies_and_macro_calls_need_no_docs() {
+        // Not API, as for rustc's `missing_docs`: the item walker never
+        // reports them.
+        let src = "/// F.\npub fn f() { pub struct Local; }\nm! { pub fn g() {} }";
+        assert!(run_docs(src).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Expression/statement-level analysis: function bodies as event streams.
 //!
-//! [`crate::items`] deliberately skips expression bodies; this module is
-//! the other half. It walks the same `FileView` token stream, finds
-//! every function *definition* (free functions, inherent and trait
-//! methods, default trait bodies, functions nested in bodies) and
+//! The item walker ([`crate::items`]) finds every function *definition*
+//! (free functions, inherent and trait methods, default trait bodies,
+//! functions nested in bodies, in item-level macro invocations or in
+//! `const` initializers); this module is the part of that walk which
 //! reduces each body to the events the dataflow rules consume:
 //!
 //! * **calls** — path calls (`Vec::new(…)`, `kernel::m1_current(…)`),
@@ -23,17 +23,17 @@
 //! (`#[cfg(test)]` / `#[test]`) and `macro_rules!` bodies are invisible,
 //! exactly as for every other rule.
 
-use crate::analyze::FileView;
+use crate::items::{angle_delta, Scope, Walker};
 use crate::lexer::TokenKind;
 
 /// Numeric primitive type names an `as` cast can target.
-pub const NUMERIC_TYPES: &[&str] = &[
+const NUMERIC_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
     "f64",
 ];
 
 /// Keywords that look like `name(` but are not calls.
-const NON_CALL_KEYWORDS: &[&str] = &[
+pub(crate) const NON_CALL_KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
     "ref", "return", "self", "static", "struct", "super", "trait", "type", "unsafe", "use",
@@ -136,173 +136,11 @@ impl FnDef {
     }
 }
 
-/// Parses every non-test function definition of one source file.
-pub fn parse_fns(path: &str, src: &str) -> Vec<FnDef> {
-    let view = FileView::new(path, src);
-    let mut walker = ExprWalker {
-        view: &view,
-        defs: Vec::new(),
-    };
-    walker.walk(0, view.code.len(), None);
-    walker.defs
-}
-
-struct ExprWalker<'a, 'b> {
-    view: &'b FileView<'a>,
-    defs: Vec<FnDef>,
-}
-
-impl<'a, 'b> ExprWalker<'a, 'b> {
-    fn text(&self, ci: usize) -> &'a str {
-        self.view.ctext(ci).unwrap_or("")
-    }
-
-    fn kind(&self, ci: usize) -> Option<TokenKind> {
-        self.view.ctok(ci).map(|t| t.kind)
-    }
-
-    /// Walks the code range `[start, end)` at item position, descending
-    /// into `mod`/`impl`/`trait` blocks and recording `fn` definitions.
-    fn walk(&mut self, start: usize, end: usize, owner: Option<&str>) {
-        let mut i = start;
-        while i < end {
-            if self.view.is_excluded(i) || self.view.is_in_macro(i) {
-                i += 1;
-                continue;
-            }
-            if let Some((close, _)) = self.view.parse_attr(i) {
-                i = close + 1;
-                continue;
-            }
-            match self.text(i) {
-                "impl" => {
-                    if let Some((impl_owner, open, close)) = self.impl_header(i) {
-                        self.walk(open + 1, close, impl_owner.as_deref());
-                        i = close + 1;
-                        continue;
-                    }
-                }
-                "trait" => {
-                    if let Some((name, open, close)) = self.named_block(i) {
-                        self.walk(open + 1, close, Some(&name));
-                        i = close + 1;
-                        continue;
-                    }
-                }
-                "mod" => {
-                    if let Some((_, open, close)) = self.named_block(i) {
-                        self.walk(open + 1, close, owner);
-                        i = close + 1;
-                        continue;
-                    }
-                }
-                "fn" => {
-                    if let Some(next) = self.parse_fn(i, owner) {
-                        i = next;
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-
-    /// Parses `impl [<…>] [Trait for] Type [where …] { … }`, returning
-    /// the self-type name and the body braces.
-    fn impl_header(&self, i: usize) -> Option<(Option<String>, usize, usize)> {
-        let mut j = self.skip_generics(i + 1);
-        let mut angle = 0i32;
-        let mut saw_for = false;
-        let mut before_for: Vec<usize> = Vec::new();
-        let mut after_for: Vec<usize> = Vec::new();
-        let mut open = None;
-        while j < self.view.code.len() {
-            match self.text(j) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                "for" if angle == 0 => {
-                    saw_for = true;
-                    j += 1;
-                    continue;
-                }
-                "where" if angle == 0 => {
-                    while j < self.view.code.len() && self.kind(j) != Some(TokenKind::OpenBrace) {
-                        j += 1;
-                    }
-                    open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            if self.kind(j) == Some(TokenKind::OpenBrace) && angle <= 0 {
-                open = Some(j);
-                break;
-            }
-            if saw_for {
-                after_for.push(j);
-            } else {
-                before_for.push(j);
-            }
-            j += 1;
-        }
-        let open = open?;
-        let close = self
-            .view
-            .matching_close(open, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
-        let self_type = if saw_for { &after_for } else { &before_for };
-        let mut angle = 0i32;
-        let mut name = None;
-        for &ci in self_type {
-            match self.text(ci) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                t if angle == 0
-                    && self.kind(ci) == Some(TokenKind::Ident)
-                    && !NON_CALL_KEYWORDS.contains(&t) =>
-                {
-                    name = Some(t.trim_start_matches("r#").to_string());
-                }
-                _ => {}
-            }
-        }
-        Some((name, open, close))
-    }
-
-    /// `trait Name … { … }` / `mod name { … }`: the name and body braces.
-    /// Returns `None` for `mod name;` declarations.
-    fn named_block(&self, i: usize) -> Option<(String, usize, usize)> {
-        let name = self.text(i + 1).trim_start_matches("r#").to_string();
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        while j < self.view.code.len() {
-            match self.text(j) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                ";" if angle <= 0 => return None,
-                _ => {}
-            }
-            if self.kind(j) == Some(TokenKind::OpenBrace) && angle <= 0 {
-                break;
-            }
-            j += 1;
-        }
-        let close = self
-            .view
-            .matching_close(j, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
-        Some((name, j, close))
-    }
-
+impl Walker<'_, '_> {
     /// Parses one `fn name …` definition starting at the `fn` keyword.
     /// Returns the code index just past it, or `None` if this `fn` token
     /// is not a definition (e.g. an `fn(…)` pointer type).
-    fn parse_fn(&mut self, i: usize, owner: Option<&str>) -> Option<usize> {
+    pub(crate) fn parse_fn(&mut self, i: usize, owner: Option<&str>) -> Option<usize> {
         if self.kind(i + 1) != Some(TokenKind::Ident) {
             return None;
         }
@@ -319,32 +157,11 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
                 .matching_close(j, TokenKind::OpenParen, TokenKind::CloseParen)?;
         // Find the body `{` (or a `;` for bodiless trait declarations),
         // crossing the return type and where clause.
-        let mut k = params_close + 1;
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let open = loop {
-            let kind = self.kind(k)?;
-            let t = self.text(k);
-            match kind {
-                TokenKind::OpenParen | TokenKind::OpenBracket => depth += 1,
-                TokenKind::CloseParen | TokenKind::CloseBracket => depth -= 1,
-                TokenKind::OpenBrace if depth == 0 && angle <= 0 => break k,
-                _ => match t {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "<<" => angle += 2,
-                    ">>" => angle -= 2,
-                    "->" => {}
-                    ";" if depth == 0 && angle <= 0 => {
-                        // Declaration without a body (trait method).
-                        self.record(owner, name, i);
-                        return Some(k + 1);
-                    }
-                    _ => {}
-                },
-            }
-            k += 1;
-        };
+        let open = self.scan_to(params_close + 1, &["{", ";"]);
+        if self.text(open) == ";" {
+            self.record(owner, name, i);
+            return Some(open + 1);
+        }
         let close = self
             .view
             .matching_close(open, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
@@ -356,7 +173,7 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
     /// Pushes an empty definition record and returns its index.
     fn record(&mut self, owner: Option<&str>, name: String, i: usize) -> usize {
         let (line, col) = self.view.ctok(i).map(|t| (t.line, t.col)).unwrap_or((0, 0));
-        self.defs.push(FnDef {
+        self.walked.fns.push(FnDef {
             owner: owner.map(str::to_string),
             name,
             line,
@@ -365,7 +182,7 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
             casts: Vec::new(),
             reduces: Vec::new(),
         });
-        self.defs.len() - 1
+        self.walked.fns.len() - 1
     }
 
     /// Scans a body range for events, recursing into nested `fn`/`impl`
@@ -387,9 +204,8 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
             if t == "impl" && self.kind(i - 1) != Some(TokenKind::Op) {
                 // A nested `impl Type { … }` item (return-position
                 // `impl Trait` always follows an operator or `(`).
-                if let Some((impl_owner, open, close)) = self.impl_header(i) {
-                    self.walk(open + 1, close, impl_owner.as_deref());
-                    i = close + 1;
+                if let Some(next) = self.walk_impl(i, &Scope::body()) {
+                    i = next;
                     continue;
                 }
             }
@@ -397,7 +213,7 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
                 if let Some(target) = self.cast_target(i) {
                     let tok = self.view.ctok(i + 1);
                     if let Some(tok) = tok {
-                        self.defs[def].casts.push(CastEvent {
+                        self.walked.fns[def].casts.push(CastEvent {
                             target,
                             line: tok.line,
                             col: tok.col,
@@ -411,10 +227,10 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
                 if let Some(event) = self.call_at(i, owner) {
                     if event.kind == CallKind::Method {
                         if let Some(reduce) = self.reduce_at(i) {
-                            self.defs[def].reduces.push(reduce);
+                            self.walked.fns[def].reduces.push(reduce);
                         }
                     }
-                    self.defs[def].calls.push(event);
+                    self.walked.fns[def].calls.push(event);
                 }
             }
             i += 1;
@@ -605,57 +421,27 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
     fn matching_open_angle(&self, close_ci: usize) -> Option<usize> {
         let mut depth = 0i32;
         for ci in (0..=close_ci).rev() {
-            match self.text(ci) {
-                ">" => depth += 1,
-                ">>" => depth += 2,
-                "<" => {
-                    depth -= 1;
-                    if depth <= 0 {
-                        return Some(ci);
-                    }
-                }
-                "<<" => {
-                    depth -= 2;
-                    if depth <= 0 {
-                        return Some(ci);
-                    }
-                }
-                _ => {}
+            let t = self.text(ci);
+            depth -= angle_delta(t);
+            if depth <= 0 && matches!(t, "<" | "<<") {
+                return Some(ci);
             }
         }
         None
-    }
-
-    /// Skips a generic list `<…>` starting at `j` (no-op otherwise).
-    fn skip_generics(&self, j: usize) -> usize {
-        if self.text(j) != "<" {
-            return j;
-        }
-        let mut angle = 0i32;
-        let mut k = j;
-        while k < self.view.code.len() {
-            match self.text(k) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                _ => {}
-            }
-            k += 1;
-            if angle <= 0 {
-                break;
-            }
-        }
-        k
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::AnalyzeOptions;
+    use crate::semantic::ParsedFile;
 
     fn defs(src: &str) -> Vec<FnDef> {
-        parse_fns("test.rs", src)
+        let opts = AnalyzeOptions::default();
+        ParsedFile::parse("test.rs".to_string(), src.to_string(), opts)
+            .0
+            .fns
     }
 
     fn calls_of(d: &FnDef) -> Vec<String> {

@@ -1,27 +1,36 @@
-//! A lightweight recursive-descent **item-tree** parser.
+//! The item walker: one pass over a file's **item skeleton**.
 //!
 //! This is deliberately not a Rust parser: it walks the token stream of
-//! one file and recovers only the *item skeleton* — `use` declarations,
+//! one file and recovers only the item skeleton — `use` declarations,
 //! inline `mod` nesting, `impl`/`trait` ownership, and the signatures of
-//! `pub` functions, structs and fields. Expression bodies are skipped
-//! wholesale (via the file view's `item_end`), so the parser stays robust on
-//! anything rustc would accept while giving the semantic rules
-//! (`raw-f64-api`, `crate-layering`, `api-lock`) real item identities to
-//! anchor on instead of raw token positions.
+//! `pub` functions, structs and fields. The one walk yields everything
+//! the rules need from items:
+//!
+//! * the [`ItemTree`], the public surface the semantic rules
+//!   (`raw-f64-api`, `crate-layering`, `api-lock`) anchor on;
+//! * every function definition, its body reduced to call, cast and
+//!   reduction events by [`crate::exprs`];
+//! * the `pub` items `missing-doc` checks.
 //!
 //! Conventions the rules rely on:
 //!
 //! * Test code (`#[cfg(test)]` / `#[test]`) and `macro_rules!` bodies are
 //!   invisible, exactly as for the token-level rules.
-//! * Only unrestricted `pub` items are recorded; `pub(crate)` and
-//!   narrower are workspace-internal and carry no API obligations.
-//! * Methods inside `impl Trait for Type` blocks are **not** recorded:
-//!   the trait declaration is the source of truth for their signatures.
+//! * Only unrestricted `pub` items are API; `pub(crate)` and narrower
+//!   are workspace-internal and carry no API obligations.
+//! * Methods inside `impl Trait for Type` blocks are **not** API: the
+//!   trait declaration is the source of truth for their signatures.
+//! * Items inside function bodies, item-level macro invocations
+//!   (`m! { … }`) and `const`/`static` initializers are not API either
+//!   (as for rustc's `missing_docs`), but every `fn` there is still a
+//!   definition whose body feeds the dataflow rules.
 //! * Macro-generated items cannot be seen (the lint never expands
-//!   macros); the api-lock snapshot is therefore "everything the item
-//!   parser sees", applied identically when writing and when checking.
+//!   macros); the api-lock snapshot is therefore "everything the walker
+//!   sees", applied identically when writing and when checking.
 
 use crate::analyze::FileView;
+use crate::exprs::{FnDef, NON_CALL_KEYWORDS};
+use crate::lexer::TokenKind;
 
 /// What kind of public item a [`PubItem`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,49 +114,112 @@ pub struct ItemTree {
     pub items: Vec<PubItem>,
 }
 
-/// Parses the item tree of one source file.
-pub fn parse_items(path: &str, src: &str) -> ItemTree {
-    let view = FileView::new(path, src);
-    let mut walker = Walker {
-        view: &view,
-        tree: ItemTree::default(),
-    };
-    walker.walk(0, view.code.len(), String::new(), Ctx::Module);
-    walker.tree
+/// Everything one walk over a file yields.
+pub(crate) struct Walked<'a> {
+    /// The public item skeleton.
+    pub(crate) tree: ItemTree,
+    /// Every function definition, in source order.
+    pub(crate) fns: Vec<FnDef>,
+    /// Unrestricted-`pub` items at API position (`pub mod` included):
+    /// the code index of the `pub` and the item keyword. `missing-doc`
+    /// checks each of them.
+    pub(crate) pub_items: Vec<(usize, &'a str)>,
 }
 
-/// What kind of block the walker is currently inside.
-#[derive(Debug, Clone)]
-enum Ctx {
+/// Walks the item skeleton of one file.
+pub(crate) fn walk<'a>(view: &FileView<'a>) -> Walked<'a> {
+    let mut walker = Walker {
+        view,
+        walked: Walked {
+            tree: ItemTree::default(),
+            fns: Vec::new(),
+            pub_items: Vec::new(),
+        },
+    };
+    let root = Scope {
+        api: true,
+        ..Scope::body()
+    };
+    walker.walk(0, view.code.len(), &root);
+    walker.walked
+}
+
+/// What kind of block the walker is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
     /// File root or an inline `mod` body.
     Module,
-    /// `impl Type { … }`: `pub fn`s become methods of the owner.
-    InherentImpl(String),
-    /// `impl Trait for Type { … }`: nothing is recorded.
+    /// `impl Type { … }`: `pub fn`s are methods of the owner.
+    InherentImpl,
+    /// `impl Trait for Type { … }`: no fn is API.
     TraitImpl,
-    /// `pub trait Name { … }`: every `fn` is public API of the trait.
-    TraitDecl(String),
+    /// `trait Name { … }`: every `fn` is API of a public trait.
+    TraitDecl,
 }
 
-/// Keywords that may precede `fn` in a declaration.
+/// Where the walker stands.
+#[derive(Debug, Clone)]
+pub(crate) struct Scope {
+    /// Inline-module path (`""` at file root, `a::b` for nested blocks).
+    module: String,
+    /// The enclosing impl's self type or trait's name: the owner of the
+    /// fns defined here.
+    owner: Option<String>,
+    block: Block,
+    /// Whether items here are public surface: false inside fn bodies,
+    /// macro invocations, `const`/`static` initializers and private
+    /// traits, where only `mod`/`impl`/`trait`/`fn` are walked.
+    api: bool,
+}
+
+impl Scope {
+    /// The scope of a function body: nothing in it is API.
+    pub(crate) fn body() -> Scope {
+        Scope {
+            module: String::new(),
+            owner: None,
+            block: Block::Module,
+            api: false,
+        }
+    }
+}
+
+/// Keywords that may precede `fn` in a declaration (`const` only there).
 const FN_MODIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
-/// Identifiers that can appear in a type path but never name the type.
-const TYPE_NOISE: &[&str] = &[
-    "dyn", "mut", "const", "for", "where", "as", "crate", "super",
+/// Item keywords whose unrestricted-`pub` items need a doc comment.
+const DOC_ITEMS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
 ];
 
-struct Walker<'a, 'b> {
-    view: &'b FileView<'a>,
-    tree: ItemTree,
+/// How a token moves the angle-bracket depth; the lexer emits `<<` and
+/// `>>` as single shift tokens.
+pub(crate) fn angle_delta(t: &str) -> i32 {
+    match t {
+        "<" => 1,
+        ">" => -1,
+        "<<" => 2,
+        ">>" => -2,
+        _ => 0,
+    }
+}
+
+/// The walk itself: items here, function bodies in [`crate::exprs`].
+pub(crate) struct Walker<'a, 'b> {
+    pub(crate) view: &'b FileView<'a>,
+    pub(crate) walked: Walked<'a>,
 }
 
 impl<'a, 'b> Walker<'a, 'b> {
-    fn text(&self, ci: usize) -> &'a str {
+    pub(crate) fn text(&self, ci: usize) -> &'a str {
         self.view.ctext(ci).unwrap_or("")
     }
 
+    pub(crate) fn kind(&self, ci: usize) -> Option<TokenKind> {
+        self.view.ctok(ci).map(|t| t.kind)
+    }
+
     /// Walks the code-token range `[start, end)` at item position.
-    fn walk(&mut self, start: usize, end: usize, module: String, ctx: Ctx) {
+    fn walk(&mut self, start: usize, end: usize, scope: &Scope) {
         let mut i = start;
         while i < end {
             if self.view.is_excluded(i) || self.view.is_in_macro(i) {
@@ -158,13 +230,98 @@ impl<'a, 'b> Walker<'a, 'b> {
                 i = close + 1;
                 continue;
             }
-            // Optional visibility.
-            let (is_pub, k) = self.parse_visibility(i);
-            let next = match self.dispatch(i, k, end, is_pub, &module, &ctx) {
-                Some(n) => n,
-                None => i + 1,
-            };
-            i = next.max(i + 1);
+            i = self.item(i, scope).map_or(i + 1, |next| next.max(i + 1));
+        }
+    }
+
+    /// Handles the item starting at `i`, if one does, and returns the
+    /// code index just past it; `None` steps on by one token.
+    fn item(&mut self, i: usize, scope: &Scope) -> Option<usize> {
+        let (is_pub, k) = self.parse_visibility(i);
+        let k = self.skip_fn_modifiers(k);
+        let kw = self.text(k);
+        let api_pub = scope.api && is_pub;
+        if api_pub && DOC_ITEMS.contains(&kw) {
+            self.walked.pub_items.push((i, kw));
+        }
+        match kw {
+            "mod" => {
+                let (name, open, close) = self.named_block(k)?;
+                let module = if scope.module.is_empty() {
+                    name
+                } else {
+                    format!("{}::{name}", scope.module)
+                };
+                let inner = Scope {
+                    module,
+                    block: Block::Module,
+                    ..scope.clone()
+                };
+                self.walk(open + 1, close, &inner);
+                Some(close + 1)
+            }
+            "impl" => self.walk_impl(k, scope),
+            "trait" => {
+                let (name, open, close) = self.named_block(k)?;
+                if api_pub {
+                    self.record_simple(ItemKind::Trait, i, k, &scope.module);
+                }
+                let inner = Scope {
+                    module: scope.module.clone(),
+                    owner: Some(name),
+                    block: Block::TraitDecl,
+                    api: api_pub,
+                };
+                self.walk(open + 1, close, &inner);
+                Some(close + 1)
+            }
+            "fn" => {
+                let api = scope.api
+                    && match scope.block {
+                        Block::Module | Block::InherentImpl => is_pub,
+                        Block::TraitDecl => true,
+                        Block::TraitImpl => false,
+                    };
+                if api {
+                    let owner = (scope.block != Block::Module)
+                        .then(|| scope.owner.clone().unwrap_or_default());
+                    self.record_fn(i, k, &scope.module, owner);
+                }
+                self.parse_fn(k, scope.owner.as_deref())
+            }
+            // Outside the public surface only the four block items above
+            // matter; everything else is stepped through token by token.
+            _ if !scope.api => None,
+            "use" => {
+                self.record_use(k);
+                self.view.item_end(k).map(|e| e + 1)
+            }
+            "struct" if is_pub => self.parse_struct(i, k, &scope.module),
+            "enum" | "union" | "type" if is_pub => {
+                let kind = match kw {
+                    "enum" => ItemKind::Enum,
+                    "union" => ItemKind::Union,
+                    _ => ItemKind::TypeAlias,
+                };
+                self.record_simple(kind, i, k, &scope.module);
+                self.view.item_end(k).map(|e| e + 1)
+            }
+            "struct" | "enum" | "union" | "type" => self.view.item_end(k).map(|e| e + 1),
+            "const" | "static" => {
+                if is_pub {
+                    let owner = (scope.block == Block::InherentImpl)
+                        .then(|| scope.owner.clone().unwrap_or_default());
+                    self.record_const(i, k, kw, &scope.module, owner);
+                }
+                let end = self.view.item_end(k)?;
+                let initializer = Scope {
+                    api: false,
+                    ..scope.clone()
+                };
+                self.walk(k + 1, end, &initializer);
+                Some(end + 1)
+            }
+            _ => self.macro_call(k, scope),
         }
     }
 
@@ -175,114 +332,62 @@ impl<'a, 'b> Walker<'a, 'b> {
         if self.text(i) != "pub" {
             return (false, i);
         }
-        if self.view.ctok(i + 1).map(|t| t.kind) == Some(crate::lexer::TokenKind::OpenParen) {
+        if self.kind(i + 1) == Some(TokenKind::OpenParen) {
             let close = self
                 .view
-                .matching_close(
-                    i + 1,
-                    crate::lexer::TokenKind::OpenParen,
-                    crate::lexer::TokenKind::CloseParen,
-                )
+                .matching_close(i + 1, TokenKind::OpenParen, TokenKind::CloseParen)
                 .unwrap_or(i + 1);
             return (false, close + 1);
         }
         (true, i + 1)
     }
 
-    /// Handles one item starting at `i` (visibility already parsed; the
-    /// keyword sits at `k`). Returns the code index just past the item.
-    fn dispatch(
-        &mut self,
-        i: usize,
-        k: usize,
-        end: usize,
-        is_pub: bool,
-        module: &str,
-        ctx: &Ctx,
-    ) -> Option<usize> {
-        let kw = self.text(k);
-        match kw {
-            "use" => {
-                self.record_use(k);
-                self.view.item_end(k).map(|e| e + 1)
-            }
-            "mod" => self.parse_mod(i, k, module),
-            "impl" => self.parse_impl(i, k, module),
-            "trait" => self.parse_trait(i, k, is_pub, module),
-            "struct" => self.parse_struct(i, k, is_pub, module),
-            "enum" | "union" => {
-                if is_pub {
-                    self.record_simple(
-                        if kw == "enum" {
-                            ItemKind::Enum
-                        } else {
-                            ItemKind::Union
-                        },
-                        i,
-                        k,
-                        module,
-                    );
-                }
-                self.view.item_end(k).map(|e| e + 1)
-            }
-            "type" => {
-                if is_pub {
-                    self.record_simple(ItemKind::TypeAlias, i, k, module);
-                }
-                self.view.item_end(k).map(|e| e + 1)
-            }
-            "const" | "static" if self.text(k + 1) != "fn" => {
-                if is_pub {
-                    let owner = match ctx {
-                        Ctx::InherentImpl(o) => Some(o.clone()),
-                        _ => None,
-                    };
-                    self.record_const(i, k, kw, module, owner);
-                }
-                self.view.item_end(k).map(|e| e + 1)
-            }
-            _ if kw == "fn" || FN_MODIFIERS.contains(&kw) => {
-                // Skip `const`/`unsafe`/`async`/`extern "ABI"` up to `fn`.
-                let mut f = k;
-                for _ in 0..4 {
-                    if self.text(f) == "fn" {
-                        break;
-                    }
-                    if FN_MODIFIERS.contains(&self.text(f)) {
-                        f += 1;
-                        // `extern "C"` carries a literal.
-                        if self.view.ctok(f).map(|t| t.kind) == Some(crate::lexer::TokenKind::Str) {
-                            f += 1;
-                        }
-                        continue;
-                    }
-                    break;
-                }
-                if self.text(f) != "fn" {
-                    // `extern "C" { … }` block or stray modifier: skip item.
-                    return self.view.item_end(i).map(|e| e + 1);
-                }
-                let record = match ctx {
-                    Ctx::Module | Ctx::InherentImpl(_) => is_pub,
-                    Ctx::TraitDecl(_) => true,
-                    Ctx::TraitImpl => false,
-                };
-                if record {
-                    let owner = match ctx {
-                        Ctx::InherentImpl(o) | Ctx::TraitDecl(o) => Some(o.clone()),
-                        _ => None,
-                    };
-                    self.record_fn(i, f, module, owner);
-                }
-                self.view.item_end(k).map(|e| e + 1)
-            }
-            _ => {
-                // Macro invocation (`name! …;`) or anything unrecognised:
-                // skip to the end of the statement/item.
-                let _ = end;
-                self.view.item_end(i).map(|e| e + 1)
+    /// Skips `const`/`unsafe`/`async`/`extern "ABI"` before an item
+    /// keyword; `const` counts only when a `fn` follows (else it is the
+    /// `const` item's own keyword).
+    fn skip_fn_modifiers(&self, mut k: usize) -> usize {
+        while FN_MODIFIERS.contains(&self.text(k))
+            && (self.text(k) != "const"
+                || self.text(k + 1) == "fn"
+                || FN_MODIFIERS.contains(&self.text(k + 1)))
+        {
+            k += 1;
+            if self.kind(k) == Some(TokenKind::Str) {
+                k += 1; // `extern "C"` carries a literal
             }
         }
+        k
+    }
+
+    /// An item-level macro invocation `name!(…)` / `name![…]` /
+    /// `name! { … }`: its tokens are walked for definitions, none of
+    /// which is API.
+    fn macro_call(&mut self, k: usize, scope: &Scope) -> Option<usize> {
+        if self.kind(k) != Some(TokenKind::Ident) || self.text(k + 1) != "!" {
+            return None;
+        }
+        let open = k + 2;
+        let close = match self.kind(open)? {
+            TokenKind::OpenParen => {
+                self.view
+                    .matching_close(open, TokenKind::OpenParen, TokenKind::CloseParen)
+            }
+            TokenKind::OpenBracket => {
+                self.view
+                    .matching_close(open, TokenKind::OpenBracket, TokenKind::CloseBracket)
+            }
+            TokenKind::OpenBrace => {
+                self.view
+                    .matching_close(open, TokenKind::OpenBrace, TokenKind::CloseBrace)
+            }
+            _ => None,
+        }?;
+        let args = Scope {
+            api: false,
+            ..scope.clone()
+        };
+        self.walk(open + 1, close, &args);
+        Some(close + 1)
     }
 
     /// Records the first path segment of a `use` declaration.
@@ -294,183 +399,101 @@ impl<'a, 'b> Walker<'a, 'b> {
         }
         let seg = self.text(j);
         if !seg.is_empty() {
-            self.tree.uses.push(UseDecl {
+            self.walked.tree.uses.push(UseDecl {
                 first_segment: seg.trim_start_matches("r#").to_string(),
                 line,
             });
         }
     }
 
-    /// `mod name { … }` (recursed into) or `mod name;` (skipped).
-    fn parse_mod(&mut self, i: usize, k: usize, module: &str) -> Option<usize> {
-        let name = self.text(k + 1).trim_start_matches("r#").to_string();
-        let open = k + 2;
-        if self.view.ctok(open).map(|t| t.kind) == Some(crate::lexer::TokenKind::OpenBrace) {
-            let close = self.view.matching_close(
-                open,
-                crate::lexer::TokenKind::OpenBrace,
-                crate::lexer::TokenKind::CloseBrace,
-            )?;
-            let inner = if module.is_empty() {
-                name
-            } else {
-                format!("{module}::{name}")
-            };
-            self.walk(open + 1, close, inner, Ctx::Module);
-            return Some(close + 1);
-        }
-        self.view.item_end(i).map(|e| e + 1)
-    }
-
-    /// `impl [<…>] [Trait for] Type [where …] { … }`.
-    fn parse_impl(&mut self, _i: usize, k: usize, module: &str) -> Option<usize> {
-        let mut j = k + 1;
-        j = self.skip_generics(j);
-        // Collect header tokens up to the body `{` at angle depth 0,
-        // splitting at a top-level `for`.
-        let mut angle = 0i32;
-        let mut before_for: Vec<usize> = Vec::new();
-        let mut after_for: Vec<usize> = Vec::new();
+    /// `impl [<…>] [Trait for] Type [where …] { … }` at `k`: walks the
+    /// body with the self type as owner and returns the index past it.
+    pub(crate) fn walk_impl(&mut self, k: usize, scope: &Scope) -> Option<usize> {
+        // The owner is the rightmost plain identifier at angle depth 0 of
+        // the self type (after a top-level `for`, if any):
+        // `impl Display for core::fmt::Foo` → `Foo`, `impl<T> B<T>` → `B`.
+        let mut owner = None;
         let mut saw_for = false;
-        let mut open = None;
-        while j < self.view.code.len() {
+        let mut angle = 0i32;
+        let mut j = self.skip_generics(k + 1);
+        let open = loop {
             let t = self.text(j);
-            match t {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                "->" => {}
-                "for" if angle == 0 => {
+            match self.kind(j)? {
+                TokenKind::OpenBrace if angle <= 0 => break j,
+                _ if angle == 0 && t == "for" => {
                     saw_for = true;
-                    j += 1;
-                    continue;
+                    owner = None;
                 }
-                "where" if angle == 0 => {
-                    // `where` ends the type; scan forward to the `{`.
-                    while j < self.view.code.len()
-                        && self.view.ctok(j).map(|t| t.kind)
-                            != Some(crate::lexer::TokenKind::OpenBrace)
-                    {
-                        j += 1;
+                // `where` ends the type; the body `{` follows the clause.
+                _ if angle == 0 && t == "where" => {
+                    break (j..self.view.code.len())
+                        .find(|&b| self.kind(b) == Some(TokenKind::OpenBrace))?;
+                }
+                kind => {
+                    angle += angle_delta(t);
+                    if angle == 0 && kind == TokenKind::Ident && !NON_CALL_KEYWORDS.contains(&t) {
+                        owner = Some(t.trim_start_matches("r#").to_string());
                     }
-                    open = Some(j);
-                    break;
                 }
-                _ => {}
-            }
-            if self.view.ctok(j).map(|t| t.kind) == Some(crate::lexer::TokenKind::OpenBrace)
-                && angle <= 0
-            {
-                open = Some(j);
-                break;
-            }
-            if saw_for {
-                after_for.push(j);
-            } else {
-                before_for.push(j);
             }
             j += 1;
-        }
-        let open = open?;
-        let close = self.view.matching_close(
-            open,
-            crate::lexer::TokenKind::OpenBrace,
-            crate::lexer::TokenKind::CloseBrace,
-        )?;
-        let self_type = if saw_for { &after_for } else { &before_for };
-        let owner = self.last_type_ident(self_type);
-        let ctx = if saw_for {
-            Ctx::TraitImpl
-        } else {
-            Ctx::InherentImpl(owner.unwrap_or_default())
         };
-        self.walk(open + 1, close, module.to_string(), ctx);
+        let close = self
+            .view
+            .matching_close(open, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
+        let inner = Scope {
+            owner,
+            block: if saw_for {
+                Block::TraitImpl
+            } else {
+                Block::InherentImpl
+            },
+            ..scope.clone()
+        };
+        self.walk(open + 1, close, &inner);
         Some(close + 1)
     }
 
-    /// The rightmost plain identifier at angle depth 0 in a type path —
-    /// `core::fmt::Display` → `Display`, `Foo<T>` → `Foo`.
-    fn last_type_ident(&self, idxs: &[usize]) -> Option<String> {
-        let mut angle = 0i32;
-        let mut found = None;
-        for &ci in idxs {
-            match self.text(ci) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                t if angle == 0
-                    && self.view.ctok(ci).map(|t| t.kind)
-                        == Some(crate::lexer::TokenKind::Ident)
-                    && !TYPE_NOISE.contains(&t) =>
-                {
-                    found = Some(t.trim_start_matches("r#").to_string());
-                }
-                _ => {}
-            }
-        }
-        found
-    }
-
-    /// `pub trait Name { … }`: record and descend; private traits skipped.
-    fn parse_trait(&mut self, i: usize, k: usize, is_pub: bool, module: &str) -> Option<usize> {
-        if !is_pub {
-            return self.view.item_end(i).map(|e| e + 1);
-        }
+    /// `trait Name … { … }` / `mod name { … }` at `k`: the name and the
+    /// body braces. Returns `None` for `mod name;` declarations.
+    fn named_block(&self, k: usize) -> Option<(String, usize, usize)> {
         let name = self.text(k + 1).trim_start_matches("r#").to_string();
-        self.record_simple(ItemKind::Trait, i, k, module);
-        // Find the body `{` (skipping generics, supertraits, where).
         let mut j = k + 2;
         let mut angle = 0i32;
         while j < self.view.code.len() {
-            match self.text(j) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                _ => {}
+            let t = self.text(j);
+            if t == ";" && angle <= 0 {
+                return None;
             }
-            if self.view.ctok(j).map(|t| t.kind) == Some(crate::lexer::TokenKind::OpenBrace)
-                && angle <= 0
-            {
+            angle += angle_delta(t);
+            if self.kind(j) == Some(TokenKind::OpenBrace) && angle <= 0 {
                 break;
             }
             j += 1;
         }
-        let close = self.view.matching_close(
-            j,
-            crate::lexer::TokenKind::OpenBrace,
-            crate::lexer::TokenKind::CloseBrace,
-        )?;
-        self.walk(j + 1, close, module.to_string(), Ctx::TraitDecl(name));
-        Some(close + 1)
+        let close = self
+            .view
+            .matching_close(j, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
+        Some((name, j, close))
     }
 
     /// `pub struct Name …`: records the struct and its public fields.
-    fn parse_struct(&mut self, i: usize, k: usize, is_pub: bool, module: &str) -> Option<usize> {
-        if !is_pub {
-            return self.view.item_end(i).map(|e| e + 1);
-        }
+    fn parse_struct(&mut self, i: usize, k: usize, module: &str) -> Option<usize> {
         let name = self.text(k + 1).trim_start_matches("r#").to_string();
         self.record_simple(ItemKind::Struct, i, k, module);
         let mut j = self.skip_generics(k + 2);
-        match self.view.ctok(j).map(|t| t.kind) {
-            Some(crate::lexer::TokenKind::OpenParen) => {
-                let close = self.view.matching_close(
-                    j,
-                    crate::lexer::TokenKind::OpenParen,
-                    crate::lexer::TokenKind::CloseParen,
-                )?;
+        match self.kind(j) {
+            Some(TokenKind::OpenParen) => {
+                let close =
+                    self.view
+                        .matching_close(j, TokenKind::OpenParen, TokenKind::CloseParen)?;
                 self.record_tuple_fields(j, close, module, &name);
                 self.view.item_end(k).map(|e| e + 1)
             }
-            Some(crate::lexer::TokenKind::OpenBrace) => {
-                let close = self.view.matching_close(
-                    j,
-                    crate::lexer::TokenKind::OpenBrace,
-                    crate::lexer::TokenKind::CloseBrace,
-                )?;
+            Some(TokenKind::OpenBrace) => {
+                let close =
+                    self.view
+                        .matching_close(j, TokenKind::OpenBrace, TokenKind::CloseBrace)?;
                 self.record_named_fields(j, close, module, &name);
                 Some(close + 1)
             }
@@ -492,24 +515,14 @@ impl<'a, 'b> Walker<'a, 'b> {
         let mut angle = 0i32;
         for ci in open + 1..close {
             let t = self.text(ci);
-            match self.view.ctok(ci).map(|t| t.kind) {
-                Some(
-                    crate::lexer::TokenKind::OpenParen
-                    | crate::lexer::TokenKind::OpenBracket
-                    | crate::lexer::TokenKind::OpenBrace,
-                ) => depth += 1,
-                Some(
-                    crate::lexer::TokenKind::CloseParen
-                    | crate::lexer::TokenKind::CloseBracket
-                    | crate::lexer::TokenKind::CloseBrace,
-                ) => depth -= 1,
-                _ => match t {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "<<" => angle += 2,
-                    ">>" => angle -= 2,
-                    _ => {}
-                },
+            match self.kind(ci) {
+                Some(TokenKind::OpenParen | TokenKind::OpenBracket | TokenKind::OpenBrace) => {
+                    depth += 1
+                }
+                Some(TokenKind::CloseParen | TokenKind::CloseBracket | TokenKind::CloseBrace) => {
+                    depth -= 1
+                }
+                _ => angle += angle_delta(t),
             }
             if t == "," && depth == 0 && angle == 0 {
                 chunks.push(std::mem::take(&mut current));
@@ -534,14 +547,13 @@ impl<'a, 'b> Walker<'a, 'b> {
                 continue;
             }
             // `pub(crate)` tuple fields are not public API.
-            if ty.first().map(|&c| self.view.ctok(c).map(|t| t.kind))
-                == Some(Some(crate::lexer::TokenKind::OpenParen))
-            {
+            if ty.first().map(|&c| self.kind(c)) == Some(Some(TokenKind::OpenParen)) {
                 continue;
             }
-            let tok = self.view.ctok(first).copied();
-            let Some(tok) = tok else { continue };
-            self.tree.items.push(PubItem {
+            let Some(tok) = self.view.ctok(first).copied() else {
+                continue;
+            };
+            self.walked.tree.items.push(PubItem {
                 kind: ItemKind::Field,
                 module: module.to_string(),
                 owner: Some(owner.to_string()),
@@ -567,7 +579,7 @@ impl<'a, 'b> Walker<'a, 'b> {
             let Some((&name_ci, rest)) = rest.split_first() else {
                 continue;
             };
-            if self.view.ctok(name_ci).map(|t| t.kind) != Some(crate::lexer::TokenKind::Ident) {
+            if self.kind(name_ci) != Some(TokenKind::Ident) {
                 continue; // pub(crate) field or malformed
             }
             let Some((&colon, ty)) = rest.split_first() else {
@@ -579,7 +591,7 @@ impl<'a, 'b> Walker<'a, 'b> {
             let Some(tok) = self.view.ctok(name_ci).copied() else {
                 continue;
             };
-            self.tree.items.push(PubItem {
+            self.walked.tree.items.push(PubItem {
                 kind: ItemKind::Field,
                 module: module.to_string(),
                 owner: Some(owner.to_string()),
@@ -600,9 +612,9 @@ impl<'a, 'b> Walker<'a, 'b> {
             let mut depth = 0i32;
             let mut j = idx + 1;
             while j < chunk.len() {
-                match self.view.ctok(chunk[j]).map(|t| t.kind) {
-                    Some(crate::lexer::TokenKind::OpenBracket) => depth += 1,
-                    Some(crate::lexer::TokenKind::CloseBracket) => {
+                match self.kind(chunk[j]) {
+                    Some(TokenKind::OpenBracket) => depth += 1,
+                    Some(TokenKind::CloseBracket) => {
                         depth -= 1;
                         if depth == 0 {
                             break;
@@ -625,58 +637,25 @@ impl<'a, 'b> Walker<'a, 'b> {
             return;
         }
         let mut j = self.skip_generics(name_ci + 1);
-        if self.view.ctok(j).map(|t| t.kind) != Some(crate::lexer::TokenKind::OpenParen) {
+        if self.kind(j) != Some(TokenKind::OpenParen) {
             return;
         }
-        let Some(params_close) = self.view.matching_close(
-            j,
-            crate::lexer::TokenKind::OpenParen,
-            crate::lexer::TokenKind::CloseParen,
-        ) else {
+        let Some(params_close) =
+            self.view
+                .matching_close(j, TokenKind::OpenParen, TokenKind::CloseParen)
+        else {
             return;
         };
         let mut sig_idxs: Vec<usize> = (j..=params_close).collect();
         // Return type: `-> Type` up to `{`, `;` or `where` at depth 0.
         j = params_close + 1;
         if self.text(j) == "->" {
-            sig_idxs.push(j);
-            j += 1;
-            let mut angle = 0i32;
-            let mut depth = 0i32;
-            while j < self.view.code.len() {
-                let t = self.text(j);
-                let kind = self.view.ctok(j).map(|t| t.kind);
-                if angle <= 0
-                    && depth == 0
-                    && (kind == Some(crate::lexer::TokenKind::OpenBrace)
-                        || t == ";"
-                        || t == "where")
-                {
-                    break;
-                }
-                match kind {
-                    Some(
-                        crate::lexer::TokenKind::OpenParen | crate::lexer::TokenKind::OpenBracket,
-                    ) => depth += 1,
-                    Some(
-                        crate::lexer::TokenKind::CloseParen | crate::lexer::TokenKind::CloseBracket,
-                    ) => depth -= 1,
-                    _ => match t {
-                        "<" => angle += 1,
-                        ">" => angle -= 1,
-                        "<<" => angle += 2,
-                        ">>" => angle -= 2,
-                        _ => {}
-                    },
-                }
-                sig_idxs.push(j);
-                j += 1;
-            }
+            sig_idxs.extend(j..self.scan_to(j + 1, &["{", ";", "where"]));
         }
         let Some(anchor) = self.view.ctok(i).copied() else {
             return;
         };
-        self.tree.items.push(PubItem {
+        self.walked.tree.items.push(PubItem {
             kind: ItemKind::Fn,
             module: module.to_string(),
             owner,
@@ -694,7 +673,7 @@ impl<'a, 'b> Walker<'a, 'b> {
         let Some(anchor) = self.view.ctok(i).copied() else {
             return;
         };
-        self.tree.items.push(PubItem {
+        self.walked.tree.items.push(PubItem {
             kind,
             module: module.to_string(),
             owner: None,
@@ -719,39 +698,15 @@ impl<'a, 'b> Walker<'a, 'b> {
         }
         let name = self.text(n).trim_start_matches("r#").to_string();
         // Type: after `:` up to a top-level `=` or `;`.
-        let mut ty = Vec::new();
-        if self.text(n + 1) == ":" {
-            let mut j = n + 2;
-            let mut angle = 0i32;
-            let mut depth = 0i32;
-            while j < self.view.code.len() {
-                let t = self.text(j);
-                if angle <= 0 && depth == 0 && (t == "=" || t == ";") {
-                    break;
-                }
-                match self.view.ctok(j).map(|t| t.kind) {
-                    Some(
-                        crate::lexer::TokenKind::OpenParen | crate::lexer::TokenKind::OpenBracket,
-                    ) => depth += 1,
-                    Some(
-                        crate::lexer::TokenKind::CloseParen | crate::lexer::TokenKind::CloseBracket,
-                    ) => depth -= 1,
-                    _ => match t {
-                        "<" => angle += 1,
-                        ">" => angle -= 1,
-                        "<<" => angle += 2,
-                        ">>" => angle -= 2,
-                        _ => {}
-                    },
-                }
-                ty.push(j);
-                j += 1;
-            }
-        }
+        let ty: Vec<usize> = if self.text(n + 1) == ":" {
+            (n + 2..self.scan_to(n + 2, &["=", ";"])).collect()
+        } else {
+            Vec::new()
+        };
         let Some(anchor) = self.view.ctok(i).copied() else {
             return;
         };
-        self.tree.items.push(PubItem {
+        self.walked.tree.items.push(PubItem {
             kind,
             module: module.to_string(),
             owner,
@@ -769,20 +724,14 @@ impl<'a, 'b> Walker<'a, 'b> {
 
     /// Skips a generic parameter list `<…>` starting at `j`, tracking
     /// `<<`/`>>` which the lexer emits as single shift tokens.
-    fn skip_generics(&self, j: usize) -> usize {
+    pub(crate) fn skip_generics(&self, j: usize) -> usize {
         if self.text(j) != "<" {
             return j;
         }
         let mut angle = 0i32;
         let mut k = j;
         while k < self.view.code.len() {
-            match self.text(k) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
-                _ => {}
-            }
+            angle += angle_delta(self.text(k));
             k += 1;
             if angle <= 0 {
                 break;
@@ -791,11 +740,31 @@ impl<'a, 'b> Walker<'a, 'b> {
         k
     }
 
+    /// The code index of the first token from `j` on that `stop` names at
+    /// paren/bracket depth 0 and angle depth ≤ 0 (`code.len()` if none):
+    /// where a fn header, return type or `const` type ends.
+    pub(crate) fn scan_to(&self, mut j: usize, stop: &[&str]) -> usize {
+        let (mut depth, mut angle) = (0i32, 0i32);
+        while j < self.view.code.len() {
+            let t = self.text(j);
+            if depth == 0 && angle <= 0 && stop.contains(&t) {
+                break;
+            }
+            match self.kind(j) {
+                Some(TokenKind::OpenParen | TokenKind::OpenBracket) => depth += 1,
+                Some(TokenKind::CloseParen | TokenKind::CloseBracket) => depth -= 1,
+                _ => angle += angle_delta(t),
+            }
+            j += 1;
+        }
+        j
+    }
+
     /// The positions of bare `f64` identifier tokens among `idxs`.
     fn f64_spans(&self, idxs: &[usize]) -> Vec<(u32, u32)> {
         idxs.iter()
             .filter_map(|&ci| self.view.ctok(ci))
-            .filter(|t| t.kind == crate::lexer::TokenKind::Ident && t.text(self.view.src) == "f64")
+            .filter(|t| t.kind == TokenKind::Ident && t.text(self.view.src) == "f64")
             .map(|t| (t.line, t.col))
             .collect()
     }
@@ -828,9 +797,20 @@ impl<'a, 'b> Walker<'a, 'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::AnalyzeOptions;
+    use crate::semantic::ParsedFile;
+
+    fn parsed(src: &str) -> ParsedFile {
+        let opts = AnalyzeOptions::default();
+        ParsedFile::parse("test.rs".to_string(), src.to_string(), opts).0
+    }
 
     fn parse(src: &str) -> ItemTree {
-        parse_items("test.rs", src)
+        parsed(src).tree
+    }
+
+    fn fn_names(file: &ParsedFile) -> Vec<String> {
+        file.fns.iter().map(FnDef::display).collect()
     }
 
     fn entries(tree: &ItemTree) -> Vec<String> {
@@ -988,5 +968,29 @@ mod tests {
     fn raw_identifiers_are_normalized() {
         let t = parse("pub fn r#type(r#fn: f64) -> f64 { r#fn }");
         assert_eq!(t.items[0].name, "type");
+    }
+
+    #[test]
+    fn macro_invocation_fns_are_definitions_but_not_api() {
+        let file = parsed("m! { pub fn g() { helper(); } }\npub fn real() {}");
+        assert_eq!(entries(&file.tree), ["fn real()"]);
+        assert_eq!(fn_names(&file), ["g", "real"]);
+        assert_eq!(file.fns[0].calls[0].name, "helper");
+    }
+
+    #[test]
+    fn const_initializer_fns_keep_the_impl_owner() {
+        let file = parsed(
+            "pub struct S;\nimpl S {\n    pub const K: u8 = { fn seed() -> u8 { 1 } seed() };\n}",
+        );
+        assert_eq!(entries(&file.tree), ["struct S", "const S::K: u8"]);
+        assert_eq!(fn_names(&file), ["S::seed"]);
+    }
+
+    #[test]
+    fn items_in_fn_bodies_are_not_api() {
+        let file = parsed("pub fn outer() { impl Local { pub fn m(&self) {} } pub struct Local; }");
+        assert_eq!(entries(&file.tree), ["fn outer()"]);
+        assert_eq!(fn_names(&file), ["outer", "Local::m"]);
     }
 }

@@ -15,12 +15,17 @@
 //! * `no-print` — no `println!` family in library code (binaries and
 //!   `crates/bench` may print),
 //! * `missing-doc` — public items in `srlr-tech`/`srlr-circuit`/
-//!   `srlr-units` carry doc comments,
+//!   `srlr-units` carry doc comments (items in fn bodies and macro
+//!   invocations are not public API and need none),
 //! * `indexing` — advisory, opt-in (`--warn-indexing`).
 //!
-//! On top of the token scan, [`items`] parses each file into an item
-//! tree (modules, `use` declarations, public fns/structs/impls with
-//! signatures — no expression parsing) feeding three cross-file rules
+//! Each file is lexed once. [`semantic::ParsedFile::parse`] hands that
+//! one view to the token rules above and to a single item walk
+//! ([`items`]): modules, `use` declarations, impl/trait ownership and
+//! public signatures, with every function body reduced to call, cast
+//! and float-reduction events ([`exprs`]). The same walk names the
+//! `pub` items `missing-doc` checks, so doc coverage and the api-lock
+//! surface cannot disagree. The item tree feeds three cross-file rules
 //! in [`semantic`]:
 //!
 //! * `raw-f64-api` — public fns/fields in the dimensioned crates
@@ -32,10 +37,8 @@
 //! * `api-lock` — each crate's public surface matches its committed
 //!   `api-lock.txt` snapshot (`--write-api-lock` accepts changes).
 //!
-//! A third layer ([`exprs`]) walks every function body into call, cast
-//! and float-reduction events, and [`callgraph`] resolves them into a
-//! workspace call graph (name-based, pruned by the layering DAG),
-//! feeding four dataflow rules:
+//! The function events feed [`callgraph`], a workspace call graph
+//! (name-based, pruned by the layering DAG), and four dataflow rules:
 //!
 //! * `alloc-in-hot-path` — no heap-allocating call in any function
 //!   reachable from the hot roots declared in `lint-hotpaths.txt`
@@ -203,17 +206,10 @@ fn scan(config: &Config) -> Result<(Vec<ParsedFile>, SuppressionMap, Vec<Diagnos
             .map_err(io_err(format!("reading {}", file.abs.display())))?;
         let rel = file.rel.replace('\\', "/");
         let opts = options_for(&rel, config.warn_indexing);
-        let analysis = analyze::analyze_file(&rel, &src, opts);
+        let (file, analysis) = ParsedFile::parse(rel, src, opts);
         diags.extend(analysis.diags);
-        suppressions.insert(rel.clone(), analysis.suppressions);
-        let tree = items::parse_items(&rel, &src);
-        let fns = exprs::parse_fns(&rel, &src);
-        parsed.push(ParsedFile {
-            rel,
-            src,
-            tree,
-            fns,
-        });
+        suppressions.insert(file.rel.clone(), analysis.suppressions);
+        parsed.push(file);
     }
     Ok((parsed, suppressions, diags))
 }
@@ -247,17 +243,18 @@ pub fn run(config: &Config) -> Result<Report, Error> {
 
     // Suppressions are per source file; diagnostics anchored elsewhere
     // (Cargo.toml, api-lock.txt) have no suppression scope by design.
-    for d in &mut diags {
+    let mut by_path: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
+    for mut d in diags {
         d.path = d.path.replace('\\', "/");
+        by_path.entry(d.path.clone()).or_default().push(d);
     }
-    diags.retain(|d| {
-        !(d.rule.suppressible()
-            && suppressions.get(&d.path).is_some_and(|supps| {
-                supps
-                    .iter()
-                    .any(|s| s.rule == d.rule && (d.line == s.line || d.line == s.line + 1))
-            }))
-    });
+    let mut diags = Vec::new();
+    for (path, mut file_diags) in by_path {
+        if let Some(supps) = suppressions.get(&path) {
+            analyze::apply_suppressions(&mut file_diags, supps);
+        }
+        diags.extend(file_diags);
+    }
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
     let (fresh, baselined, stale) = bl.partition(diags);

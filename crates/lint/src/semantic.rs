@@ -1,7 +1,7 @@
-//! Cross-file semantic rules built on the item tree and the expression
-//! walker: `raw-f64-api`, `crate-layering`, `api-lock`, plus the
-//! dataflow rules `alloc-in-hot-path`, `unordered-float-reduce`,
-//! `rng-stream-discipline` and `lossy-cast`.
+//! Cross-file semantic rules built on the one item walk per file
+//! ([`ParsedFile::parse`]): `raw-f64-api`, `crate-layering`,
+//! `api-lock`, plus the dataflow rules `alloc-in-hot-path`,
+//! `unordered-float-reduce`, `rng-stream-discipline` and `lossy-cast`.
 //!
 //! These are the rules a token scan cannot express: they need item
 //! identities (who owns this signature?), crate identities (which layer
@@ -14,10 +14,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+use crate::analyze::{self, AnalyzeOptions, FileAnalysis, FileView};
 use crate::callgraph::{CallGraph, FileFns, Node};
 use crate::diagnostics::{to_u32, Diagnostic};
 use crate::exprs::{CallEvent, CallKind, FnDef};
-use crate::items::{ItemKind, ItemTree, PubItem};
+use crate::items::{self, ItemKind, ItemTree, PubItem};
 use crate::rules::RuleId;
 
 /// One scanned file with its source and parsed item tree.
@@ -31,6 +32,25 @@ pub struct ParsedFile {
     pub tree: ItemTree,
     /// The file's function definitions with their body events.
     pub fns: Vec<FnDef>,
+}
+
+impl ParsedFile {
+    /// Lexes `src` once and runs every per-file pass on that one view:
+    /// the item walk (item tree and function definitions) and the token
+    /// rules under `opts`, whose unsuppressed findings come back beside
+    /// the parsed file.
+    pub fn parse(rel: String, src: String, opts: AnalyzeOptions) -> (ParsedFile, FileAnalysis) {
+        let view = FileView::new(&rel, &src);
+        let walked = items::walk(&view);
+        let analysis = analyze::analyze_view(&view, opts, &walked.pub_items);
+        let file = ParsedFile {
+            tree: walked.tree,
+            fns: walked.fns,
+            rel,
+            src,
+        };
+        (file, analysis)
+    }
 }
 
 /// Crates ordered along the signal-modeling stack; each may depend on
@@ -828,15 +848,10 @@ pub fn check_lossy_cast(file: &ParsedFile) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::parse_items;
 
     fn parsed(rel: &str, src: &str) -> ParsedFile {
-        ParsedFile {
-            rel: rel.to_string(),
-            src: src.to_string(),
-            tree: parse_items(rel, src),
-            fns: crate::exprs::parse_fns(rel, src),
-        }
+        let opts = AnalyzeOptions::default();
+        ParsedFile::parse(rel.to_string(), src.to_string(), opts).0
     }
 
     #[test]
