@@ -25,69 +25,75 @@ use std::fmt::Write as _;
 
 /// The help text.
 pub fn help() -> String {
-    "srlr — reproduce the DATE'13 SRLR paper's experiments\n\
-     \n\
-     commands:\n\
-       table1                           Table I + Sec. IV headline numbers\n\
-       fig6   [--runs N] [--threads T]  Monte Carlo error probability vs swing\n\
-       fig8                             energy vs bandwidth density sweep\n\
-       waveforms                        Fig. 4 transient waveforms (ASCII)\n\
-       pulse-width                      Sec. III pulse-width drift across\n\
-                                        stages + '11110' driver headroom\n\
-       router                           Sec. IV router power split, area,\n\
-                                        floorplan, SRLR vs full-swing and\n\
-                                        bufferless vs VC on the 8x8 mesh\n\
-       ablation [--runs N]              Monte Carlo ablation of the Sec. III\n\
-                                        techniques + multicast energy\n\
-       latency                          8x8 mesh latency vs offered load\n\
-       ber    [--bits N] [--gbps R]     PRBS bit-error-rate run\n\
-       eye    [--bits N]                demodulator eye margins\n\
-       noc    [--cols C] [--rows R] [--load F] [--datapath srlr|full]\n\
-       noc-faults [--bers L | --swings MV] [--load F] [--threads T]\n\
-                                        BER-driven fault injection sweep:\n\
-                                        delivered rate, p99 latency, retry\n\
-                                        energy (swings in mV measure the\n\
-                                        link's effective BER first)\n\
-       express [--interval K]           express-channel trade-off analysis\n\
-       sizing                           M1/M2 design-space sweep\n\
-       shmoo  [--bits N] [--threads T]  rate x swing pass/fail map\n\
-       supply                           VDD-scaling frontier\n\
-       temp                             temperature sweep (-40..105 C)\n\
-       bathtub [--jitter PS] [--threads T]  BER vs rate under width jitter\n\
-       crosstalk                        neighbour-activity scenarios\n\
-       verify-noc [--cols C] [--rows R] [--ber B] [--retries LIST]\n\
-              [--packet-len L] [--variant correct|no-watermark]\n\
-              [--format text|json|sarif]\n\
-                                        exhaustive model check of the\n\
-                                        retry protocol: deadlock-freedom,\n\
-                                        no overtaking, termination, and\n\
-                                        the exact DTMC delivery rate\n\
-       profile --in FILE [--top N]      rank a folded profile's frames\n\
-                                        by self time (hotspot table)\n\
-       bench-diff --old A --new B [--tolerance F] [--abs-tolerance F]\n\
-              [--ignore csv]            structured diff of two run\n\
-                                        reports / bench snapshots; exit\n\
-                                        1 on an out-of-band change (the\n\
-                                        CI perf-regression gate)\n\
-       help                             this text\n\
-     \n\
-     Workspace static analysis is the separate `srlr-lint` binary\n\
-     (`srlr-lint --deny-all`; `srlr-lint --help` lists its flags).\n\
-     \n\
-     --threads T: worker threads (0 or unset = SRLR_THREADS env var, then\n\
-     the machine). Results are identical at every thread count.\n\
-     \n\
-     telemetry (fig6, waveforms, noc, noc-faults, verify-noc):\n\
-       --trace-out FILE     Chrome trace_event JSON (Perfetto-loadable)\n\
-       --events-out FILE    JSONL structured-event stream\n\
-       --metrics-out FILE   versioned machine-readable run report\n\
-       --profile-out FILE   folded-stack self-profile (speedscope /\n\
-                            inferno-compatible; see `srlr profile`)\n\
-       --progress           decile progress to stderr (fig6, noc-faults)\n\
-     Telemetry never perturbs results and its files are bit-identical at\n\
-     every --threads count; profile timing lives in its own sink.\n"
-        .to_owned()
+    HELP.to_owned()
 }
+
+/// `srlr help`. Continuation lines keep their indentation: only the
+/// first line ends in a `\` (which would also strip the next line's
+/// leading spaces), so the text below prints as laid out.
+const HELP: &str = "\
+srlr — reproduce the DATE'13 SRLR paper's experiments
+
+commands:
+  table1                           Table I + Sec. IV headline numbers
+  fig6   [--runs N] [--threads T]  Monte Carlo error probability vs swing
+  fig8                             energy vs bandwidth density sweep
+  waveforms                        Fig. 4 transient waveforms (ASCII)
+  pulse-width                      Sec. III pulse-width drift across
+                                   stages + '11110' driver headroom
+  router                           Sec. IV router power split, area,
+                                   floorplan, SRLR vs full-swing and
+                                   bufferless vs VC on the 8x8 mesh
+  ablation [--runs N]              Monte Carlo ablation of the Sec. III
+                                   techniques + multicast energy
+  latency                          8x8 mesh latency vs offered load
+  ber    [--bits N] [--gbps R]     PRBS bit-error-rate run
+  eye    [--bits N]                demodulator eye margins
+  noc    [--cols C] [--rows R] [--load F] [--datapath srlr|full]
+  noc-faults [--bers L | --swings MV] [--load F] [--threads T]
+                                   BER-driven fault injection sweep:
+                                   delivered rate, p99 latency, retry
+                                   energy (swings in mV measure the
+                                   link's effective BER first)
+  express [--interval K]           express-channel trade-off analysis
+  sizing                           M1/M2 design-space sweep
+  shmoo  [--bits N] [--threads T]  rate x swing pass/fail map
+  supply                           VDD-scaling frontier
+  temp                             temperature sweep (-40..105 C)
+  bathtub [--jitter PS] [--threads T]  BER vs rate under width jitter
+  crosstalk                        neighbour-activity scenarios
+  verify-noc [--cols C] [--rows R] [--ber B] [--retries LIST]
+         [--packet-len L] [--variant correct|no-watermark]
+         [--format text|json|sarif]
+                                   exhaustive model check of the
+                                   retry protocol: deadlock-freedom,
+                                   no overtaking, termination, and
+                                   the exact DTMC delivery rate
+  profile --in FILE [--top N]      rank a folded profile's frames
+                                   by self time (hotspot table)
+  bench-diff --old A --new B [--tolerance F] [--abs-tolerance F]
+         [--ignore csv]            structured diff of two run
+                                   reports / bench snapshots; exit
+                                   1 on an out-of-band change (the
+                                   CI perf-regression gate)
+  help                             this text
+
+Workspace static analysis is the separate `srlr-lint` binary
+(`srlr-lint --deny-all`; `srlr-lint --help` lists its flags).
+
+--threads T: worker threads (0 or unset = SRLR_THREADS env var, then
+the machine). Results are identical at every thread count.
+
+telemetry (fig6, waveforms, noc, noc-faults, verify-noc):
+  --trace-out FILE     Chrome trace_event JSON (Perfetto-loadable)
+  --events-out FILE    JSONL structured-event stream
+  --metrics-out FILE   versioned machine-readable run report
+  --profile-out FILE   folded-stack self-profile (speedscope /
+                       inferno-compatible; see `srlr profile`)
+  --progress           decile progress to stderr (fig6, noc-faults)
+Telemetry never perturbs results and its files are bit-identical at
+every --threads count; profile timing lives in its own sink.
+";
 
 /// `srlr bathtub [--jitter PS] [--threads T]`.
 pub fn bathtub(rest: &[String]) -> Result<String, CliError> {

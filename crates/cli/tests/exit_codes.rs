@@ -70,6 +70,17 @@ fn help_succeeds() {
 }
 
 #[test]
+fn help_text_matches_its_golden() {
+    // Byte-for-byte, so a continuation line that loses its indentation
+    // (a trailing `\` in a string literal strips the next line's
+    // leading spaces) shows up as a diff.
+    let out = run(&["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 help");
+    assert_eq!(stdout, include_str!("golden/help.txt"));
+}
+
+#[test]
 fn non_finite_and_too_short_inputs_exit_2_without_panic() {
     for (args, flag) in [
         (&["bathtub", "--jitter", "nan"][..], "--jitter"),

@@ -244,10 +244,23 @@ fn committed_hotpath_roots_name_real_profiler_spans() {
     assert!(hot.malformed.is_empty(), "{:?}", hot.malformed);
     assert!(!hot.roots.is_empty(), "at least one declared hot root");
 
-    let profile = Scratch::new("hotroots.folded");
-    let _ = run(&["fig6", "--runs", "20", "--profile-out", profile.path()]);
-    let lines = srlr_prof::parse_folded(&profile.read_text()).expect("valid folded profile");
-    let paths: Vec<&str> = lines.iter().map(|l| l.path.as_str()).collect();
+    // The Monte Carlo roots profile under `fig6`, the NoC roots under
+    // `noc-faults`; a root's span must appear in one of them.
+    let mut paths: Vec<String> = Vec::new();
+    for (name, args) in [
+        ("fig6", &["fig6", "--runs", "20"][..]),
+        (
+            "noc-faults",
+            &["noc-faults", "--bers", "0,1e-2", "--cycles", "200"][..],
+        ),
+    ] {
+        let profile = Scratch::new(&format!("hotroots-{name}.folded"));
+        let mut argv = args.to_vec();
+        argv.extend(["--profile-out", profile.path()]);
+        let _ = run(&argv);
+        let lines = srlr_prof::parse_folded(&profile.read_text()).expect("valid folded profile");
+        paths.extend(lines.into_iter().map(|l| l.path));
+    }
     for root in &hot.roots {
         assert!(
             paths.iter().any(|p| p.split(';').any(|f| f == root.span)),

@@ -213,7 +213,10 @@ pub struct FaultModel {
     /// One stream per `(node, mesh direction)` sender, indexed
     /// `node * 4 + direction`.
     streams: Vec<Xoshiro256pp>,
-    word_error: f64,
+    /// [`bernoulli_threshold`] of the word-error probability.
+    word_error: u64,
+    /// [`bernoulli_threshold`] of the per-bit error rate.
+    bit_error: u64,
     tally: FaultTally,
 }
 
@@ -232,7 +235,8 @@ impl FaultModel {
             config,
             mesh,
             streams,
-            word_error: config.word_error_probability(),
+            word_error: bernoulli_threshold(config.word_error_probability()),
+            bit_error: bernoulli_threshold(config.ber),
             tally: FaultTally::default(),
         }
     }
@@ -275,14 +279,14 @@ impl FaultModel {
         let mut state = RetryState::start();
         loop {
             let corrupted =
-                self.word_error > 0.0 && self.streams[stream].next_f64() < self.word_error;
+                self.word_error > 0 && draw_below(&mut self.streams[stream], self.word_error);
             let outcome = if corrupted {
                 self.tally.flits_corrupted += 1;
                 let (payload, crc) = corrupt_codeword(
                     &mut self.streams[stream],
                     flit.payload,
                     flit.crc,
-                    self.config.ber,
+                    self.bit_error,
                 );
                 if crc16(payload) == crc {
                     // The CRC check passes on corrupted bits: silent escape.
@@ -316,22 +320,53 @@ impl FaultModel {
     }
 }
 
+/// The integer form of a Bernoulli(`p`) draw: `rng.next_f64() < p`
+/// holds exactly when `rng.next_u64() >> 11` is below this threshold.
+/// `next_f64` is `(u >> 11) · 2^-53`, and scaling by a power of two is
+/// exact, so `x · 2^-53 < p` ⟺ `x < p · 2^53` ⟺ `x < ceil(p · 2^53)`
+/// for every integer `x`. The draw stream and every outcome are those
+/// of the float compare.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`bernoulli_threshold`].
+fn draw_below(rng: &mut Xoshiro256pp, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
 /// Flips bits of the 80-bit codeword, conditioned on at least one flip
 /// (the caller already decided the word is corrupted): the first flipped
-/// position is uniform, every other bit flips independently with
-/// probability `ber` — the exact conditional distribution up to the
-/// (negligible, O(ber)) bias of pinning one flip.
-fn corrupt_codeword(rng: &mut Xoshiro256pp, payload: u64, crc: u16, ber: f64) -> (u64, u16) {
+/// position is uniform, every other bit flips independently with the
+/// bit-error probability whose [`bernoulli_threshold`] is `bit_error` —
+/// the exact conditional distribution up to the (negligible, O(ber))
+/// bias of pinning one flip.
+///
+/// Codeword bits 0..16 are the CRC and bits 16..80 the payload; they
+/// are flipped as two words, drawn in bit order.
+fn corrupt_codeword(
+    rng: &mut Xoshiro256pp,
+    mut payload: u64,
+    mut crc: u16,
+    bit_error: u64,
+) -> (u64, u16) {
+    const CRC_BITS: usize = 16;
     let first = rng.index(CODEWORD_BITS);
-    let mut word = (u128::from(payload) << 16) | u128::from(crc);
-    word ^= 1u128 << first;
-    for bit in 0..CODEWORD_BITS {
-        if bit != first && rng.next_f64() < ber {
-            word ^= 1u128 << bit;
+    let mut crc_flips = 0u16;
+    for bit in 0..CRC_BITS {
+        if bit == first || draw_below(rng, bit_error) {
+            crc_flips |= 1 << bit;
         }
     }
-    // srlr-lint: allow(lossy-cast, reason = "intentional split of the 80-bit codeword: low 16 bits are the CRC, the rest the payload")
-    (((word >> 16) as u64), (word as u16))
+    let mut payload_flips = 0u64;
+    for bit in 0..CODEWORD_BITS - CRC_BITS {
+        if bit + CRC_BITS == first || draw_below(rng, bit_error) {
+            payload_flips |= 1 << bit;
+        }
+    }
+    crc ^= crc_flips;
+    payload ^= payload_flips;
+    (payload, crc)
 }
 
 /// One point of a BER sweep: the fault configuration it ran at and the
@@ -579,8 +614,35 @@ mod tests {
         let mut rng = Xoshiro256pp::new(5);
         let f = flit();
         for _ in 0..200 {
-            let (p, c) = corrupt_codeword(&mut rng, f.payload, f.crc, 1e-4);
+            let (p, c) = corrupt_codeword(&mut rng, f.payload, f.crc, bernoulli_threshold(1e-4));
             assert!(p != f.payload || c != f.crc);
+        }
+    }
+
+    #[test]
+    fn integer_bernoulli_matches_the_float_compare() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, unit, 1e-2, 0.5];
+        for k in [1u64, 2, 3, 1000, 1 << 40, (1 << 52) + 1] {
+            let p = k as f64 * unit;
+            ps.extend([p, p.next_down(), p.next_up()]);
+        }
+        for p in ps {
+            let threshold = bernoulli_threshold(p);
+            // At the decision boundary, where a rounding slip would show.
+            for x in threshold.saturating_sub(2)..threshold.saturating_add(2).min(1 << 53) {
+                assert_eq!(x < threshold, (x as f64) * unit < p, "p {p:e} x {x}");
+            }
+            // And on a fixed stream: same draws, same outcomes.
+            let (mut float_rng, mut int_rng) = (Xoshiro256pp::new(11), Xoshiro256pp::new(11));
+            for _ in 0..10_000 {
+                assert_eq!(
+                    float_rng.next_f64() < p,
+                    draw_below(&mut int_rng, threshold),
+                    "p {p:e}"
+                );
+            }
+            assert_eq!(float_rng, int_rng, "the two compares consume one draw each");
         }
     }
 

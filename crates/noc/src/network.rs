@@ -4,7 +4,7 @@
 use crate::fault::{FaultModel, LinkTransmission};
 use crate::packet::{Flit, Packet, PacketId};
 use crate::power::EnergyCounters;
-use crate::router::{NocConfig, Router};
+use crate::router::{NocConfig, Router, SentFlits};
 use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh};
 use crate::traffic::{Pattern, TrafficGenerator};
@@ -487,20 +487,23 @@ impl Network {
             }
         }
 
-        // Phase 1: deliver due link flits and credits.
+        // Phase 1: deliver due link flits and credits, in arrival order
+        // and in place (later flits keep their order and the lists keep
+        // their capacity).
+        let now = self.cycle;
         for i in 0..n {
-            let now = self.cycle;
-            let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_flits[i])
-                .into_iter()
-                .partition(|&(at, ..)| at <= now);
-            self.pending_flits[i] = later;
-            for (_, port, vc, flit) in due {
-                self.routers[i].accept(port, vc, flit);
-                self.counters.buffer_writes += 1;
-            }
-            let credits = std::mem::take(&mut self.pending_credits[i]);
-            for (port, vc) in credits {
-                self.routers[i].return_credit(port, vc);
+            let router = &mut self.routers[i];
+            let buffer_writes = &mut self.counters.buffer_writes;
+            self.pending_flits[i].retain(|&(at, port, vc, flit)| {
+                let due = at <= now;
+                if due {
+                    router.accept(port, vc, flit);
+                    *buffer_writes += 1;
+                }
+                !due
+            });
+            for (port, vc) in self.pending_credits[i].drain(..) {
+                router.return_credit(port, vc);
             }
         }
 
@@ -529,31 +532,31 @@ impl Network {
             }
         }
 
-        // Phase 3: router pipelines.
+        // Phase 3: router pipelines, sharing one sent-flit buffer.
         let mut completed = Vec::new();
+        let mut sent = SentFlits::new();
         for i in 0..n {
-            let (sent, activity) = self.routers[i].step(self.mesh);
+            let activity = self.routers[i].step(self.mesh, &mut sent);
             self.counters.allocations += (activity.route_computations
                 + activity.vc_allocations
                 + activity.switch_allocations) as u64;
-            for s in sent {
+            let here = self.routers[i].coord();
+            for &s in sent.iter() {
                 self.counters.buffer_reads += 1;
                 if s.flit.kind.is_head() {
                     if let Some(tel) = self.telemetry.as_mut() {
-                        let at = self.routers[i].coord();
                         tel.collector.event(
                             "flit.route",
                             self.cycle as f64,
                             &[
                                 ("packet", Value::U64(s.flit.packet.0)),
-                                ("x", Value::U64(u64::from(at.x))),
-                                ("y", Value::U64(u64::from(at.y))),
+                                ("x", Value::U64(u64::from(here.x))),
+                                ("y", Value::U64(u64::from(here.y))),
                                 ("out", Value::Str(s.out_port.to_string())),
                             ],
                         );
                     }
                 }
-                let here = self.routers[i].coord();
                 // Credit back to the upstream router (not for local
                 // injection, whose occupancy is polled directly). A flit
                 // claiming to come from off-mesh means a corrupted route:
@@ -639,8 +642,7 @@ impl Network {
                             // overtake an earlier one on the same wire
                             // (the shared scheduling rule the checker
                             // verifies, see `crate::protocol`).
-                            let link = self.mesh.index_of(here) * Direction::MESH.len()
-                                + s.out_port.index();
+                            let link = i * Direction::MESH.len() + s.out_port.index();
                             if let Some(tel) = self.telemetry.as_mut() {
                                 tel.link_flits[link] += 1;
                             }

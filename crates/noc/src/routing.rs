@@ -26,31 +26,76 @@ pub enum RoutingAlgorithm {
     WestFirst,
 }
 
+/// The output ports a routing function offers at one hop, in preference
+/// order: at most two, held inline so route computation never touches
+/// the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidates {
+    ports: [Direction; 2],
+    len: usize,
+}
+
+impl Candidates {
+    /// No productive port (never produced for an in-mesh destination).
+    const NONE: Self = Self {
+        ports: [Direction::Local; 2],
+        len: 0,
+    };
+
+    /// Exactly one port.
+    fn one(port: Direction) -> Self {
+        Self {
+            ports: [port, Direction::Local],
+            len: 1,
+        }
+    }
+
+    /// Two ports, `first` preferred.
+    fn two(first: Direction, second: Direction) -> Self {
+        Self {
+            ports: [first, second],
+            len: 2,
+        }
+    }
+}
+
+/// The offered ports, in preference order.
+impl core::ops::Deref for Candidates {
+    type Target = [Direction];
+
+    fn deref(&self) -> &[Direction] {
+        &self.ports[..self.len]
+    }
+}
+
 impl RoutingAlgorithm {
     /// The productive output ports this algorithm permits at `here` for a
     /// packet to `dst`, in preference order. Always non-empty for
     /// `here != dst`; contains exactly `Local` when arrived.
-    pub fn candidates(self, mesh: Mesh, here: Coord, dst: Coord) -> Vec<Direction> {
+    pub fn candidates(self, mesh: Mesh, here: Coord, dst: Coord) -> Candidates {
         if here == dst {
-            return vec![Direction::Local];
+            return Candidates::one(Direction::Local);
         }
         match self {
-            RoutingAlgorithm::Xy => vec![mesh.xy_route(here, dst)],
+            RoutingAlgorithm::Xy => Candidates::one(mesh.xy_route(here, dst)),
             RoutingAlgorithm::WestFirst => {
                 // Any westward component must be exhausted first.
                 if dst.x < here.x {
-                    return vec![Direction::West];
+                    return Candidates::one(Direction::West);
                 }
-                let mut out = Vec::with_capacity(2);
-                if dst.x > here.x {
-                    out.push(Direction::East);
-                }
-                if dst.y > here.y {
-                    out.push(Direction::North);
+                let vertical = if dst.y > here.y {
+                    Some(Direction::North)
                 } else if dst.y < here.y {
-                    out.push(Direction::South);
+                    Some(Direction::South)
+                } else {
+                    None
+                };
+                match (dst.x > here.x, vertical) {
+                    (true, Some(v)) => Candidates::two(Direction::East, v),
+                    (true, None) => Candidates::one(Direction::East),
+                    (false, Some(v)) => Candidates::one(v),
+                    (false, None) => Candidates::NONE,
                 }
-                out
             }
         }
     }
@@ -81,19 +126,19 @@ mod tests {
     #[test]
     fn xy_returns_the_single_dimension_ordered_port() {
         let c = RoutingAlgorithm::Xy.candidates(mesh(), Coord::new(1, 1), Coord::new(4, 5));
-        assert_eq!(c, vec![Direction::East]);
+        assert_eq!(*c, [Direction::East]);
     }
 
     #[test]
     fn west_first_exhausts_west_before_anything() {
         let c = RoutingAlgorithm::WestFirst.candidates(mesh(), Coord::new(5, 2), Coord::new(1, 6));
-        assert_eq!(c, vec![Direction::West]);
+        assert_eq!(*c, [Direction::West]);
     }
 
     #[test]
     fn west_first_is_adaptive_in_the_east_quadrant() {
         let c = RoutingAlgorithm::WestFirst.candidates(mesh(), Coord::new(1, 1), Coord::new(4, 5));
-        assert_eq!(c, vec![Direction::East, Direction::North]);
+        assert_eq!(*c, [Direction::East, Direction::North]);
     }
 
     #[test]
@@ -103,7 +148,7 @@ mod tests {
             for (hx, hy, dx, dy) in [(0, 0, 7, 7), (7, 7, 0, 0), (3, 5, 3, 1), (6, 2, 2, 2)] {
                 let here = Coord::new(hx, hy);
                 let dst = Coord::new(dx, dy);
-                for dir in algo.candidates(mesh(), here, dst) {
+                for &dir in algo.candidates(mesh(), here, dst).iter() {
                     let next = mesh().neighbor(here, dir).expect("in mesh");
                     assert!(
                         next.hop_distance(dst) < here.hop_distance(dst),
@@ -124,7 +169,7 @@ mod tests {
                 let dst = Coord::new(dxx, 6);
                 let c = RoutingAlgorithm::WestFirst.candidates(mesh(), here, dst);
                 if c.contains(&Direction::West) {
-                    assert_eq!(c, vec![Direction::West], "west must be exclusive");
+                    assert_eq!(*c, [Direction::West], "west must be exclusive");
                 }
             }
         }
@@ -134,7 +179,42 @@ mod tests {
     fn arrived_packets_go_local() {
         for algo in [RoutingAlgorithm::Xy, RoutingAlgorithm::WestFirst] {
             let c = algo.candidates(mesh(), Coord::new(2, 2), Coord::new(2, 2));
-            assert_eq!(c, vec![Direction::Local]);
+            assert_eq!(*c, [Direction::Local]);
+        }
+    }
+
+    #[test]
+    fn inline_sets_match_the_spelled_out_turn_model() {
+        // The reference below is the routing function written out as
+        // a list, exhaustively over every (here, dst) pair of the mesh.
+        let reference = |algo: RoutingAlgorithm, here: Coord, dst: Coord| -> Vec<Direction> {
+            if here == dst {
+                return vec![Direction::Local];
+            }
+            if algo == RoutingAlgorithm::Xy {
+                return vec![mesh().xy_route(here, dst)];
+            }
+            if dst.x < here.x {
+                return vec![Direction::West];
+            }
+            let mut out = Vec::new();
+            if dst.x > here.x {
+                out.push(Direction::East);
+            }
+            if dst.y > here.y {
+                out.push(Direction::North);
+            } else if dst.y < here.y {
+                out.push(Direction::South);
+            }
+            out
+        };
+        for algo in [RoutingAlgorithm::Xy, RoutingAlgorithm::WestFirst] {
+            for here in (0..64).map(|i| mesh().coord_of(i)) {
+                for dst in (0..64).map(|i| mesh().coord_of(i)) {
+                    let got = algo.candidates(mesh(), here, dst);
+                    assert_eq!(*got, reference(algo, here, dst));
+                }
+            }
         }
     }
 
