@@ -7,8 +7,9 @@
 //! choices against a technology and one die's global variation (plus,
 //! optionally, per-stage local mismatch) into an [`SrlrChain`] of
 //! [`SrlrStage`]s ready to propagate pulses. A swing sweep elaborates
-//! each die once and moves it between swings with
-//! [`SwingPoint::retarget`].
+//! each die once, into a chain it reuses from die to die
+//! ([`SwingPoint::instantiate_with_mismatch_into`]), and moves it between
+//! swings with [`SwingPoint::retarget`].
 
 use crate::delay::DelayCellDesign;
 use crate::driver::{DriverKind, OutputDriver};
@@ -221,7 +222,9 @@ impl SrlrDesign {
         var: &GlobalVariation,
         stages: usize,
     ) -> SrlrChain {
-        SwingPoint::new(tech, self).build_chain(tech, var, stages, None)
+        let mut chain = SrlrChain::empty();
+        SwingPoint::new(tech, self).build_chain(tech, var, stages, None, &mut chain);
+        chain
     }
 
     /// Elaborates a chain with per-stage local mismatch drawn from `mc`
@@ -283,7 +286,28 @@ impl SwingPoint {
         stages: usize,
         mc: &mut M,
     ) -> SrlrChain {
-        self.build_chain(tech, var, stages, Some(mc))
+        let mut chain = SrlrChain::empty();
+        self.build_chain(tech, var, stages, Some(mc), &mut chain);
+        chain
+    }
+
+    /// [`SwingPoint::instantiate_with_mismatch`] into a caller-owned
+    /// chain: `chain` becomes the elaborated die, bit for bit, whatever
+    /// it held before. Its stage buffer is reused, so re-elaborating a
+    /// chain of the same length allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stages` is zero.
+    pub fn instantiate_with_mismatch_into<M: MismatchSampler>(
+        &self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        stages: usize,
+        mc: &mut M,
+        chain: &mut SrlrChain,
+    ) {
+        self.build_chain(tech, var, stages, Some(mc), chain);
     }
 
     /// Moves `chain` to this point's swing: `chain` must have been
@@ -323,13 +347,16 @@ impl SwingPoint {
         (drive_level, charge_r, (c_internal * tech.vdd) * tech.vdd)
     }
 
+    /// Elaborates die `var` into `chain` in place, drawing M1's local
+    /// mismatch from `mc` when given.
     fn build_chain(
         &self,
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
         mut mc: Option<&mut dyn MismatchSampler>,
-    ) -> SrlrChain {
+        chain: &mut SrlrChain,
+    ) {
         assert!(stages > 0, "a chain needs at least one stage");
         let design = &self.design;
         let discharge_r = self.driver.discharge_resistance(tech, var);
@@ -421,39 +448,35 @@ impl SwingPoint {
             statically_sound,
         };
 
-        let built: Vec<SrlrStage> = (0..stages)
-            .map(|index| {
-                // Local mismatch applies to the small, matching-critical
-                // input pair (M1 against the sense reference).
-                let (local_vth, local_drive) = match mc.as_deref_mut() {
-                    Some(mc) => (
-                        mc.sample_local_vth(design.m1_width, tech.min_length),
-                        mc.sample_local_drive(design.m1_width, tech.min_length),
-                    ),
-                    None => (Voltage::zero(), 1.0),
-                };
-                let m1_model = tech
-                    .nmos
-                    .with_variation(lvt_dvth + local_vth, var.drive_mult_n * local_drive);
-                let m1 = Device::new(MosKind::Nmos, m1_model, design.m1_width, tech.min_length);
-                let leak_current = m1.off_current() + inv_leak + driver_off;
-                SrlrStage {
-                    index,
-                    m1_vth: m1.vth(),
-                    m1_drive_scale: die_drive_scale * local_drive,
-                    sense_threshold: m1.vth() + margin,
-                    delay: delay[index % 2],
-                    leakage: tech.vdd * leak_current,
-                    ..die_stage
-                }
-            })
-            .collect();
-
-        SrlrChain {
-            stages: built,
-            segment_length: design.segment_length,
-            launch_width: design.delay_cell.nominal_delay() * delay_mult,
-        }
+        chain.stages.clear();
+        // srlr-lint: allow(alloc-in-hot-path, reason = "fills the caller's reused stage buffer; it grows only on a chain's first elaboration")
+        chain.stages.extend((0..stages).map(|index| {
+            // Local mismatch applies to the small, matching-critical
+            // input pair (M1 against the sense reference).
+            let (local_vth, local_drive) = match mc.as_deref_mut() {
+                Some(mc) => (
+                    mc.sample_local_vth(design.m1_width, tech.min_length),
+                    mc.sample_local_drive(design.m1_width, tech.min_length),
+                ),
+                None => (Voltage::zero(), 1.0),
+            };
+            let m1_model = tech
+                .nmos
+                .with_variation(lvt_dvth + local_vth, var.drive_mult_n * local_drive);
+            let m1 = Device::new(MosKind::Nmos, m1_model, design.m1_width, tech.min_length);
+            let leak_current = m1.off_current() + inv_leak + driver_off;
+            SrlrStage {
+                index,
+                m1_vth: m1.vth(),
+                m1_drive_scale: die_drive_scale * local_drive,
+                sense_threshold: m1.vth() + margin,
+                delay: delay[index % 2],
+                leakage: tech.vdd * leak_current,
+                ..die_stage
+            }
+        }));
+        chain.segment_length = design.segment_length;
+        chain.launch_width = design.delay_cell.nominal_delay() * delay_mult;
     }
 }
 
@@ -486,6 +509,15 @@ impl Clone for SrlrChain {
 }
 
 impl SrlrChain {
+    /// A chain with no stages, to be filled by elaboration.
+    fn empty() -> Self {
+        Self {
+            stages: Vec::new(),
+            segment_length: Length::zero(),
+            launch_width: TimeInterval::zero(),
+        }
+    }
+
     /// The stages, in link order.
     pub fn stages(&self) -> &[SrlrStage] {
         &self.stages
@@ -628,6 +660,42 @@ mod tests {
                             design.driver_kind
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn elaborating_in_place_equals_elaborating_afresh() {
+        // The sweep re-elaborates every die into a chain that held the
+        // previous one. Whatever the chain held (another die, design,
+        // swing or length), the result must print the same as a fresh
+        // elaboration, and a chain of the same length must keep its
+        // stage buffer.
+        let t = tech();
+        let mc = MonteCarlo::new(&t, 2013);
+        let proposed = SrlrDesign::paper_proposed(&t);
+        let points = [
+            SwingPoint::new(&t, &proposed),
+            SwingPoint::new(&t, &SrlrDesign::straightforward(&t)),
+            SwingPoint::new(
+                &t,
+                &proposed.with_nominal_swing(Voltage::from_millivolts(350.0)),
+            ),
+        ];
+        let mut reused = proposed.instantiate(&t, &GlobalVariation::nominal(), 10);
+        for trial in 0..12 {
+            for point in &points {
+                for stages in [10, 3, 10, 1] {
+                    let mut die = mc.die(trial);
+                    let var = die.global_variation();
+                    let fresh = point.instantiate_with_mismatch(&t, &var, stages, &mut die);
+                    let mut die = mc.die(trial);
+                    let var = die.global_variation();
+                    let buffer = reused.stages.as_ptr();
+                    point.instantiate_with_mismatch_into(&t, &var, stages, &mut die, &mut reused);
+                    assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+                    assert_eq!(reused.stages.as_ptr(), buffer, "the stage buffer moved");
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! Conservative clean-link certificate: a per-die static analysis that
 //! proves (with margin) that a link transmits **every** bit pattern
 //! cleanly, so the batched Monte Carlo engine can skip exact simulation
-//! for the overwhelmingly common robust dice.
+//! for the overwhelmingly common robust dice. The same walk exactly
+//! refutes the dice that lose a solitary `1` (see "Refutation"), so
+//! simulation is left only for the dice neither answer decides.
 //!
 //! # The two monotone bounds
 //!
@@ -34,10 +36,11 @@
 //! Every comparison carries a relative guard band (`REL` = 1e-9, many
 //! orders above f64 rounding) on the *conservative* side, so a certified
 //! die is clean for the exact evaluator, not merely for real arithmetic.
-//! Failing to certify proves nothing — callers fall back to exact
-//! (batched) simulation, which is what keeps the batched engine
-//! bit-identical to the scalar path: the certificate only selects *which*
-//! evaluator runs, never what it computes.
+//! Failing to certify proves nothing on its own. The screen then tries
+//! the exact refutation below, and only a die it cannot refute falls
+//! back to exact (batched) simulation. That is what keeps the batched
+//! engine bit-identical to the scalar path: the screen only selects
+//! *which* evaluator decides, never what it computes.
 //!
 //! # Round 0: the device-free residue bound
 //!
@@ -80,10 +83,39 @@
 //! the lemma calls clean still clears every check of the exact evaluator
 //! with margin.
 //!
-//! [`sweep_clean`] uses the lemma to certify a die's whole sweep: it
-//! orders the points by dominance, bisects the 1-bit half along that
-//! order, and runs the cheap 0-bit half directly at each point the
-//! bisection accepts. The 0-bit half needs no lemma of its own.
+//! [`sweep_screen`] uses the lemma to screen a die's whole sweep: it
+//! orders the points by dominance, walks the 1-bit half up that order
+//! to the first point it proves, and runs the cheap 0-bit half directly
+//! at that point and every point above it. The 0-bit half needs no
+//! lemma of its own.
+//!
+//! # Refutation
+//!
+//! The screen is three-way: [`Screen::Clean`], [`Screen::Refuted`] or
+//! [`Screen::Undecided`]. The zero-baseline chain the 1-bit half walks
+//! is also exactly what a fresh link does with a solitary `1`: with
+//! every baseline at zero the headroom is one, so each stage's peak is
+//! the swing its launcher delivers. [`solitary_one`] therefore walks it
+//! once and answers twice. Next to the guarded proof it applies the
+//! lockstep kernel's own comparisons with no guard band (`t_d > w`,
+//! `w_out < minw`, `w_out > 0 && swing_next > 0`, then
+//! `width >= demod_min`) on the same operands. That is the exact verdict
+//! of [`SrlrLink::transmits_cleanly`]`(&[true])` and of slot 0 of
+//! [`srlr_core::DieBatch::advance_slot`] on a reset batch. A link that
+//! loses the `1` fails every stress set whose first pattern starts with
+//! one, which the Monte Carlo and shmoo stress sets both do. So a
+//! refuted point is a failing verdict without simulation; only
+//! undecided points are simulated.
+//!
+//! The exact verdict is not monotone in the swing (the softplus branch
+//! switch), so no lemma carries it between points: every point below
+//! the 1-bit boundary needs a walk of its own. That is why the sweep
+//! scans upward instead of bisecting. The scan's walks below the
+//! boundary are exactly the walks the exact verdicts need, and it
+//! proves the boundary with one more. A bisection would add up to
+//! `⌈log2(points + 1)⌉ − 1` full walks of proven points above the
+//! boundary and still walk every point below it. Points at or above
+//! the boundary are proven, and so deliver.
 
 use crate::link::SrlrLink;
 use srlr_core::SrlrStage;
@@ -117,37 +149,110 @@ pub(crate) fn robustly_clean(link: &SrlrLink) -> bool {
 /// The 1-bit half of the certificate: a solitary `1` on fully drained
 /// segments (the worst case for `1`-bits) reaches the demodulator with
 /// margin. Upward-closed in swing dominance (the module docs' lemma).
+/// The `proven` half of [`solitary_one`].
 pub fn one_bit_clean(link: &SrlrLink) -> bool {
+    solitary_one(link).proven
+}
+
+/// Both answers of one walk of the zero-baseline chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolitaryOne {
+    /// The 1-bit half of the certificate holds: the pulse clears every
+    /// check with the `REL` guard band ([`one_bit_clean`]).
+    pub proven: bool,
+    /// The exact verdict: a solitary `1` sent on a fresh link is
+    /// received, i.e. `transmits_cleanly(&[true])`.
+    pub delivered: bool,
+}
+
+/// Walks a solitary `1` through the drained chain once and returns both
+/// the guarded 1-bit proof and the exact verdict (module docs,
+/// "Refutation").
+///
+/// The proof's comparisons carry `REL` on the conservative side. The
+/// exact ones are the lockstep kernel's own (`t_d > w`, `w_out < minw`,
+/// `w_out > 0 && swing_next > 0`, `width >= demod_min`) on the same
+/// operands, so `delivered` is bit for bit the kernel's slot-0 decision.
+/// Both halves see the same widths and peaks until one of them fails,
+/// and the walk stops once both have.
+// Each check is the literal negation of a rejecting comparison, so a
+// NaN takes the same branch as in the guarded proof and the kernel.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub fn solitary_one(link: &SrlrLink) -> SolitaryOne {
     let stages = link.chain().stages();
     let demod_min = link.config().demod_min_width.seconds();
-    let mut w = link.chain().launch_width().seconds();
-    let mut launcher = &stages[0];
+    let launch = link.chain().launch_width();
+    let mut w = launch.seconds();
+    // The swing the current pulse delivers onto its drained segment, and
+    // so the peak the next stage sees: the launcher is stage 0 for
+    // segment 0 and the previous stage after that.
+    let mut peak = stages[0].delivered_swing(launch).volts();
+    let (mut proven, mut delivered) = (true, true);
     for stage in stages {
-        if !stage.enabled || !stage.statically_sound {
-            return false;
-        }
-        if w <= 0.0 {
-            return false;
-        }
-        let peak = launcher
-            .delivered_swing(TimeInterval::from_seconds(w))
-            .volts();
-        if peak <= 0.0 {
-            return false;
+        let live = stage.enabled && stage.statically_sound;
+        proven &= live && !(w <= 0.0) && !(peak <= 0.0);
+        delivered &= live && w > 0.0 && peak > 0.0;
+        if !(proven || delivered) {
+            break;
         }
         let t_d = stage.x_discharge_time(Voltage::from_volts(peak)).seconds();
-        if t_d * (1.0 + REL) > w {
-            return false;
+        proven &= !(t_d * (1.0 + REL) > w);
+        delivered &= !(t_d > w);
+        if !(proven || delivered) {
+            break;
         }
         let w_out =
             stage.delay.seconds() - (stage.t_rise0.seconds() + t_d - stage.t_fall.seconds());
-        if w_out < stage.min_output_width.seconds() * (1.0 + REL) + 1e-18 {
-            return false;
-        }
+        let min_w = stage.min_output_width.seconds();
+        proven &= !(w_out < min_w * (1.0 + REL) + 1e-18);
+        peak = stage
+            .delivered_swing(TimeInterval::from_seconds(w_out))
+            .volts();
+        delivered &= !(w_out < min_w) && w_out > 0.0 && peak > 0.0;
         w = w_out;
-        launcher = stage;
     }
-    w * (1.0 - REL) >= demod_min
+    SolitaryOne {
+        proven: proven && w * (1.0 - REL) >= demod_min,
+        delivered: delivered && w >= demod_min,
+    }
+}
+
+/// The per-die screen's verdict on one link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Screen {
+    /// Proven to transmit every bit pattern cleanly
+    /// ([`SrlrLink::robustly_clean`]).
+    Clean,
+    /// Loses a solitary `1` sent on a fresh link, so it fails any stress
+    /// set whose first pattern starts with a `1`.
+    Refuted,
+    /// Neither proven nor refuted: only simulation decides.
+    Undecided,
+}
+
+/// Screens one link: [`Screen::Clean`] exactly when
+/// [`SrlrLink::robustly_clean`], otherwise [`Screen::Refuted`] exactly
+/// when it loses a solitary `1`.
+///
+/// `Clean` takes precedence. Its proof's checks are the exact ones with
+/// a margin, so a proven link also delivers the `1`.
+pub fn screen(link: &SrlrLink) -> Screen {
+    let one = solitary_one(link);
+    if one.proven && zero_bit_clean(link) {
+        Screen::Clean
+    } else {
+        refuted_unless(one.delivered)
+    }
+}
+
+/// [`Screen::Undecided`] for a link that delivers a solitary `1`,
+/// [`Screen::Refuted`] for one that loses it.
+fn refuted_unless(delivered: bool) -> Screen {
+    if delivered {
+        Screen::Undecided
+    } else {
+        Screen::Refuted
+    }
 }
 
 /// The 0-bit half of the certificate: no reachable ISI residue reaches a
@@ -265,34 +370,53 @@ fn clears(b_star: f64, stage: &SrlrStage) -> bool {
     b_star * (1.0 + REL) < stage.sense_threshold.volts() * (1.0 - 1e-6)
 }
 
-/// Certificate verdicts for one die across a swing sweep: `clean[p]`
-/// becomes `links[p].robustly_clean()`.
+/// Screens one die across a swing sweep: `screens[p]` becomes
+/// [`screen`]`(&links[p])`.
 ///
 /// `links` must be one die moved to every sweep point by
 /// [`srlr_core::SwingPoint::retarget`], so that the points differ only
 /// in the swing fields. When dominance (module docs) orders the points
-/// totally, checked on the actual stage fields, the 1-bit half is
-/// bisected along that order, at most `⌈log2(points + 1)⌉` evaluations,
-/// and the 0-bit half runs at each point the bisection accepts.
-/// Otherwise every point gets the full certificate. `order` is scratch
-/// space, so a caller that screens many dice allocates nothing per die.
+/// totally, checked on the actual stage fields, the screen walks the
+/// points from the weakest up and stops at the first one the 1-bit half
+/// proves: one walk per point below that boundary, each giving that
+/// point's exact verdict, plus one at the boundary. The 0-bit half then
+/// runs at the boundary and every point above it. Otherwise every point
+/// is screened on its own. `order` is scratch space, so a caller that
+/// screens many dice allocates nothing per die.
+///
+/// # Panics
+///
+/// Panics if `order` or `screens` is shorter than `links`.
+pub fn sweep_screen(links: &[SrlrLink], order: &mut [usize], screens: &mut [Screen]) {
+    let screens = &mut screens[..links.len()];
+    sweep_with(links, order, solitary_one, |p, verdict| {
+        screens[p] = verdict
+    });
+}
+
+/// [`sweep_screen`] projected onto the certificate: `clean[p]` becomes
+/// `links[p].robustly_clean()`.
 ///
 /// # Panics
 ///
 /// Panics if `order` or `clean` is shorter than `links`.
 pub fn sweep_clean(links: &[SrlrLink], order: &mut [usize], clean: &mut [bool]) {
-    sweep_clean_with(links, order, clean, one_bit_clean);
+    let clean = &mut clean[..links.len()];
+    sweep_with(links, order, solitary_one, |p, verdict| {
+        clean[p] = verdict == Screen::Clean;
+    });
 }
 
-/// [`sweep_clean`] with the 1-bit half supplied by the caller, so tests
-/// can count its evaluations.
-fn sweep_clean_with(
+/// The sweep screen with the ordered scan's walk supplied by the caller,
+/// so tests can count its walks; `emit(p, verdict)` receives every
+/// point's verdict once.
+fn sweep_with(
     links: &[SrlrLink],
     order: &mut [usize],
-    clean: &mut [bool],
-    mut one_bit: impl FnMut(&SrlrLink) -> bool,
+    mut walk: impl FnMut(&SrlrLink) -> SolitaryOne,
+    mut emit: impl FnMut(usize, Screen),
 ) {
-    let (order, clean) = (&mut order[..links.len()], &mut clean[..links.len()]);
+    let order = &mut order[..links.len()];
     for (k, slot) in order.iter_mut().enumerate() {
         *slot = k;
     }
@@ -310,24 +434,32 @@ fn sweep_clean_with(
         .windows(2)
         .all(|pair| dominates(&links[pair[1]], &links[pair[0]]))
     {
-        for (verdict, link) in clean.iter_mut().zip(links) {
-            *verdict = robustly_clean(link);
+        for (p, link) in links.iter().enumerate() {
+            emit(p, screen(link));
         }
         return;
     }
-    // The 1-bit half is upward-closed along `order`: find the weakest
-    // point that passes it.
-    let (mut lo, mut hi) = (0, order.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if one_bit(&links[order[mid]]) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
+    // The 1-bit half is upward-closed along `order`, and every point
+    // that fails it needs its own exact verdict: walk upward from the
+    // weakest point until the proof holds. Every point above that one
+    // is proven by the lemma, with no walk.
+    let mut proven_from = order.len();
     for (k, &p) in order.iter().enumerate() {
-        clean[p] = k >= lo && zero_bit_clean(&links[p]);
+        let one = walk(&links[p]);
+        if one.proven {
+            proven_from = k;
+            break;
+        }
+        emit(p, refuted_unless(one.delivered));
+    }
+    for &p in &order[proven_from..] {
+        // Proven, so the `1` is delivered.
+        let verdict = if zero_bit_clean(&links[p]) {
+            Screen::Clean
+        } else {
+            Screen::Undecided
+        };
+        emit(p, verdict);
     }
 }
 
@@ -523,10 +655,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_bisects_the_one_bit_half_on_ordered_dice() {
+    fn sweep_walks_each_point_up_to_the_one_bit_boundary_once() {
         // Every die retargeted across a sweep is ordered by dominance, so
-        // the 1-bit half runs at most ⌈log2(points + 1)⌉ times per die,
-        // and the verdicts still equal the per-point certificate.
+        // the screen walks each point that fails the 1-bit half once,
+        // plus the weakest point that passes it, and nothing above. The
+        // verdicts still equal the per-point screen.
         let tech = Technology::soi45();
         let mc = MonteCarlo::new(&tech, 2013);
         let config = LinkConfig::paper_default();
@@ -536,21 +669,28 @@ mod tests {
             SrlrDesign::straightforward(&tech),
         ] {
             for n in 1..=all_mv.len() {
-                let bound = (usize::BITS - n.leading_zeros()) as usize; // ⌈log2(n + 1)⌉
                 for trial in 0..20 {
                     let links = die_at_swings(&tech, &design, config, &mc, trial, &all_mv[..n]);
-                    let (mut order, mut clean) = (vec![0; n], vec![false; n]);
-                    let mut evaluations = 0;
-                    sweep_clean_with(&links, &mut order, &mut clean, |link| {
-                        evaluations += 1;
-                        one_bit_clean(link)
-                    });
-                    assert!(
-                        (1..=bound).contains(&evaluations),
-                        "{evaluations} evaluations of the 1-bit half for {n} points"
+                    let (mut order, mut screens) = (vec![0; n], vec![None; n]);
+                    let mut walked = Vec::new();
+                    sweep_with(
+                        &links,
+                        &mut order,
+                        |link| {
+                            let one = solitary_one(link);
+                            walked.push(one.proven);
+                            one
+                        },
+                        |p, verdict| screens[p] = Some(verdict),
                     );
-                    let expected: Vec<bool> = links.iter().map(robustly_clean).collect();
-                    assert_eq!(clean, expected, "{n} points, trial {trial}");
+                    let failing = links.iter().filter(|l| !one_bit_clean(l)).count();
+                    let mut expected_walks = vec![false; failing];
+                    if failing < n {
+                        expected_walks.push(true);
+                    }
+                    assert_eq!(walked, expected_walks, "{n} points, trial {trial}");
+                    let expected: Vec<_> = links.iter().map(|l| Some(screen(l))).collect();
+                    assert_eq!(screens, expected, "{n} points, trial {trial}");
                 }
             }
         }
@@ -559,7 +699,7 @@ mod tests {
     #[test]
     fn unordered_points_fall_back_to_the_full_certificate() {
         // A point with more drive but slower charging than another is
-        // not comparable to it: no bisection, every point certified
+        // not comparable to it: no ordered scan, every point screened
         // directly.
         let tech = Technology::soi45();
         let mc = MonteCarlo::new(&tech, 2013);
@@ -572,17 +712,19 @@ mod tests {
                 stage.charge_resistance = stage.charge_resistance * 4.0;
             }
             links[1] = SrlrLink::from_chain(chain, config);
-            let (mut order, mut clean) = ([0; 2], [false; 2]);
+            let (mut order, mut screens) = ([0; 2], [None; 2]);
             let mut evaluations = 0;
-            sweep_clean_with(&links, &mut order, &mut clean, |link| {
-                evaluations += 1;
-                one_bit_clean(link)
-            });
-            assert_eq!(evaluations, 0, "unordered points must not be bisected");
-            assert_eq!(
-                clean,
-                [robustly_clean(&links[0]), robustly_clean(&links[1])]
+            sweep_with(
+                &links,
+                &mut order,
+                |link| {
+                    evaluations += 1;
+                    solitary_one(link)
+                },
+                |p, verdict| screens[p] = Some(verdict),
             );
+            assert_eq!(evaluations, 0, "unordered points must not be scanned");
+            assert_eq!(screens, [Some(screen(&links[0])), Some(screen(&links[1]))]);
         }
     }
 

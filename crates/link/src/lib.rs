@@ -10,8 +10,9 @@
 //!   interference (residual-charge) tracking and energy accounting,
 //! * [`ber`] — bit-error-rate measurement with confidence bounds and the
 //!   max-data-rate search,
-//! * [`certify`] — the conservative clean-link certificate that lets the
-//!   Monte Carlo engine skip simulating provably robust dice,
+//! * [`certify`] — the conservative clean-link certificate and the exact
+//!   solitary-`1` refutation that let the Monte Carlo engine skip
+//!   simulating provably robust and provably failing dice,
 //! * [`error_model`] — aggregated effective-BER measurement over Monte
 //!   Carlo dice, the number the `srlr-noc` fault injector consumes,
 //! * [`metrics`] — the paper's headline metrics (bandwidth density,

@@ -112,6 +112,19 @@ impl Clone for SrlrLink {
     }
 }
 
+/// The demodulator at the end of `chain`: `config`'s minimum width and
+/// the last stage's sense threshold.
+///
+/// # Panics
+///
+/// Panics if the chain has no stages.
+fn demodulator(chain: &SrlrChain, config: LinkConfig) -> Demodulator {
+    let last = chain.stages().last();
+    // srlr-lint: allow(no-panic, reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics")
+    let sense = last.expect("chain is non-empty").sense_threshold;
+    Demodulator::new(config.demod_min_width, sense)
+}
+
 impl SrlrLink {
     /// Builds a link for `design` on a die with the given global variation.
     ///
@@ -149,14 +162,27 @@ impl SrlrLink {
     /// Panics if the chain has no stages ([`SrlrChain`] construction
     /// guarantees at least one).
     pub fn from_chain(chain: SrlrChain, config: LinkConfig) -> Self {
-        let last = chain.stages().last();
-        // srlr-lint: allow(no-panic, reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics")
-        let sense = last.expect("chain is non-empty").sense_threshold;
         Self {
+            demod: demodulator(&chain, config),
             chain,
             config,
-            demod: Demodulator::new(config.demod_min_width, sense),
         }
+    }
+
+    /// Re-elaborates this link in place as die `var` at `point`, drawing
+    /// per-stage mismatch from `mc`: the same link as
+    /// [`SrlrLink::from_chain`] of
+    /// [`SwingPoint::instantiate_with_mismatch`] with this link's
+    /// configuration, but in the link's own stage buffer.
+    pub(crate) fn reelaborate<M: MismatchSampler>(
+        &mut self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        point: &SwingPoint,
+        mc: &mut M,
+    ) {
+        point.instantiate_with_mismatch_into(tech, var, self.config.stages, mc, &mut self.chain);
+        self.demod = demodulator(&self.chain, self.config);
     }
 
     /// The paper's test chip: the proposed design on a typical die,

@@ -17,27 +17,36 @@
 //! # The batched hot path
 //!
 //! Trials are evaluated in batches of about [`McExperiment::batch_width`]
-//! dice. A sweep is batched trial-major: each die is elaborated once and
-//! retargeted to every swing ([`srlr_core::SwingPoint::retarget`]), and
-//! the die's whole sweep is first screened by the conservative clean-link
-//! certificate as one interval ([`crate::certify::sweep_clean`]). The
-//! certificate's 1-bit half only gets easier as the swing rises (the
-//! swing-dominance lemma in [`crate::certify`]), so the screen bisects
-//! it along the die's swings, at most `⌈log2(points + 1)⌉` evaluations
-//! instead of one per swing, and runs the cheap 0-bit half at each swing
-//! the bisection accepts. Its verdicts equal
-//! [`SrlrLink::robustly_clean`] at every point. Only the unproven
-//! (die, swing) pairs are packed into a structure-of-arrays
-//! [`srlr_core::DieBatch`] that advances all of them through the stage
-//! map one bit slot at a time, with a per-lane alive mask standing in
-//! for the scalar early exit. Because the certificate is conservative
-//! and the batch evaluator shares its arithmetic with the scalar stage
-//! map (see [`srlr_core::batch`]), the result is **bit-identical** to
-//! running every die through [`SrlrLink::transmits_cleanly`] one at a
-//! time — at every batch width and thread count, which the crate's
-//! identity tests assert against exactly that per-die oracle.
+//! dice. A sweep is batched trial-major: each die is elaborated once, in
+//! place into the batch's reused per-swing links
+//! ([`srlr_core::SwingPoint::instantiate_with_mismatch_into`]), and
+//! retargeted to every swing ([`srlr_core::SwingPoint::retarget`]).
+//! The die's whole sweep is then screened three ways at once
+//! ([`crate::certify::sweep_screen`]):
+//!
+//! * **clean** — the conservative certificate proves the link transmits
+//!   every pattern. Its 1-bit half only gets easier as the swing rises
+//!   (the swing-dominance lemma in [`crate::certify`]), so the screen
+//!   walks the die's swings upward only until the first one it proves,
+//!   and runs the cheap 0-bit half from there up. These verdicts equal
+//!   [`SrlrLink::robustly_clean`] at every point;
+//! * **refuted** — the same walk, with the lockstep kernel's own
+//!   comparisons, shows that a solitary `1` on the fresh link is lost.
+//!   Every stress set opens with a `1`, so the pair fails, exactly as
+//!   the kernel would find in its first bit slot;
+//! * **undecided** — neither. Only these pairs are copied into a
+//!   structure-of-arrays [`srlr_core::DieBatch`] that advances all of
+//!   them through the stage map one bit slot at a time, with a per-lane
+//!   alive mask standing in for the scalar early exit.
+//!
+//! Because the certificate is conservative, the refutation is exact and
+//! the batch evaluator shares its arithmetic with the scalar stage map
+//! (see [`srlr_core::batch`]), the result is **bit-identical** to running
+//! every die through [`SrlrLink::transmits_cleanly`] one at a time — at
+//! every batch width and thread count, which the crate's identity tests
+//! assert against exactly that per-die oracle.
 
-use crate::certify;
+use crate::certify::{self, Screen};
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
@@ -187,18 +196,20 @@ impl<'a> McExperiment<'a> {
     /// Evaluates `trials` at every sweep point as one batch, returning
     /// the verdicts trial-major (index `(trial - trials.start) *
     /// points.len() + point`): elaborate each die once and retarget it to
-    /// every point, certificate-screen the die's sweep as one interval,
-    /// then advance the unproven (die, point) pairs in lockstep through
-    /// the stress patterns.
+    /// every point, screen the die's sweep three ways, then advance the
+    /// undecided (die, point) pairs in lockstep through the stress
+    /// patterns.
     ///
     /// Profiling lands in `prof` (free when disabled): an `mc.batch`
     /// frame wrapping one `elaborate` frame per die (sampling, the
     /// elaboration and the retargets) and one `certify` frame per die,
     /// with `cert_hit`/`cert_miss` tallies per (die, point) (batch
-    /// occupancy = misses per batch), and a `kernel` frame whose `bit_slot`/
-    /// `lane_kill` children come from the lockstep harness. The timing
-    /// sink is exempt from the telemetry-byte-identity contract: its
-    /// batch frames depend on the batch width.
+    /// occupancy = misses per batch), and a `kernel` frame. Its
+    /// `bit_slot`/`lane_kill` children record the refuted pairs (one
+    /// `lane_kill` each) and come from the lockstep harness for the
+    /// undecided ones. The timing sink is exempt from the
+    /// telemetry-byte-identity contract: its batch frames depend on the
+    /// batch width.
     fn eval_batch(
         &self,
         points: &[SwingPoint],
@@ -212,23 +223,29 @@ impl<'a> McExperiment<'a> {
             return pass;
         };
         prof.enter("mc.batch");
-        // One link per sweep point, reused from die to die; an unproven
-        // one is copied into the lockstep set. `order` is the
-        // certificate's scratch, and it writes each die's verdicts
-        // straight into `pass`.
+        // One link per sweep point, re-elaborated and retargeted in place
+        // from die to die; an undecided one is copied into the lockstep
+        // set. `order` and `screens` are the screen's scratch.
         let mut at_point: Vec<SrlrLink> = Vec::with_capacity(points.len());
         let mut order = vec![0; points.len()];
-        let mut lanes: Vec<(usize, SrlrLink)> = Vec::with_capacity(pass.len());
+        let mut screens = vec![Screen::Undecided; points.len()];
+        let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
+        let mut refuted = 0;
         for (t, trial) in trials.enumerate() {
             prof.enter("elaborate");
             let mut die = mc.die(trial as u64);
             let var = die.global_variation();
-            let chain =
-                last.instantiate_with_mismatch(self.tech, &var, self.config.stages, &mut die);
-            let base = SrlrLink::from_chain(chain, self.config);
             match at_point.last_mut() {
-                Some(slot) => *slot = base,
-                None => at_point.resize(points.len(), base),
+                Some(base) => base.reelaborate(self.tech, &var, last, &mut die),
+                None => {
+                    let chain = last.instantiate_with_mismatch(
+                        self.tech,
+                        &var,
+                        self.config.stages,
+                        &mut die,
+                    );
+                    at_point.resize(points.len(), SrlrLink::from_chain(chain, self.config));
+                }
             }
             if let Some((base, retargeted)) = at_point.split_last_mut() {
                 for (link, point) in retargeted.iter_mut().zip(others) {
@@ -238,18 +255,37 @@ impl<'a> McExperiment<'a> {
             }
             prof.exit();
             prof.enter("certify");
-            let first_j = t * points.len();
-            let verdicts = &mut pass[first_j..first_j + points.len()];
-            certify::sweep_clean(&at_point, &mut order, verdicts);
+            certify::sweep_screen(&at_point, &mut order, &mut screens);
             prof.exit();
-            for (p, (link, &certified)) in at_point.iter().zip(&*verdicts).enumerate() {
-                if certified {
-                    prof.count("cert_hit");
-                } else {
-                    prof.count("cert_miss");
-                    lanes.push((first_j + p, link.clone()));
+            let first_j = t * points.len();
+            for (p, (link, &verdict)) in at_point.iter().zip(&screens).enumerate() {
+                match verdict {
+                    Screen::Clean => {
+                        pass[first_j + p] = true;
+                        prof.count("cert_hit");
+                    }
+                    Screen::Refuted => {
+                        refuted += 1;
+                        prof.count("cert_miss");
+                    }
+                    Screen::Undecided => {
+                        prof.count("cert_miss");
+                        lanes.push((first_j + p, link.clone()));
+                    }
                 }
             }
+        }
+        if refuted > 0 {
+            // A refuted pair loses the solitary `1` that opens the first
+            // stress pattern: the lockstep harness would retire it in the
+            // first bit slot. The screen has already evaluated that slot,
+            // so its verdict (a failure, `pass` stays false) is recorded
+            // here in the harness's frames, one `lane_kill` per pair.
+            prof.enter("kernel");
+            prof.enter("bit_slot");
+            prof.exit();
+            prof.count_n("lane_kill", refuted);
+            prof.exit();
         }
         if lanes.is_empty() {
             prof.exit();
@@ -697,21 +733,22 @@ mod tests {
     #[test]
     fn per_die_screen_owns_the_most_self_time() {
         // The hotspot-attribution contract behind `srlr fig6
-        // --profile-out`: the certificate screen retires uncertified
-        // lanes within their first corrupted slot, so the lockstep
-        // kernel is nearly idle and the per-die screen (elaboration +
-        // certification) outweighs it in wall-clock self time — the
-        // profile contradicts the naive guess that the bit-slot loop is
-        // hot. Wall-clock self time sums over workers, so the sweep runs
-        // on one thread: with two, a worker waiting on a busy core
-        // inflates whichever frame it is in (the kernel read up to 3×
-        // its single-thread time). The screen outweighs the kernel
-        // about 2× here (each die is elaborated and certified once for
-        // both swings), and 2,000 dice keep the run long enough (~50 ms
-        // in a debug build) that one descheduling inside the kernel
-        // cannot close the gap.
-        // A descheduling can still push the screen under half of self
-        // time, so the test compares the two frames instead.
+        // --profile-out`: the per-die screen (elaboration + the
+        // three-way certificate) decides nearly every (die, swing) pair
+        // itself. It proves the clean ones, and it refutes the ones that
+        // lose the solitary `1` opening the first stress pattern; a
+        // refuted pair only has its verdict recorded in the `kernel`
+        // frame, with no lane loaded or slot simulated. So the lockstep
+        // kernel is nearly idle and the screen outweighs it in
+        // wall-clock self time by two orders of magnitude here (each die
+        // is elaborated and screened once for both swings) — the profile
+        // contradicts the naive guess that the bit-slot loop is hot.
+        // Wall-clock self time sums over workers, so the sweep runs on
+        // one thread: with two, a worker waiting on a busy core inflates
+        // whichever frame it is in. 2,000 dice keep the run long enough
+        // that one descheduling inside the kernel cannot close the gap,
+        // and the test compares the two frames rather than asserting a
+        // share of the total.
         use srlr_telemetry::{Clock, Profiler};
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);

@@ -5,6 +5,7 @@
 //! stress patterns; the rendered plot makes the operating region and its
 //! boundaries (ISI ceiling, sensitivity floor) visible at a glance.
 
+use crate::certify::{self, Screen};
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
@@ -76,10 +77,12 @@ impl ShmooPlot {
             .map(|&swing| design.with_nominal_swing(swing))
             .collect();
 
-        // Cells are evaluated in certificate-screened batches: proven
-        // clean dies skip simulation, the rest run the stress patterns
-        // in one lockstep DieBatch per work item. Identical verdicts to
-        // per-cell `transmits_cleanly` (the batched-engine contract).
+        // Cells are evaluated in screened batches: proven clean dies skip
+        // simulation, and so do refuted ones, which lose the solitary `1`
+        // that opens the first stress pattern. The rest run the stress
+        // patterns in one lockstep DieBatch per work item. Identical
+        // verdicts to per-cell `transmits_cleanly` (the batched-engine
+        // contract).
         const BATCH_WIDTH: usize = 32;
         let cols = rates.len();
         let total = swings.len() * cols;
@@ -95,10 +98,10 @@ impl ShmooPlot {
                 let (row, col) = (i / cols, i % cols);
                 let config = LinkConfig::paper_default().with_data_rate(rates[col]);
                 let link = SrlrLink::on_die(tech, &row_designs[row], config, var);
-                if link.robustly_clean() {
-                    *slot = true;
-                } else {
-                    lanes.push((k, link));
+                match certify::screen(&link) {
+                    Screen::Clean => *slot = true,
+                    Screen::Refuted => {}
+                    Screen::Undecided => lanes.push((k, link)),
                 }
             }
             if !lanes.is_empty() {
