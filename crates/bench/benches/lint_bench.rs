@@ -1,13 +1,17 @@
 //! Regenerates `BENCH_lint.json`: the deterministic counts of the
 //! `srlr-lint` workspace pass (files scanned, call-graph size, declared
-//! hot roots, fresh violations — which must be zero) plus its wall time.
+//! hot roots, violations — which must be zero) plus its wall time.
 //!
 //! CI's perf-regression job gates the counts with `srlr bench-diff`; the
 //! wall-time key is an honest measurement but meaningless across
 //! runners, so the gate ignores it. Run with
 //! `cargo bench -p srlr-bench --bench lint_bench`.
 
-use srlr_lint::analyze::AnalyzeOptions;
+#![allow(
+    clippy::expect_used,
+    reason = "a snapshot bench fails loudly on a broken tree"
+)]
+
 use srlr_lint::rules::ALL_RULES;
 use srlr_lint::semantic::ParsedFile;
 use srlr_lint::{semantic, walk, Config};
@@ -28,14 +32,13 @@ fn main() {
         .iter()
         .map(|file| {
             let src = std::fs::read_to_string(&file.abs).expect("read source");
-            let rel = file.rel.replace('\\', "/");
-            ParsedFile::parse(rel, src, AnalyzeOptions::default()).0
+            ParsedFile::parse(file.rel.replace('\\', "/"), src).0
         })
         .collect();
     let graph = semantic::build_call_graph(&parsed);
     let hot = semantic::load_hotpaths(&config.root).expect("committed lint-hotpaths.txt");
-    let fresh = lint.fresh.len();
-    assert_eq!(fresh, 0, "the committed tree must lint clean");
+    let violations = lint.violations.len();
+    assert_eq!(violations, 0, "the committed tree must lint clean");
     assert!(!hot.roots.is_empty(), "hot roots are declared");
 
     let mut run = RunReport::new("lint");
@@ -44,7 +47,7 @@ fn main() {
         "files_checked",
         Value::U64(lint.files_checked as u64),
     );
-    run.section_metric("scan", "fresh_violations", Value::U64(fresh as u64));
+    run.section_metric("scan", "fresh_violations", Value::U64(violations as u64));
     run.section_metric("scan", "rules", Value::U64(ALL_RULES.len() as u64));
     run.section_metric("callgraph", "nodes", Value::U64(graph.nodes().len() as u64));
     run.section_metric("callgraph", "hot_roots", Value::U64(hot.roots.len() as u64));

@@ -8,6 +8,5 @@
 //! printed by the `srlr` binary, not here.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod report;

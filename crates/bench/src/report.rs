@@ -28,6 +28,10 @@ fn resolve_snapshot_dir(value: Option<OsString>) -> PathBuf {
 /// committed, schema-versioned snapshot (see `EXPERIMENTS.md` for the
 /// regeneration recipe) — and prints where it went. A failure is
 /// printed, not fatal.
+#[expect(
+    clippy::print_stdout,
+    reason = "the snapshot benches report where each file went"
+)]
 pub fn emit_bench_snapshot(report: &RunReport) {
     let dir = snapshot_dir();
     let path = dir.join(format!("BENCH_{}.json", report.name()));

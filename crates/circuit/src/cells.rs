@@ -85,9 +85,10 @@ impl CellLibrary {
     /// # Panics
     ///
     /// Panics if `inverters` is zero.
-    // A cell generator naturally takes the full parameter set; a builder
-    // would obscure the netlist-construction call sites.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a cell generator naturally takes the full parameter set; a builder would obscure the netlist-construction call sites"
+    )]
     pub fn inverter_chain(
         &self,
         net: &mut Netlist,

@@ -45,7 +45,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Prebuilt cells: inverters, SRLR stages and keeper structures.
 pub mod cells;

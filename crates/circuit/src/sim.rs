@@ -108,6 +108,10 @@ impl Transient {
         };
 
         // Recording state.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "only a capacity hint, clamped to 2^20 below; `as` saturates"
+        )]
         let n_records = (t_end / self.record_dt).ceil() as usize + 1;
         let mut records: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(n_records.min(1 << 20)); n];
         let mut source_energy = vec![0.0_f64; self.net.forced.len()];

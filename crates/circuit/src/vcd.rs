@@ -73,7 +73,7 @@ impl VcdExporter {
         let mut i = index;
         let mut out = String::new();
         loop {
-            // srlr-lint: allow(lossy-cast, reason = "i % 94 < 94 fits in u8")
+            #[expect(clippy::cast_possible_truncation, reason = "i % 94 < 94 fits in u8")]
             out.push(char::from(b'!' + (i % 94) as u8));
             i /= 94;
             if i == 0 {
@@ -117,6 +117,10 @@ impl VcdExporter {
                     continue;
                 }
                 last = Some(volts);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "simulation times are non-negative and far below u64::MAX femtoseconds; `as` saturates"
+                )]
                 let ticks = (t.seconds() / TIMESCALE_FS).round() as u64;
                 events.push((ticks, i, volts));
             }

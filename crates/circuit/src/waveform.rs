@@ -113,7 +113,10 @@ impl Waveform {
     ///
     /// Panics on an empty waveform.
     pub fn last_value(&self) -> Voltage {
-        // srlr-lint: allow(no-panic, reason = "documented panic: API contract requires a non-empty waveform, see # Panics")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: API contract requires a non-empty waveform, see # Panics"
+        )]
         let &(_, v) = self.samples.last().expect("waveform has no samples");
         Voltage::from_volts(v)
     }
@@ -235,13 +238,18 @@ impl Waveform {
         let vmin = self.valley().volts();
         let vmax = self.peak().volts().max(vmin + 1e-12);
         let mut grid = vec![vec![b' '; cols]; rows];
-        // The column index drives both the sampled time and the target
-        // cell, so a plain range loop is the clearest form here.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the column index drives both the sampled time and the target cell"
+        )]
         for col in 0..cols {
             let t = t0 + (t1 - t0) * col as f64 / (cols - 1) as f64;
             let v = self.value_at(TimeInterval::from_seconds(t)).volts();
             let frac = (v - vmin) / (vmax - vmin);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "frac lies in [0, 1], so the rounded row is in [0, rows - 1]; `as` saturates a NaN to 0"
+            )]
             let row = ((1.0 - frac) * (rows - 1) as f64).round() as usize;
             grid[row.min(rows - 1)][col] = b'*';
         }

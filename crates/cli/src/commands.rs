@@ -78,8 +78,8 @@ commands:
                                    CI perf-regression gate)
   help                             this text
 
-Workspace static analysis is the separate `srlr-lint` binary
-(`srlr-lint --deny-all`; `srlr-lint --help` lists its flags).
+Static analysis is `cargo clippy` with the workspace lint table plus
+the separate `srlr-lint` binary (`srlr-lint --help` lists its flags).
 
 --threads T: worker threads (0 or unset = SRLR_THREADS env var, then
 the machine). Results are identical at every thread count.
@@ -1388,6 +1388,10 @@ pub fn ablation(rest: &[String]) -> Result<String, CliError> {
     );
     for tenths in [5u32, 10, 20, 25] {
         let segment_mm = f64::from(tenths) / 10.0;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "10 mm over a 0.5-2.5 mm segment is 4-20 stages"
+        )]
         let stages = (10.0 / segment_mm).round() as usize;
         let design = SrlrDesign {
             segment_length: Length::from_millimeters(segment_mm),

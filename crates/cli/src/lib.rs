@@ -22,11 +22,10 @@
 //! srlr bench-diff --old A --new B [--tolerance F]   snapshot gate
 //! ```
 //!
-//! Workspace static analysis is not a subcommand: it is the separate
-//! `srlr-lint` binary (`srlr-lint --deny-all`).
+//! Workspace static analysis is not a subcommand: it is `cargo clippy`
+//! with the workspace lint table plus the separate `srlr-lint` binary.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod args;
 pub mod commands;

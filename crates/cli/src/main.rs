@@ -7,6 +7,11 @@
 use srlr_cli::CliError;
 use std::process::ExitCode;
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the binary is where the command output reaches the terminal"
+)]
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match srlr_cli::run(&argv) {

@@ -45,7 +45,15 @@ pub(crate) fn ascii_scatter(series: &[ScatterSeries<'_>], width: usize, height: 
     let mut grid = vec![vec![' '; width]; height];
     for (_, symbol, pts) in series {
         for &(x, y) in pts {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "x lies in [x0, x1], so col is in [0, width - 1]; `as` saturates a NaN to 0"
+            )]
             let col = ((x - x0) / x_span * (width - 1) as f64).round() as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "y lies in [y0, y1], so row is in [0, height - 1]; `as` saturates a NaN to 0"
+            )]
             let row = ((y1 - y) / y_span * (height - 1) as f64).round() as usize;
             grid[row.min(height - 1)][col.min(width - 1)] = *symbol;
         }

@@ -3,6 +3,11 @@
 //! scripts can distinguish "you called me wrong" from "the experiment
 //! failed".
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::process::Command;
 
 fn run(args: &[&str]) -> std::process::Output {

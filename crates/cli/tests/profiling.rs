@@ -3,6 +3,11 @@
 //! ranks it, and `srlr bench-diff` gates snapshots with the 0/1/2
 //! exit-code contract the CI perf-regression job relies on.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;

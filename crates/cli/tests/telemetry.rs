@@ -2,6 +2,11 @@
 //! every `--threads` count, the trace is valid Chrome `trace_event`
 //! JSON, and enabling telemetry never changes a command's stdout.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use srlr_telemetry::json::{parse, Json};
 use std::fs;
 use std::path::PathBuf;

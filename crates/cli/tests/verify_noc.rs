@@ -3,6 +3,11 @@
 //! they do not, and the SARIF export is a valid document that carries
 //! the broken-variant counterexamples (the ISSUE 8 seeded fixture).
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::process::Command;
 
 fn run(args: &[&str]) -> std::process::Output {

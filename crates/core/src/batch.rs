@@ -380,10 +380,16 @@ impl DieBatch {
                     // The scalar dead-checks are `t_d > w` and
                     // `w_out < minw`; negate them literally so even the
                     // NaN edge keeps the same branch.
-                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    #[expect(
+                        clippy::neg_cmp_op_on_partial_ord,
+                        reason = "literal negation of the scalar dead-check"
+                    )]
                     if !(t_d > in_w) {
                         let w_out = self.delay[k] - ((self.trise0[k] + t_d) - self.tfall[k]);
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                        #[expect(
+                            clippy::neg_cmp_op_on_partial_ord,
+                            reason = "literal negation of the scalar dead-check"
+                        )]
                         if !(w_out < self.minw[k]) {
                             fired = true;
                             let swing_next = kernel::delivered_swing_volts(

@@ -46,7 +46,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod area;
 pub mod batch;

@@ -101,6 +101,10 @@ pub fn rate_bathtub_with_threads(
     // No certificate screening here — it only proves the *jitter-free*
     // link clean — and no early exit: a bathtub counts every error.
     const BATCH_WIDTH: usize = 32;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the flattened (rate, seed) index space is usize, so a runnable seed count fits it"
+    )]
     let n_seeds = seeds as usize;
     let n_threads = srlr_parallel::resolve_threads(threads);
     let total = rates.len() * n_seeds;
@@ -123,8 +127,7 @@ pub fn rate_bathtub_with_threads(
                 link.config().data_rate.bit_period(),
                 link.config().demod_min_width,
             );
-            // srlr-lint: allow(lossy-cast, reason = "seed % 126 + 1 is at most 126, well within u32")
-            txs.push(Prbs::prbs7_with_seed((seed % 126 + 1) as u32).take_bits(bits_per_seed));
+            txs.push(prbs7_for_seed(seed).take_bits(bits_per_seed));
             noise.push(GaussianRng::new(seed));
         }
         let mut jitter = |lane: usize, w: TimeInterval| {
@@ -162,10 +165,23 @@ pub fn rate_bathtub_with_threads(
         .collect()
 }
 
+/// The PRBS-7 stimulus of jitter seed `seed`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "seed % 126 + 1 is at most 126, well within u32"
+)]
+fn prbs7_for_seed(seed: u64) -> Prbs {
+    Prbs::prbs7_with_seed((seed % 126 + 1) as u32)
+}
+
 /// Renders the bathtub as an ASCII row per rate.
 pub fn render(points: &[BathtubPoint]) -> String {
     let mut out = String::new();
     for p in points {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a BER in (0, 1] gives a bar of 1 to 7 marks"
+        )]
         let bar = if p.errors == 0 {
             "clean".to_owned()
         } else {
@@ -276,7 +292,7 @@ mod tests {
             let link = SrlrLink::on_die(&tech, &design, config, &nominal);
             let mut errors = 0usize;
             for seed in 0..seeds {
-                let tx = Prbs::prbs7_with_seed((seed % 126 + 1) as u32).take_bits(bits_per_seed);
+                let tx = prbs7_for_seed(seed).take_bits(bits_per_seed);
                 let out = link.transmit_with_jitter(&tx, sigma, seed);
                 errors += tx.iter().zip(&out.received).filter(|(a, b)| a != b).count();
             }
@@ -285,7 +301,7 @@ mod tests {
                 BathtubPoint {
                     rate,
                     errors,
-                    bits: bits_per_seed * seeds as usize
+                    bits: bits_per_seed * usize::try_from(seeds).unwrap()
                 },
                 "rate point {point} diverged from the scalar jittered transmit"
             );

@@ -46,7 +46,6 @@ impl LinkBundle {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    #[allow(clippy::too_many_arguments)]
     pub fn on_die_with_threads(
         tech: &Technology,
         design: &SrlrDesign,

@@ -175,9 +175,10 @@ pub struct SolitaryOne {
 /// operands, so `delivered` is bit for bit the kernel's slot-0 decision.
 /// Both halves see the same widths and peaks until one of them fails,
 /// and the walk stops once both have.
-// Each check is the literal negation of a rejecting comparison, so a
-// NaN takes the same branch as in the guarded proof and the kernel.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "each check is the literal negation of a rejecting comparison, so a NaN takes the same branch as in the guarded proof and the kernel"
+)]
 pub fn solitary_one(link: &SrlrLink) -> SolitaryOne {
     let stages = link.chain().stages();
     let demod_min = link.config().demod_min_width.seconds();

@@ -81,7 +81,10 @@ impl ComparisonTable {
     /// Panics if the table is empty (cannot happen via
     /// [`Self::paper_table1`]).
     pub fn measured(&self) -> &ComparisonRow {
-        // srlr-lint: allow(no-panic, reason = "documented panic: table construction always appends the measured row, see # Panics")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: table construction always appends the measured row, see # Panics"
+        )]
         self.rows.last().expect("table has rows")
     }
 

@@ -39,7 +39,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod baselines;
 pub mod bathtub;

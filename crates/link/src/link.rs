@@ -120,7 +120,10 @@ impl Clone for SrlrLink {
 /// Panics if the chain has no stages.
 fn demodulator(chain: &SrlrChain, config: LinkConfig) -> Demodulator {
     let last = chain.stages().last();
-    // srlr-lint: allow(no-panic, reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics"
+    )]
     let sense = last.expect("chain is non-empty").sense_threshold;
     Demodulator::new(config.demod_min_width, sense)
 }

@@ -75,7 +75,10 @@ impl Prbs {
         let raw = srlr_rng::stream_seed(seed ^ PRBS_SALT, index);
         // Fold to 15 bits; the all-zero state is remapped to the default
         // full register so every index yields a valid maximal sequence.
-        // srlr-lint: allow(lossy-cast, reason = "intentional truncation: the fold keeps only the low 15 bits via the mask")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "intentional truncation: the fold keeps only the low 15 bits via the mask"
+        )]
         let mut state = (raw ^ (raw >> 15) ^ (raw >> 30) ^ (raw >> 45)) as u32 & 0x7FFF;
         if state == 0 {
             state = 0x7FFF;
@@ -121,13 +124,13 @@ impl Iterator for Prbs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn prbs7_is_maximal() {
         // Every non-zero 7-bit state must be visited exactly once.
         let mut gen = Prbs::prbs7();
-        let mut states = HashSet::new();
+        let mut states = BTreeSet::new();
         for _ in 0..127 {
             assert!(states.insert(gen.state), "state revisited early");
             gen.next_bit();
@@ -186,7 +189,7 @@ mod tests {
 
     #[test]
     fn stream_prbs_indices_are_independent() {
-        let mut states = HashSet::new();
+        let mut states = BTreeSet::new();
         for index in 0..64 {
             let gen = Prbs::prbs15_for_stream(2013, index);
             states.insert(gen.state);

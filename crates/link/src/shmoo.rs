@@ -49,7 +49,6 @@ impl ShmooPlot {
     /// # Panics
     ///
     /// Panics if either axis is empty.
-    #[allow(clippy::too_many_arguments)]
     pub fn measure_with_threads(
         tech: &Technology,
         design: &SrlrDesign,

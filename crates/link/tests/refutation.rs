@@ -10,6 +10,11 @@
 //! 216,000 (die, swing) pairs. Each die is elaborated once and
 //! retargeted to every swing, as the Monte Carlo sweep does.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use srlr_core::{DieBatch, SrlrChain, SrlrDesign, SwingPoint};
 use srlr_link::certify::{one_bit_clean, screen, solitary_one, sweep_screen, Screen};
 use srlr_link::{LinkConfig, Prbs, SrlrLink};

@@ -11,6 +11,11 @@
 //! bits) and every certificate verdict are folded into FNV-1a hashes
 //! whose values are fixed below.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use srlr_core::SrlrDesign;
 use srlr_link::{LinkConfig, SrlrLink};
 use srlr_tech::{GlobalVariation, MonteCarlo, ProcessCorner, Technology};

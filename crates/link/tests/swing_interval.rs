@@ -7,6 +7,11 @@
 //! 4.1 and 5.0 Gb/s × 41 swings from 300 to 600 mV. Each die is
 //! elaborated once and retargeted to every swing, as the sweep does.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use srlr_core::{SrlrDesign, SwingPoint};
 use srlr_link::certify::{one_bit_clean, sweep_clean};
 use srlr_link::{LinkConfig, McExperiment, SrlrLink};

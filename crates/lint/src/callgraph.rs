@@ -188,14 +188,10 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::AnalyzeOptions;
     use crate::semantic::ParsedFile;
 
     fn parse_fns(rel: &str, src: &str) -> Vec<FnDef> {
-        let opts = AnalyzeOptions::default();
-        ParsedFile::parse(rel.to_string(), src.to_string(), opts)
-            .0
-            .fns
+        ParsedFile::parse(rel.to_string(), src.to_string()).0.fns
     }
 
     fn graph(defs: &[Vec<FnDef>], meta: &[(&str, &str)]) -> CallGraph {

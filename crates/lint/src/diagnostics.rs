@@ -2,9 +2,9 @@
 
 use crate::rules::RuleId;
 
-/// Saturating `usize → u32` for line/column/width arithmetic: the lint's
-/// own `lossy-cast` rule bans bare `as` narrowing, and a 4-billion-line
-/// source dimension is out of scope anyway.
+/// Saturating `usize → u32` for line/column/width arithmetic: the
+/// workspace denies truncating `as` casts, and a 4-billion-line source
+/// dimension is out of scope anyway.
 pub(crate) fn to_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -13,7 +13,7 @@ pub(crate) fn to_u32(n: usize) -> u32 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Path of the offending file, relative to the workspace root, with
-    /// forward slashes (stable across platforms for baseline matching).
+    /// forward slashes (stable across platforms).
     pub path: String,
     /// 1-based line.
     pub line: u32,
@@ -30,25 +30,14 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// The key this diagnostic matches against baseline entries:
-    /// `rule path:line`.
-    pub fn baseline_key(&self) -> String {
-        format!("{} {}:{}", self.rule.name(), self.path, self.line)
-    }
-
     /// Renders the diagnostic as a rustc-style block:
     ///
     /// ```text
-    /// crates/noc/src/network.rs:154:32: error[no-panic]: `.expect()` …
-    ///    154 |         self.traces.as_ref().expect("tracing not enabled")
-    ///        |                              ^^^^^^
+    /// crates/x/src/lib.rs:7:15: error[float-eq]: `==` against a float literal; …
+    ///      7 |     let same = y == 1.0;
+    ///        |                  ^^
     /// ```
     pub fn render(&self) -> String {
-        let severity = if self.rule.advisory() {
-            "warning"
-        } else {
-            "error"
-        };
         let gutter = format!("{:>6}", self.line);
         let caret_pad: String = self
             .snippet
@@ -58,7 +47,7 @@ impl Diagnostic {
             .collect();
         let carets = "^".repeat((self.width.max(1)) as usize);
         format!(
-            "{}:{}:{}: {severity}[{}]: {}\n{gutter} | {}\n{} | {caret_pad}{carets}\n",
+            "{}:{}:{}: error[{}]: {}\n{gutter} | {}\n{} | {caret_pad}{carets}\n",
             self.path,
             self.line,
             self.col,
@@ -78,32 +67,20 @@ mod tests {
         Diagnostic {
             path: "crates/x/src/lib.rs".into(),
             line: 7,
-            col: 11,
-            rule: RuleId::NoPanic,
-            message: "`.unwrap()` in library code".into(),
-            snippet: "    let x = y.unwrap();".into(),
-            width: 6,
+            col: 15,
+            rule: RuleId::FloatEq,
+            message: "`==` against a float literal".into(),
+            snippet: "    let same = y == 1.0;".into(),
+            width: 2,
         }
-    }
-
-    #[test]
-    fn baseline_key_is_rule_path_line() {
-        assert_eq!(diag().baseline_key(), "no-panic crates/x/src/lib.rs:7");
     }
 
     #[test]
     fn render_contains_position_rule_and_caret() {
         let r = diag().render();
-        assert!(r.contains("crates/x/src/lib.rs:7:11"));
-        assert!(r.contains("error[no-panic]"));
-        assert!(r.contains("^^^^^^"));
-        assert!(r.contains("let x = y.unwrap();"));
-    }
-
-    #[test]
-    fn advisory_rules_render_as_warnings() {
-        let mut d = diag();
-        d.rule = RuleId::Indexing;
-        assert!(d.render().contains("warning[indexing]"));
+        assert!(r.contains("crates/x/src/lib.rs:7:15"));
+        assert!(r.contains("error[float-eq]"));
+        assert!(r.contains("              ^^"));
+        assert!(r.contains("let same = y == 1.0;"));
     }
 }

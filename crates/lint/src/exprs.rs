@@ -10,7 +10,6 @@
 //!   method calls (`.push(…)`, `.collect::<Vec<_>>(…)` — turbofish
 //!   handled), bare calls (`helper(…)`), and macro invocations
 //!   (`format!(…)`),
-//! * **casts** — `expr as u32` with the numeric target type,
 //! * **reductions** — `.sum::<f64>()` / `.product::<f64>()` /
 //!   `.fold(0.0, …)` terminators together with the method-chain
 //!   adapters walked backwards to the chain head, so a rule can ask
@@ -21,16 +20,10 @@
 //! `match` bodies are scanned as flat token ranges (their structure
 //! does not move an event to a different function). Test code
 //! (`#[cfg(test)]` / `#[test]`) and `macro_rules!` bodies are invisible,
-//! exactly as for every other rule.
+//! exactly as for the item walk.
 
 use crate::items::{angle_delta, Scope, Walker};
 use crate::lexer::TokenKind;
-
-/// Numeric primitive type names an `as` cast can target.
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
 
 /// Keywords that look like `name(` but are not calls.
 pub(crate) const NON_CALL_KEYWORDS: &[&str] = &[
@@ -80,17 +73,6 @@ impl CallEvent {
     }
 }
 
-/// One `as` cast to a numeric primitive.
-#[derive(Debug, Clone)]
-pub struct CastEvent {
-    /// The target type (`u32`, `f64`, …).
-    pub target: String,
-    /// 1-based line of the target-type token.
-    pub line: u32,
-    /// 1-based column of the target-type token.
-    pub col: u32,
-}
-
 /// One floating-point reduction terminator with its backwards-walked
 /// method chain.
 #[derive(Debug, Clone)]
@@ -120,8 +102,6 @@ pub struct FnDef {
     pub col: u32,
     /// Every call site in the body, in source order.
     pub calls: Vec<CallEvent>,
-    /// Every numeric `as` cast in the body.
-    pub casts: Vec<CastEvent>,
     /// Every float reduction terminator in the body.
     pub reduces: Vec<ReduceEvent>,
 }
@@ -179,7 +159,6 @@ impl Walker<'_, '_> {
             line,
             col,
             calls: Vec::new(),
-            casts: Vec::new(),
             reduces: Vec::new(),
         });
         self.walked.fns.len() - 1
@@ -190,8 +169,12 @@ impl Walker<'_, '_> {
     fn scan_body(&mut self, start: usize, end: usize, def: usize, owner: Option<&str>) {
         let mut i = start;
         while i < end {
-            if self.view.is_excluded(i) || self.view.is_in_macro(i) {
+            if self.view.is_excluded(i) {
                 i += 1;
+                continue;
+            }
+            if let Some(close) = self.macro_rules_end(i) {
+                i = close + 1;
                 continue;
             }
             let t = self.text(i);
@@ -209,20 +192,6 @@ impl Walker<'_, '_> {
                     continue;
                 }
             }
-            if t == "as" {
-                if let Some(target) = self.cast_target(i) {
-                    let tok = self.view.ctok(i + 1);
-                    if let Some(tok) = tok {
-                        self.walked.fns[def].casts.push(CastEvent {
-                            target,
-                            line: tok.line,
-                            col: tok.col,
-                        });
-                    }
-                }
-                i += 1;
-                continue;
-            }
             if self.kind(i) == Some(TokenKind::Ident) && !NON_CALL_KEYWORDS.contains(&t) {
                 if let Some(event) = self.call_at(i, owner) {
                     if event.kind == CallKind::Method {
@@ -235,12 +204,6 @@ impl Walker<'_, '_> {
             }
             i += 1;
         }
-    }
-
-    /// The numeric target of an `as` cast at code index `i` (the `as`).
-    fn cast_target(&self, i: usize) -> Option<String> {
-        let t = self.text(i + 1);
-        NUMERIC_TYPES.contains(&t).then(|| t.to_string())
     }
 
     /// Classifies the identifier at `i` as a call site, if it is one.
@@ -434,12 +397,10 @@ impl Walker<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::AnalyzeOptions;
     use crate::semantic::ParsedFile;
 
     fn defs(src: &str) -> Vec<FnDef> {
-        let opts = AnalyzeOptions::default();
-        ParsedFile::parse("test.rs".to_string(), src.to_string(), opts)
+        ParsedFile::parse("test.rs".to_string(), src.to_string())
             .0
             .fns
     }
@@ -522,19 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn casts_record_their_numeric_target() {
-        let d = defs("fn f(x: u64, y: f64) -> u32 { let _ = y as f32; x as u32 }");
-        let targets: Vec<&str> = d[0].casts.iter().map(|c| c.target.as_str()).collect();
-        assert_eq!(targets, ["f32", "u32"]);
-    }
-
-    #[test]
-    fn non_numeric_as_is_not_a_cast() {
-        let d = defs("fn f(x: &dyn std::fmt::Debug) { let _ = x as &dyn std::fmt::Debug; }");
-        assert!(d[0].casts.is_empty());
-    }
-
-    #[test]
     fn sum_reduction_walks_the_chain_back() {
         let d = defs("fn f(v: &[f64]) -> f64 { v.iter().map(|x| x * 2.0).sum::<f64>() }");
         assert_eq!(d[0].reduces.len(), 1);
@@ -613,7 +561,6 @@ mod tests {
             "fn f<T>(x: T) -> Vec<[u8; 4]> where T: Into<u64> { let _ = x.into() as u16; Vec::new() }",
         );
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].casts.len(), 1);
-        assert_eq!(d[0].casts[0].target, "u16");
+        assert_eq!(calls_of(&d[0]), ["into", "Vec::new"]);
     }
 }

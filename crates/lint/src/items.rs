@@ -8,22 +8,22 @@
 //!
 //! * the [`ItemTree`], the public surface the semantic rules
 //!   (`raw-f64-api`, `crate-layering`, `api-lock`) anchor on;
-//! * every function definition, its body reduced to call, cast and
-//!   reduction events by [`crate::exprs`];
-//! * the `pub` items `missing-doc` checks.
+//! * every function definition, its body reduced to call and reduction
+//!   events by [`crate::exprs`].
 //!
 //! Conventions the rules rely on:
 //!
-//! * Test code (`#[cfg(test)]` / `#[test]`) and `macro_rules!` bodies are
-//!   invisible, exactly as for the token-level rules.
+//! * Test code (`#[cfg(test)]` / `#[test]`) is invisible, exactly as for
+//!   `float-eq`, and `macro_rules!` bodies are token templates, not
+//!   code: the walk steps over them.
 //! * Only unrestricted `pub` items are API; `pub(crate)` and narrower
 //!   are workspace-internal and carry no API obligations.
 //! * Methods inside `impl Trait for Type` blocks are **not** API: the
 //!   trait declaration is the source of truth for their signatures.
 //! * Items inside function bodies, item-level macro invocations
-//!   (`m! { … }`) and `const`/`static` initializers are not API either
-//!   (as for rustc's `missing_docs`), but every `fn` there is still a
-//!   definition whose body feeds the dataflow rules.
+//!   (`m! { … }`) and `const`/`static` initializers are not API either,
+//!   but every `fn` there is still a definition whose body feeds the
+//!   dataflow rules.
 //! * Macro-generated items cannot be seen (the lint never expands
 //!   macros); the api-lock snapshot is therefore "everything the walker
 //!   sees", applied identically when writing and when checking.
@@ -115,25 +115,20 @@ pub struct ItemTree {
 }
 
 /// Everything one walk over a file yields.
-pub(crate) struct Walked<'a> {
+pub(crate) struct Walked {
     /// The public item skeleton.
     pub(crate) tree: ItemTree,
     /// Every function definition, in source order.
     pub(crate) fns: Vec<FnDef>,
-    /// Unrestricted-`pub` items at API position (`pub mod` included):
-    /// the code index of the `pub` and the item keyword. `missing-doc`
-    /// checks each of them.
-    pub(crate) pub_items: Vec<(usize, &'a str)>,
 }
 
 /// Walks the item skeleton of one file.
-pub(crate) fn walk<'a>(view: &FileView<'a>) -> Walked<'a> {
+pub(crate) fn walk(view: &FileView<'_>) -> Walked {
     let mut walker = Walker {
         view,
         walked: Walked {
             tree: ItemTree::default(),
             fns: Vec::new(),
-            pub_items: Vec::new(),
         },
     };
     let root = Scope {
@@ -186,10 +181,6 @@ impl Scope {
 
 /// Keywords that may precede `fn` in a declaration (`const` only there).
 const FN_MODIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
-/// Item keywords whose unrestricted-`pub` items need a doc comment.
-const DOC_ITEMS: &[&str] = &[
-    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
-];
 
 /// How a token moves the angle-bracket depth; the lexer emits `<<` and
 /// `>>` as single shift tokens.
@@ -206,7 +197,7 @@ pub(crate) fn angle_delta(t: &str) -> i32 {
 /// The walk itself: items here, function bodies in [`crate::exprs`].
 pub(crate) struct Walker<'a, 'b> {
     pub(crate) view: &'b FileView<'a>,
-    pub(crate) walked: Walked<'a>,
+    pub(crate) walked: Walked,
 }
 
 impl<'a, 'b> Walker<'a, 'b> {
@@ -218,12 +209,29 @@ impl<'a, 'b> Walker<'a, 'b> {
         self.view.ctok(ci).map(|t| t.kind)
     }
 
+    /// The code index of the closing `}` of a `macro_rules! name { … }`
+    /// definition starting at `i`.
+    pub(crate) fn macro_rules_end(&self, i: usize) -> Option<usize> {
+        if self.text(i) != "macro_rules"
+            || self.text(i + 1) != "!"
+            || self.kind(i + 3) != Some(TokenKind::OpenBrace)
+        {
+            return None;
+        }
+        self.view
+            .matching_close(i + 3, TokenKind::OpenBrace, TokenKind::CloseBrace)
+    }
+
     /// Walks the code-token range `[start, end)` at item position.
     fn walk(&mut self, start: usize, end: usize, scope: &Scope) {
         let mut i = start;
         while i < end {
-            if self.view.is_excluded(i) || self.view.is_in_macro(i) {
+            if self.view.is_excluded(i) {
                 i += 1;
+                continue;
+            }
+            if let Some(close) = self.macro_rules_end(i) {
+                i = close + 1;
                 continue;
             }
             if let Some((close, _)) = self.view.parse_attr(i) {
@@ -241,9 +249,6 @@ impl<'a, 'b> Walker<'a, 'b> {
         let k = self.skip_fn_modifiers(k);
         let kw = self.text(k);
         let api_pub = scope.api && is_pub;
-        if api_pub && DOC_ITEMS.contains(&kw) {
-            self.walked.pub_items.push((i, kw));
-        }
         match kw {
             "mod" => {
                 let (name, open, close) = self.named_block(k)?;
@@ -797,12 +802,10 @@ impl<'a, 'b> Walker<'a, 'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::AnalyzeOptions;
     use crate::semantic::ParsedFile;
 
     fn parsed(src: &str) -> ParsedFile {
-        let opts = AnalyzeOptions::default();
-        ParsedFile::parse("test.rs".to_string(), src.to_string(), opts).0
+        ParsedFile::parse("test.rs".to_string(), src.to_string()).0
     }
 
     fn parse(src: &str) -> ItemTree {

@@ -2,31 +2,28 @@
 //!
 //! The reproduction's headline guarantees — bit-identical Monte Carlo
 //! results at any thread count, and sweep runs that degrade instead of
-//! aborting — are invariants no compiler pass checks. This crate checks
-//! them: it lexes every workspace `src/` file with its own Rust lexer
-//! (raw strings, nested block comments, char-vs-lifetime — see
-//! [`lexer`]) and enforces the rule catalog in [`rules`]:
+//! aborting — rest on two layers of checks. The per-token rules are
+//! rustc and clippy lints in the root `Cargo.toml`'s `[workspace.lints]`
+//! table (with `clippy.toml`): `missing_docs`, the panic family
+//! (`unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`,
+//! `unimplemented`), `print_stdout`/`print_stderr`/`dbg_macro`,
+//! `disallowed_types` (`HashMap`, `HashSet`, `Instant`, `SystemTime`),
+//! `disallowed_methods` (the `std::thread` spawns),
+//! `cast_possible_truncation` and `allow_attributes_without_reason`.
+//! This crate checks the rest. It lexes every workspace `src/` file
+//! with its own Rust lexer (raw strings, nested block comments,
+//! char-vs-lifetime — see [`lexer`]) and enforces the rule catalog in
+//! [`rules`]. One token rule stays here:
 //!
-//! * `no-panic` — no `unwrap`/`expect`/`panic!` family in library code,
-//! * `det-map` — no `HashMap`/`HashSet` (iteration order leaks),
-//! * `det-time` — no wall-clock reads outside `srlr-telemetry`'s `Clock`,
-//! * `det-spawn` — no threads outside `srlr-parallel`,
-//! * `float-eq` — no `==`/`!=` against float literals,
-//! * `no-print` — no `println!` family in library code (binaries and
-//!   `crates/bench` may print),
-//! * `missing-doc` — public items in `srlr-tech`/`srlr-circuit`/
-//!   `srlr-units` carry doc comments (items in fn bodies and macro
-//!   invocations are not public API and need none),
-//! * `indexing` — advisory, opt-in (`--warn-indexing`).
+//! * `float-eq` — no `==`/`!=` against float literals (clippy's
+//!   `float_cmp` misses `0.0 != x`).
 //!
 //! Each file is lexed once. [`semantic::ParsedFile::parse`] hands that
-//! one view to the token rules above and to a single item walk
-//! ([`items`]): modules, `use` declarations, impl/trait ownership and
-//! public signatures, with every function body reduced to call, cast
-//! and float-reduction events ([`exprs`]). The same walk names the
-//! `pub` items `missing-doc` checks, so doc coverage and the api-lock
-//! surface cannot disagree. The item tree feeds three cross-file rules
-//! in [`semantic`]:
+//! one view to `float-eq` and to a single item walk ([`items`]):
+//! modules, `use` declarations, impl/trait ownership and public
+//! signatures, with every function body reduced to call and
+//! float-reduction events ([`exprs`]). The item tree feeds three
+//! cross-file rules in [`semantic`]:
 //!
 //! * `raw-f64-api` — public fns/fields in the dimensioned crates
 //!   (`tech`/`circuit`/`core`/`link`) use `srlr-units` newtypes, not
@@ -38,7 +35,7 @@
 //!   `api-lock.txt` snapshot (`--write-api-lock` accepts changes).
 //!
 //! The function events feed [`callgraph`], a workspace call graph
-//! (name-based, pruned by the layering DAG), and four dataflow rules:
+//! (name-based, pruned by the layering DAG), and three dataflow rules:
 //!
 //! * `alloc-in-hot-path` — no heap-allocating call in any function
 //!   reachable from the hot roots declared in `lint-hotpaths.txt`
@@ -47,17 +44,14 @@
 //! * `unordered-float-reduce` — no float accumulation over iteration
 //!   whose order is not provably index-ordered,
 //! * `rng-stream-discipline` — RNG construction only inside `srlr-rng`
-//!   and the registered sampler entry points,
-//! * `lossy-cast` — no `as` casts to sub-word integer types in library
-//!   code.
+//!   and the registered sampler entry points.
 //!
 //! Violations are waved through only by an inline
-//! `// srlr-lint: allow(rule, reason = "…")` with a mandatory reason, or
-//! by an entry in the shrink-only `lint-baseline.txt`. Reports render as
-//! rustc-style text or SARIF 2.1.0 ([`sarif`], `--format sarif`).
+//! `// srlr-lint: allow(rule, reason = "…")` with a mandatory reason
+//! (`bad-suppression` otherwise). Reports render as rustc-style text or
+//! SARIF 2.1.0 ([`sarif`], `--format sarif`).
 
 pub mod analyze;
-pub mod baseline;
 pub mod callgraph;
 pub mod diagnostics;
 pub mod exprs;
@@ -68,49 +62,29 @@ pub mod sarif;
 pub mod semantic;
 pub mod walk;
 
-use std::collections::{BTreeMap, BTreeSet};
+#[cfg(test)]
+#[path = "../tests/support/lint_table.rs"]
+mod lint_table;
+
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
-use analyze::{AnalyzeOptions, Suppression};
-use baseline::Baseline;
+use analyze::Suppression;
 use diagnostics::Diagnostic;
 use semantic::ParsedFile;
-
-/// Path prefixes (relative, `/`-separated) whose public items must carry
-/// doc comments.
-const DOC_COVERED: &[&str] = &["crates/tech/", "crates/circuit/", "crates/units/"];
-/// Paths allowed to read the wall clock: the telemetry `Clock`
-/// abstraction that fences `Instant` for the profiler (everything else
-/// consumes time through `Clock`).
-const TIME_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
-/// Prefix allowed to spawn threads.
-const SPAWN_ALLOWED: &[&str] = &["crates/parallel/"];
-/// Prefixes allowed to print: the bench harness crate is a reporting
-/// tool whose whole job is terminal output.
-const PRINT_ALLOWED: &[&str] = &["crates/bench/"];
 
 /// A lint run's configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Baseline file; defaults to `<root>/lint-baseline.txt`.
-    pub baseline_path: PathBuf,
-    /// Enable the advisory `indexing` rule.
-    pub warn_indexing: bool,
 }
 
 impl Config {
-    /// Configuration for scanning `root` with the default baseline path.
+    /// Configuration for scanning `root`.
     pub fn new(root: impl Into<PathBuf>) -> Config {
-        let root = root.into();
-        let baseline_path = root.join("lint-baseline.txt");
-        Config {
-            root,
-            baseline_path,
-            warn_indexing: false,
-        }
+        Config { root: root.into() }
     }
 }
 
@@ -119,34 +93,14 @@ impl Config {
 pub struct Report {
     /// Number of files scanned.
     pub files_checked: usize,
-    /// Violations not covered by the baseline, sorted by path/line.
-    pub fresh: Vec<Diagnostic>,
-    /// Violations tolerated by a baseline entry.
-    pub baselined: Vec<Diagnostic>,
-    /// Baseline entries that matched nothing (must be deleted).
-    pub stale: Vec<String>,
+    /// Unsuppressed violations, sorted by path/line.
+    pub violations: Vec<Diagnostic>,
 }
 
 impl Report {
-    /// Fresh violations that fail the run (advisory rules never do).
-    pub fn failures(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.fresh.iter().filter(|d| !d.rule.advisory())
-    }
-
-    /// Whether the tree is clean: no failing fresh violations.
+    /// Whether the tree is clean: no violations.
     pub fn is_clean(&self) -> bool {
-        self.failures().next().is_none()
-    }
-
-    /// Baseline keys for every current non-advisory violation (fresh and
-    /// baselined) — what `--write-baseline` persists.
-    pub fn all_violation_keys(&self) -> BTreeSet<String> {
-        self.fresh
-            .iter()
-            .chain(self.baselined.iter())
-            .filter(|d| !d.rule.advisory())
-            .map(Diagnostic::baseline_key)
-            .collect()
+        self.violations.is_empty()
     }
 }
 
@@ -176,19 +130,6 @@ fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> Error {
     move |source| Error { context, source }
 }
 
-/// Derives the per-file rule toggles from a workspace-relative path.
-pub fn options_for(rel: &str, warn_indexing: bool) -> AnalyzeOptions {
-    AnalyzeOptions {
-        check_missing_doc: DOC_COVERED.iter().any(|p| rel.starts_with(p)),
-        allow_time: TIME_ALLOWED.iter().any(|p| rel.starts_with(p)),
-        allow_spawn: SPAWN_ALLOWED.iter().any(|p| rel.starts_with(p)),
-        allow_print: PRINT_ALLOWED.iter().any(|p| rel.starts_with(p))
-            || rel == "main.rs"
-            || rel.ends_with("/main.rs"),
-        warn_indexing,
-    }
-}
-
 /// Per-file suppression comments, keyed by workspace-relative path.
 type SuppressionMap = BTreeMap<String, Vec<Suppression>>;
 
@@ -204,9 +145,7 @@ fn scan(config: &Config) -> Result<(Vec<ParsedFile>, SuppressionMap, Vec<Diagnos
     for file in &files {
         let src = std::fs::read_to_string(&file.abs)
             .map_err(io_err(format!("reading {}", file.abs.display())))?;
-        let rel = file.rel.replace('\\', "/");
-        let opts = options_for(&rel, config.warn_indexing);
-        let (file, analysis) = ParsedFile::parse(rel, src, opts);
+        let (file, analysis) = ParsedFile::parse(file.rel.replace('\\', "/"), src);
         diags.extend(analysis.diags);
         suppressions.insert(file.rel.clone(), analysis.suppressions);
         parsed.push(file);
@@ -214,12 +153,8 @@ fn scan(config: &Config) -> Result<(Vec<ParsedFile>, SuppressionMap, Vec<Diagnos
     Ok((parsed, suppressions, diags))
 }
 
-/// Scans the workspace and partitions the results against the baseline.
+/// Scans the workspace and reports every unsuppressed violation.
 pub fn run(config: &Config) -> Result<Report, Error> {
-    let bl = Baseline::load(&config.baseline_path).map_err(io_err(format!(
-        "reading {}",
-        config.baseline_path.display()
-    )))?;
     let (parsed, suppressions, mut diags) = scan(config)?;
 
     for file in &parsed {
@@ -227,7 +162,6 @@ pub fn run(config: &Config) -> Result<Report, Error> {
         diags.extend(semantic::check_layering_uses(file));
         diags.extend(semantic::check_unordered_float_reduce(file));
         diags.extend(semantic::check_rng_stream_discipline(file));
-        diags.extend(semantic::check_lossy_cast(file));
     }
     if let Some(hot) = semantic::load_hotpaths(&config.root) {
         let graph = semantic::build_call_graph(&parsed);
@@ -257,12 +191,9 @@ pub fn run(config: &Config) -> Result<Report, Error> {
     }
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
-    let (fresh, baselined, stale) = bl.partition(diags);
     Ok(Report {
         files_checked: parsed.len(),
-        fresh,
-        baselined,
-        stale,
+        violations: diags,
     })
 }
 
@@ -274,45 +205,4 @@ pub fn write_api_locks(config: &Config) -> Result<Vec<PathBuf>, Error> {
         "writing api-lock files under {}",
         config.root.display()
     )))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::path::Path;
-
-    #[test]
-    fn options_follow_path_prefixes() {
-        let o = options_for("crates/tech/src/mosfet.rs", false);
-        assert!(o.check_missing_doc && !o.allow_time && !o.allow_spawn && !o.allow_print);
-        let o = options_for("crates/criterion/src/lib.rs", false);
-        assert!(
-            !o.allow_time,
-            "the deleted bench-harness path keeps no wall-clock carve-out"
-        );
-        let o = options_for("crates/telemetry/src/clock.rs", false);
-        assert!(o.allow_time, "the telemetry Clock module may use Instant");
-        let o = options_for("crates/telemetry/src/profile.rs", false);
-        assert!(!o.allow_time, "only clock.rs gets the carve-out");
-        let o = options_for("crates/parallel/src/pool.rs", false);
-        assert!(o.allow_spawn);
-        let o = options_for("crates/noc/src/router.rs", true);
-        assert!(!o.check_missing_doc && o.warn_indexing);
-    }
-
-    #[test]
-    fn printing_is_allowed_in_binaries_and_bench_only() {
-        assert!(options_for("crates/cli/src/main.rs", false).allow_print);
-        assert!(options_for("crates/lint/src/main.rs", false).allow_print);
-        assert!(options_for("crates/bench/src/report.rs", false).allow_print);
-        assert!(!options_for("crates/cli/src/lib.rs", false).allow_print);
-        assert!(!options_for("crates/noc/src/domain.rs", false).allow_print);
-    }
-
-    #[test]
-    fn config_defaults_baseline_under_root() {
-        let c = Config::new("/ws");
-        assert_eq!(c.baseline_path, Path::new("/ws/lint-baseline.txt"));
-        assert!(!c.warn_indexing);
-    }
 }

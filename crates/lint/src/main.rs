@@ -1,31 +1,24 @@
 //! CLI for `srlr-lint`.
 //!
-//! Exit codes: `0` clean, `1` rule violations (or, with `--deny-all`,
-//! stale baseline entries), `2` usage or I/O errors. `--format sarif`
-//! always exits `0` once the report is produced: the document carries
-//! the findings, and CI must receive it even (especially) when they
-//! gate.
+//! Exit codes: `0` clean, `1` rule violations, `2` usage or I/O errors.
+//! `--format sarif` always exits `0` once the report is produced: the
+//! document carries the findings, and CI must receive it even
+//! (especially) when they gate.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use srlr_lint::baseline::Baseline;
 use srlr_lint::rules::ALL_RULES;
 use srlr_lint::{run, sarif, write_api_locks, Config};
 
 const USAGE: &str = "\
-srlr-lint: workspace static analysis (determinism, no-panic, doc coverage)
+srlr-lint: workspace static analysis (layering, API lock, hot-path allocation, float and RNG discipline)
 
 USAGE:
     srlr-lint [OPTIONS]
 
 OPTIONS:
     --root <DIR>        workspace root to scan (default: .)
-    --baseline <FILE>   baseline file (default: <root>/lint-baseline.txt)
-    --deny-all          also fail on stale baseline entries (CI mode)
-    --warn-indexing     enable the advisory indexing rule
-    --write-baseline    rewrite the baseline from current violations
     --write-api-lock    rewrite every api-lock.txt from the current public surface
     --format <FMT>      output format: text (default) or sarif
     --list-rules        print the rule catalog and exit
@@ -39,8 +32,6 @@ enum Format {
 
 struct Cli {
     config: Config,
-    deny_all: bool,
-    write_baseline: bool,
     write_api_lock: bool,
     list_rules: bool,
     format: Format,
@@ -48,10 +39,6 @@ struct Cli {
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut deny_all = false;
-    let mut warn_indexing = false;
-    let mut write_baseline = false;
     let mut write_api_lock = false;
     let mut list_rules = false;
     let mut format = Format::Text;
@@ -63,13 +50,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let v = it.next().ok_or("--root needs a directory argument")?;
                 root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file argument")?;
-                baseline = Some(PathBuf::from(v));
-            }
-            "--deny-all" => deny_all = true,
-            "--warn-indexing" => warn_indexing = true,
-            "--write-baseline" => write_baseline = true,
             "--write-api-lock" => write_api_lock = true,
             "--format" => {
                 let v = it.next().ok_or("--format needs `text` or `sarif`")?;
@@ -85,21 +65,19 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
 
-    let mut config = Config::new(root.unwrap_or_else(|| PathBuf::from(".")));
-    if let Some(b) = baseline {
-        config.baseline_path = b;
-    }
-    config.warn_indexing = warn_indexing;
     Ok(Cli {
-        config,
-        deny_all,
-        write_baseline,
+        config: Config::new(root.unwrap_or_else(|| PathBuf::from("."))),
         write_api_lock,
         list_rules,
         format,
     })
 }
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the binary is where the report reaches the terminal"
+)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wants_help = args.iter().any(|a| a == "--help" || a == "-h");
@@ -117,8 +95,7 @@ fn main() -> ExitCode {
 
     if cli.list_rules {
         for rule in ALL_RULES {
-            let tag = if rule.advisory() { " (advisory)" } else { "" };
-            println!("{:<16} {}{tag}", rule.name(), rule.description());
+            println!("{:<16} {}", rule.name(), rule.description());
         }
         return ExitCode::SUCCESS;
     }
@@ -144,21 +121,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if cli.write_baseline {
-        let keys: BTreeSet<String> = report.all_violation_keys();
-        let content = Baseline::render(&keys);
-        if let Err(e) = std::fs::write(&cli.config.baseline_path, content) {
-            eprintln!("error: writing {}: {e}", cli.config.baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} entries to {}",
-            keys.len(),
-            cli.config.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if matches!(cli.format, Format::Sarif) {
         // SARIF is an export format: CI uploads it for code-review
         // annotation and must not lose the artifact to a non-zero
@@ -168,40 +130,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    for d in &report.fresh {
+    for d in &report.violations {
         print!("{}", d.render());
     }
-    for key in &report.stale {
-        println!(
-            "stale-baseline: `{key}` no longer matches any violation; delete it from {}",
-            cli.config.baseline_path.display()
-        );
-    }
-
-    let failures = report.failures().count();
-    let advisories = report.fresh.len() - failures;
-    let mut summary = format!(
-        "srlr-lint: {} files checked, {failures} violation(s)",
-        report.files_checked
+    println!(
+        "srlr-lint: {} files checked, {} violation(s)",
+        report.files_checked,
+        report.violations.len()
     );
-    if advisories > 0 {
-        summary.push_str(&format!(", {advisories} advisory warning(s)"));
-    }
-    if !report.baselined.is_empty() {
-        summary.push_str(&format!(", {} baselined", report.baselined.len()));
-    }
-    if !report.stale.is_empty() {
-        summary.push_str(&format!(
-            ", {} stale baseline entr(ies)",
-            report.stale.len()
-        ));
-    }
-    println!("{summary}");
-
-    let stale_fails = cli.deny_all && !report.stale.is_empty();
-    if failures > 0 || stale_fails {
-        ExitCode::FAILURE
-    } else {
+    if report.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

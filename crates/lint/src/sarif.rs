@@ -7,45 +7,34 @@
 
 pub use srlr_telemetry::sarif::SarifDoc;
 
-use crate::diagnostics::Diagnostic;
 use crate::rules::ALL_RULES;
 use crate::Report;
 
 /// Renders `report` as a single-run SARIF 2.1.0 document.
 ///
-/// Fresh violations become `results` (advisory rules at level
-/// `warning`, everything else `error`); baselined and stale entries are
-/// a text-output concern and are not exported.
+/// Every violation becomes an `error`-level result.
 pub fn render(report: &Report) -> String {
     let mut doc = SarifDoc::new("srlr-lint", "https://example.invalid/srlr-lint");
     for rule in ALL_RULES {
         doc.rule(rule.name(), rule.description());
     }
-    for diag in &report.fresh {
-        write_result(&mut doc, diag);
+    for diag in &report.violations {
+        doc.result(
+            diag.rule.name(),
+            "error",
+            &diag.message,
+            &diag.path,
+            diag.line,
+            diag.col,
+        );
     }
     doc.render()
-}
-
-fn write_result(doc: &mut SarifDoc, diag: &Diagnostic) {
-    let level = if diag.rule.advisory() {
-        "warning"
-    } else {
-        "error"
-    };
-    doc.result(
-        diag.rule.name(),
-        level,
-        &diag.message,
-        &diag.path,
-        diag.line,
-        diag.col,
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostics::Diagnostic;
     use crate::rules::RuleId;
     use srlr_telemetry::json::{parse, Json};
 
@@ -88,27 +77,28 @@ mod tests {
     #[test]
     fn diagnostics_become_results_with_locations() {
         let mut report = Report::default();
-        report.fresh.push(diag(
-            RuleId::NoPanic,
+        report.violations.push(diag(
+            RuleId::FloatEq,
             "crates/noc/src/router.rs",
             42,
             "an \"escaped\" message\nwith a newline",
         ));
         report
-            .fresh
-            .push(diag(RuleId::Indexing, "src/lib.rs", 7, "advisory"));
+            .violations
+            .push(diag(RuleId::ApiLock, "src/lib.rs", 7, "drift"));
         let doc = parse(&render(&report)).expect("valid JSON");
         let results = results(&doc);
         assert_eq!(results.len(), 2);
         let Json::Obj(first) = results[0] else {
             panic!()
         };
-        assert_eq!(first.get("ruleId"), Some(&Json::Str("no-panic".into())));
+        assert_eq!(first.get("ruleId"), Some(&Json::Str("float-eq".into())));
         assert_eq!(first.get("level"), Some(&Json::Str("error".into())));
         let Json::Obj(second) = results[1] else {
             panic!()
         };
-        assert_eq!(second.get("level"), Some(&Json::Str("warning".into())));
+        assert_eq!(second.get("ruleId"), Some(&Json::Str("api-lock".into())));
+        assert_eq!(second.get("level"), Some(&Json::Str("error".into())));
     }
 
     #[test]

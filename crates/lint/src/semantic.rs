@@ -1,11 +1,11 @@
 //! Cross-file semantic rules built on the one item walk per file
 //! ([`ParsedFile::parse`]): `raw-f64-api`, `crate-layering`,
 //! `api-lock`, plus the dataflow rules `alloc-in-hot-path`,
-//! `unordered-float-reduce`, `rng-stream-discipline` and `lossy-cast`.
+//! `unordered-float-reduce` and `rng-stream-discipline`.
 //!
 //! These are the rules a token scan cannot express: they need item
 //! identities (who owns this signature?), crate identities (which layer
-//! does this file belong to?), function bodies reduced to call/cast/
+//! does this file belong to?), function bodies reduced to call and
 //! reduction events ([`crate::exprs`]), the workspace call graph
 //! ([`crate::callgraph`]) and workspace state (the committed
 //! `api-lock.txt` snapshots, `lint-hotpaths.txt` and the `Cargo.toml`
@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use crate::analyze::{self, AnalyzeOptions, FileAnalysis, FileView};
+use crate::analyze::{self, FileAnalysis, FileView};
 use crate::callgraph::{CallGraph, FileFns, Node};
 use crate::diagnostics::{to_u32, Diagnostic};
 use crate::exprs::{CallEvent, CallKind, FnDef};
@@ -37,12 +37,12 @@ pub struct ParsedFile {
 impl ParsedFile {
     /// Lexes `src` once and runs every per-file pass on that one view:
     /// the item walk (item tree and function definitions) and the token
-    /// rules under `opts`, whose unsuppressed findings come back beside
-    /// the parsed file.
-    pub fn parse(rel: String, src: String, opts: AnalyzeOptions) -> (ParsedFile, FileAnalysis) {
+    /// rules, whose unsuppressed findings come back beside the parsed
+    /// file.
+    pub fn parse(rel: String, src: String) -> (ParsedFile, FileAnalysis) {
         let view = FileView::new(&rel, &src);
         let walked = items::walk(&view);
-        let analysis = analyze::analyze_view(&view, opts, &walked.pub_items);
+        let analysis = analyze::analyze_view(&view);
         let file = ParsedFile {
             tree: walked.tree,
             fns: walked.fns,
@@ -456,7 +456,7 @@ pub fn write_api_locks(files: &[ParsedFile], root: &Path) -> std::io::Result<Vec
 
 // ---------------------------------------------------------------------
 // Dataflow rules: alloc-in-hot-path, unordered-float-reduce,
-// rng-stream-discipline, lossy-cast
+// rng-stream-discipline
 // ---------------------------------------------------------------------
 
 /// The committed hot-root declaration file, relative to the workspace
@@ -528,12 +528,6 @@ const REGISTERED_SAMPLERS: &[&str] = &[
     "srlr-noc::FaultModel::new",
     "srlr-noc::packet::flit_payload",
 ];
-
-/// `as` targets the `lossy-cast` rule flags: sub-word integers, where
-/// truncation and sign wrap are silent. Casts to `u64`/`u128`/`usize`
-/// (lossless widening from every index type used here) and to floats
-/// (dominant idiom: count → ratio) stay token-exempt.
-const LOSSY_CAST_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// The Cargo package name of a crate directory (`core` → `srlr-core`,
 /// the umbrella root → `srlr-repro`).
@@ -816,42 +810,12 @@ pub fn check_rng_stream_discipline(file: &ParsedFile) -> Vec<Diagnostic> {
     out
 }
 
-/// `lossy-cast`: `as` casts to sub-word integer types in library code.
-/// Binary entry points (`main.rs`) are exempt, matching `no-print`.
-pub fn check_lossy_cast(file: &ParsedFile) -> Vec<Diagnostic> {
-    if file.rel == "main.rs" || file.rel.ends_with("/main.rs") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for def in &file.fns {
-        for cast in &def.casts {
-            if !LOSSY_CAST_TARGETS.contains(&cast.target.as_str()) {
-                continue;
-            }
-            out.push(source_diag(
-                file,
-                cast.line,
-                cast.col,
-                to_u32(cast.target.chars().count()),
-                RuleId::LossyCast,
-                format!(
-                    "lossy `as {0}` cast: use `{0}::try_from` (or `From`), or allow with a \
-                     reason proving the value fits",
-                    cast.target
-                ),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parsed(rel: &str, src: &str) -> ParsedFile {
-        let opts = AnalyzeOptions::default();
-        ParsedFile::parse(rel.to_string(), src.to_string(), opts).0
+        ParsedFile::parse(rel.to_string(), src.to_string()).0
     }
 
     #[test]
@@ -1067,14 +1031,9 @@ mod tests {
 
     #[test]
     fn lossy_cast_flags_subword_targets_only() {
-        let f = parsed(
-            "crates/noc/src/x.rs",
-            "fn f(x: u64) -> u32 { let _ = x as f64; let _ = x as usize; x as u32 }",
-        );
-        let d = check_lossy_cast(&f);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("as u32"));
-        let main = parsed("crates/cli/src/main.rs", "fn f(x: u64) -> u32 { x as u32 }");
-        assert!(check_lossy_cast(&main).is_empty(), "binaries are exempt");
+        // Lossy casts are `clippy::cast_possible_truncation` now; widening
+        // and float targets pass.
+        crate::lint_table::assert_rejected("subword_cast", "clippy::cast_possible_truncation");
+        crate::lint_table::assert_accepted("seeded/src/widening_casts.rs");
     }
 }

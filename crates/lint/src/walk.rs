@@ -2,9 +2,9 @@
 //!
 //! The lint scans `src/` trees only: the umbrella crate's `<root>/src`
 //! and every `<root>/crates/*/src`. Integration tests (`tests/`),
-//! benches and examples are intentionally out of scope — they are
-//! allowed to unwrap. Files are returned sorted by their relative path
-//! so diagnostics and baselines are stable across platforms and runs.
+//! benches and examples are intentionally out of scope. Files are
+//! returned sorted by their relative path so diagnostics are stable
+//! across platforms and runs.
 
 use std::io;
 use std::path::{Path, PathBuf};

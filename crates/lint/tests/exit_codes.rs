@@ -2,6 +2,11 @@
 //! violations, `2` usage errors — and `--format sarif` always `0`, so
 //! CI receives the findings document even when it gates.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::path::Path;
 use std::process::{Command, Output};
 

@@ -1,7 +1,11 @@
 //! Binary-level tests for `srlr-lint` as the workspace's one lint front
-//! door, run the way CI runs it: `--deny-all` on this tree, SARIF on a
-//! clean and on a dirty tree, and the usage errors a mistyped CI step
-//! would hit.
+//! door, run the way CI runs it: text on this tree, SARIF on a clean and
+//! on a dirty tree, and the usage errors a mistyped CI step would hit.
+
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -30,9 +34,9 @@ fn dirty_fixture(name: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn lint_deny_all_is_clean_on_this_workspace() {
+fn lint_is_clean_on_this_workspace() {
     let root = workspace_root();
-    let out = srlr_lint(&["--root", root.to_str().expect("utf-8"), "--deny-all"]);
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
@@ -63,6 +67,15 @@ fn lint_unknown_flag_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("frobnicate"), "{stderr}");
+    // Scripts that still pass a removed flag fail loudly.
+    for flag in [
+        "--deny-all",
+        "--baseline",
+        "--write-baseline",
+        "--warn-indexing",
+    ] {
+        assert_eq!(srlr_lint(&[flag]).status.code(), Some(2), "{flag}");
+    }
 }
 
 #[test]

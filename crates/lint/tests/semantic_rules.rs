@@ -6,10 +6,18 @@
 //! with a reasoned `// srlr-lint: allow(...)`, and rejects reason-less
 //! suppressions.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
 use std::path::{Path, PathBuf};
 
 use srlr_lint::rules::RuleId;
 use srlr_lint::{run, write_api_locks, Config, Report};
+
+#[path = "support/lint_table.rs"]
+mod lint_table;
 
 /// A scratch workspace under the cargo target dir, wiped per test.
 struct Fixture {
@@ -38,10 +46,11 @@ impl Fixture {
         run(&Config::new(&self.root)).expect("lint run succeeds")
     }
 
-    /// Rules of the non-advisory fresh violations, with their paths.
+    /// Rules of the violations, with their paths.
     fn violations(&self) -> Vec<(RuleId, String)> {
         self.run()
-            .failures()
+            .violations
+            .iter()
             .map(|d| (d.rule, d.path.clone()))
             .collect()
     }
@@ -247,7 +256,7 @@ fn diagnostics_use_forward_slashes_and_stable_order() {
     );
     let report = fx.run();
     let keys: Vec<(String, u32, String)> = report
-        .fresh
+        .violations
         .iter()
         .map(|d| (d.path.clone(), d.line, d.rule.name().to_string()))
         .collect();
@@ -470,51 +479,23 @@ fn rng_stream_discipline_exempts_the_rng_crate_and_registered_samplers() {
     assert!(fx.violations().is_empty());
 }
 
-// -----------------------------------------------------------------
-// lossy-cast
-// -----------------------------------------------------------------
+// Lossy casts are `clippy::cast_possible_truncation` in the root lint
+// table; these check it on the shared fixture workspace.
 
 #[test]
 fn lossy_cast_fires_and_is_suppressible() {
-    let fx = Fixture::new("lossy_cast_fires");
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n    x as u16\n}\n",
+    lint_table::assert_rejected("truncating_cast", "clippy::cast_possible_truncation");
+    // A reasoned `#[expect]` suppresses it; a reasonless `#[allow]` fails.
+    lint_table::assert_accepted("seeded/src/justified_cast.rs");
+    lint_table::assert_rejected(
+        "allow_without_reason",
+        "clippy::allow_attributes_without_reason",
     );
-    assert_eq!(
-        fx.violations(),
-        [(RuleId::LossyCast, "crates/noc/src/lib.rs".to_string())]
-    );
-
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n\
-         \x20   // srlr-lint: allow(lossy-cast, reason = \"caller guarantees x < 65536 by mesh-size assert\")\n\
-         \x20   x as u16\n}\n",
-    );
-    assert!(fx.violations().is_empty(), "reasoned allow must suppress");
-
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n\
-         \x20   // srlr-lint: allow(lossy-cast)\n\
-         \x20   x as u16\n}\n",
-    );
-    let rules: Vec<RuleId> = fx.violations().into_iter().map(|(r, _)| r).collect();
-    assert!(rules.contains(&RuleId::BadSuppression), "{rules:?}");
-    assert!(rules.contains(&RuleId::LossyCast), "{rules:?}");
 }
 
 #[test]
 fn lossy_cast_exempts_binaries_and_word_sized_targets() {
-    let fx = Fixture::new("lossy_cast_scope");
-    fx.write(
-        "crates/cli/src/main.rs",
-        "fn main() {\n    let _x = 70000usize as u16;\n}\n",
-    );
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Widen an index.\npub fn widen(x: u32) -> u64 {\n    x as u64\n}\n",
-    );
-    assert!(fx.violations().is_empty());
+    // A binary narrows under a reasoned `#[expect]`, as `main.rs` does.
+    lint_table::assert_accepted(lint_table::MAIN_FILE);
+    lint_table::assert_accepted("seeded/src/widening_casts.rs");
 }

@@ -1,16 +1,31 @@
-//! Self-enforcement: the workspace must stay lint-clean.
+//! Self-enforcement: the workspace must stay lint-clean under both
+//! layers of checks.
 //!
-//! This test is what makes `srlr-lint` a tier-1 invariant instead of an
-//! optional tool: `cargo test` fails if anyone reintroduces a panic
-//! path, a `HashMap`, a wall-clock read, a float `==`, an undocumented
-//! public item in the doc-covered crates — or lets the baseline go
-//! stale.
+//! These tests make the lints a tier-1 invariant instead of an optional
+//! tool. `cargo test` fails if anyone breaks a workspace rule of
+//! `srlr-lint` (a float `==`, a layering violation, API drift, …) or a
+//! per-token rule of the root `[workspace.lints]` table, which rustc and
+//! clippy enforce: a panic path, a `HashMap`, a wall-clock read, a
+//! print, a thread spawn, an undocumented public item, a truncating
+//! cast, a reasonless `allow` or a stale `expect`. A fixture workspace
+//! built against the committed table (`support/lint_table.rs`) proves
+//! that each of those fails under its lint.
 
-use std::path::Path;
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use srlr_lint::{run, Config};
 
-fn workspace_root() -> std::path::PathBuf {
+#[path = "support/lint_table.rs"]
+mod lint_table;
+
+fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
@@ -21,16 +36,49 @@ fn workspace_has_no_lint_violations() {
         report.files_checked > 30,
         "walk found the workspace sources"
     );
-    let rendered: String = report.failures().map(|d| d.render()).collect();
+    let rendered: String = report.violations.iter().map(|d| d.render()).collect();
     assert!(report.is_clean(), "srlr-lint found violations:\n{rendered}");
 }
 
+/// `cargo clippy` with its own target directory, so it never waits on
+/// the lock of the build that runs this test.
+fn clippy(manifest_dir: &Path, target: &str, extra: &[&str]) -> std::process::Output {
+    let target_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(target);
+    Command::new(env!("CARGO"))
+        .current_dir(manifest_dir)
+        .args(["clippy", "--all-targets", "--offline", "--target-dir"])
+        .arg(target_dir)
+        .args(extra)
+        .output()
+        .expect("spawn cargo clippy")
+}
+
 #[test]
-fn baseline_has_no_stale_entries() {
-    let report = run(&Config::new(workspace_root())).expect("lint run succeeds");
+fn workspace_is_clippy_clean() {
+    let out = clippy(
+        &workspace_root(),
+        "workspace-clippy",
+        &["--workspace", "--", "-D", "warnings"],
+    );
     assert!(
-        report.stale.is_empty(),
-        "stale baseline entries (baseline is shrink-only, delete them): {:?}",
-        report.stale
+        out.status.success(),
+        "cargo clippy --workspace --all-targets -- -D warnings failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn lint_table_rejects_every_seeded_violation() {
+    let outcome = lint_table::outcome();
+    assert!(outcome.failed, "the seeded fixture must fail");
+    let expected: BTreeSet<(String, String)> = lint_table::SEEDED
+        .iter()
+        .map(|(module, lint, _)| (lint_table::module_file(module), (*lint).to_string()))
+        .collect();
+    assert_eq!(
+        outcome.findings, expected,
+        "each seeded case must fail under exactly its lint, and the look-alikes \
+         and the binary under none\n{}",
+        outcome.stderr
     );
 }

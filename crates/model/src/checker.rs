@@ -282,12 +282,12 @@ impl State {
     }
 
     /// Total links crossed — the strictly increasing progress measure.
-    fn progress(&self, hops: usize) -> u64 {
+    fn progress(&self, hops: usize) -> usize {
         self.flits
             .iter()
             .map(|f| match *f {
-                FlitPos::Done => hops as u64,
-                FlitPos::Pending { link, .. } => u64::from(link),
+                FlitPos::Done => hops,
+                FlitPos::Pending { link, .. } => link as usize,
             })
             .sum()
     }
@@ -839,7 +839,7 @@ fn check_pair_profiled(
                 );
             }
             let canonical = applied.state.canonicalize();
-            let layer = &mut layers[progress_next as usize];
+            let layer = &mut layers[progress_next];
             let next_id = match layer.get(&canonical) {
                 Some(&existing) => existing,
                 None => {
@@ -995,7 +995,8 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
 /// probability `1 - D^(R+1)`, averaged over ordered pairs.
 pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
     let detected = config.detected_probability();
-    // srlr-lint: allow(lossy-cast, reason = "powi takes i32; max_retries is a small retry budget (u8-scale), nowhere near i32::MAX")
+    // powi takes i32; max_retries is a small retry budget, nowhere near
+    // i32::MAX.
     let exhaust = detected.powi(config.fault.max_retries as i32 + 1);
     let survive = 1.0 - exhaust;
     let mesh = config.mesh;
@@ -1007,9 +1008,13 @@ pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
                 continue;
             }
             let hops = mesh.coord_of(s).hop_distance(mesh.coord_of(d));
-            // srlr-lint: allow(lossy-cast, reason = "packet lengths are flit counts, far below u32::MAX")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "packet lengths are flit counts, far below u32::MAX"
+            )]
             let crossings = (config.packet_len as u32) * hops;
-            // srlr-lint: allow(lossy-cast, reason = "powi takes i32; crossings = packet_len * hops stays far below i32::MAX for any real mesh")
+            // powi takes i32; crossings = packet_len * hops stays far
+            // below i32::MAX for any real mesh.
             total += survive.powi(crossings as i32);
             count += 1;
         }
@@ -1116,7 +1121,7 @@ mod tests {
             let report = verify(&config);
             for pair in &report.pairs {
                 assert!(pair.solved);
-                let crossings = (config.packet_len * pair.hops) as i32;
+                let crossings = i32::try_from(config.packet_len * pair.hops).unwrap();
                 let expect = survive.powi(crossings);
                 assert!(
                     (pair.deliver_probability - expect).abs() < 1e-12,
@@ -1219,7 +1224,7 @@ mod tests {
         // that it is *much* smaller than the 5^8 outcome tree.
         let report = verify(&cfg(0.01, 3));
         for pair in &report.pairs {
-            let tree: usize = (5usize).pow((4 * pair.hops) as u32);
+            let tree: usize = (5usize).pow(u32::try_from(4 * pair.hops).unwrap());
             assert!(
                 pair.states * 20 < tree,
                 "canonicalization failed to merge: {} states vs {} paths",

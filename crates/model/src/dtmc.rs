@@ -326,7 +326,7 @@ mod tests {
         const LAST: f64 = 0.9;
         // x_i = Q (1 - P^m) / (1 - P) + P^m LAST with m = N - 1 - i.
         let closed = |i: usize| {
-            let pm = P.powi((N - 1 - i) as i32);
+            let pm = P.powi(i32::try_from(N - 1 - i).unwrap());
             Q * (1.0 - pm) / (1.0 - P) + pm * LAST
         };
         for reversed in [false, true] {

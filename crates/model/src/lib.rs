@@ -31,7 +31,6 @@
 //! `srlr-telemetry` for SARIF reporting in the CLI.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod checker;
 pub mod dtmc;

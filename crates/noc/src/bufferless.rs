@@ -156,8 +156,10 @@ impl DeflectionNetwork {
         }
 
         // Injection: a node may inject when it has a free output port.
-        // The index addresses queues, coords and the taken-port table.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the index addresses queues, coords and the taken-port table"
+        )]
         for i in 0..n {
             let here = self.mesh.coord_of(i);
             let free = Direction::ALL[..4]

@@ -117,8 +117,11 @@ impl FaultConfig {
 
     /// Probability that at least one bit of an 80-bit codeword flips in
     /// one traversal.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "powi takes i32; CODEWORD_BITS is the constant 80"
+    )]
     pub fn word_error_probability(&self) -> f64 {
-        // srlr-lint: allow(lossy-cast, reason = "powi takes i32; CODEWORD_BITS is the constant 80")
         1.0 - (1.0 - self.ber).powi(CODEWORD_BITS as i32)
     }
 }
@@ -326,6 +329,10 @@ impl FaultModel {
 /// exact, so `x · 2^-53 < p` ⟺ `x < p · 2^53` ⟺ `x < ceil(p · 2^53)`
 /// for every integer `x`. The draw stream and every outcome are those
 /// of the float compare.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "p is a probability in [0, 1], so p * 2^53 rounds up to an exact integer in [0, 2^53]"
+)]
 fn bernoulli_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
@@ -389,7 +396,10 @@ pub struct FaultSweepPoint {
 ///
 /// Panics if `bers` is empty, a BER is outside `[0, 1)`, or the load /
 /// window parameters are invalid for [`crate::Network`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's full parameter set plus the thread count"
+)]
 pub fn ber_sweep(
     base: NocConfig,
     template: FaultConfig,
@@ -420,7 +430,10 @@ pub fn ber_sweep(
 /// # Panics
 ///
 /// Panics under the same conditions as [`ber_sweep`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's full parameter set plus the thread count and the recorder"
+)]
 pub fn ber_sweep_observed(
     base: NocConfig,
     template: FaultConfig,
@@ -776,9 +789,9 @@ mod tests {
         for (seed, ber) in [(1u64, 0.05), (2, 0.2), (3, 0.45)] {
             let config = FaultConfig::new(ber).with_seed(seed).with_max_retries(3);
             let mut fm = FaultModel::new(config, Mesh::new(4, 4));
-            for k in 0..1500usize {
-                let from = Coord::new((k % 3) as u16 + 1, (k % 2) as u16 + 1);
-                let tx = fm.transmit(from, dirs[k % dirs.len()], &flit());
+            for k in 0..1500u16 {
+                let from = Coord::new(k % 3 + 1, k % 2 + 1);
+                let tx = fm.transmit(from, dirs[usize::from(k) % dirs.len()], &flit());
                 assert_eq!(
                     replay_transmission(fm.config(), &tx),
                     Some(tx),

@@ -229,6 +229,10 @@ impl PowerModel {
     pub fn calibration_report(&self, clock: Frequency, packet_len: usize) -> RouterPowerReport {
         let flits = Self::CALIBRATION_FLITS_PER_CYCLE;
         let cycles = 1_000_000u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a fixed flit rate over a million cycles, far below u64::MAX"
+        )]
         let total_flits = (flits * cycles as f64) as u64;
         let heads = total_flits / packet_len as u64;
         let c = EnergyCounters {

@@ -54,7 +54,11 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
-        match self.bins.get_mut(value as usize) {
+        // A value beyond `usize` (32-bit targets) is beyond every bin.
+        match usize::try_from(value)
+            .ok()
+            .and_then(|bin| self.bins.get_mut(bin))
+        {
             Some(bin) => *bin += 1,
             None => self.overflow += 1,
         }
@@ -73,6 +77,10 @@ impl Histogram {
         if self.count == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p <= 100, so the target is at most the u64 sample count"
+        )]
         let target = (self.count as f64 * p / 100.0).ceil() as u64;
         let mut seen = 0;
         for (bin, &count) in self.bins.iter().enumerate() {
@@ -282,8 +290,8 @@ impl NetworkStats {
         // The Wilson machinery is phrased in failures; a drop is the
         // failure event, so the delivered interval is its complement.
         let drops = srlr_tech::montecarlo::ErrorProbability {
-            failures: self.packets_dropped as usize,
-            trials: terminated as usize,
+            failures: usize::try_from(self.packets_dropped).ok()?,
+            trials: usize::try_from(terminated).ok()?,
         };
         let (drop_lo, drop_hi) = drops.interval_95();
         Some((1.0 - drop_hi, 1.0 - drop_lo))

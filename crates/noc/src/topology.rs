@@ -161,12 +161,14 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if the index is out of range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "index % cols < cols, and index < rows * cols gives index / cols < rows; both are u16"
+    )]
     pub fn coord_of(self, index: usize) -> Coord {
         assert!(index < self.len(), "index {index} outside {self}");
         Coord::new(
-            // srlr-lint: allow(lossy-cast, reason = "index % cols < cols, which is u16")
             (index % usize::from(self.cols)) as u16,
-            // srlr-lint: allow(lossy-cast, reason = "index < rows * cols, so index / cols < rows, which is u16")
             (index / usize::from(self.cols)) as u16,
         )
     }
@@ -306,7 +308,7 @@ mod tests {
         let src = Coord::new(0, 0);
         let dst = Coord::new(3, 4);
         let path = m.xy_path(src, dst);
-        assert_eq!(path.len() as u32, src.hop_distance(dst) + 1);
+        assert_eq!(path.len(), src.hop_distance(dst) as usize + 1);
         assert_eq!(path[0], src);
         assert_eq!(*path.last().unwrap(), dst);
         // Each step is one hop.

@@ -7,6 +7,11 @@
 //! harness runs concurrently on other threads are not charged to the
 //! test being measured.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are small generated indices"
+)]
+
 use srlr_noc::router::SentFlits;
 use srlr_noc::traffic::{Pattern, TrafficGenerator};
 use srlr_noc::{

@@ -4,6 +4,16 @@
 //! dimension-ordered; west-first routes must be minimal and never turn
 //! into the west direction.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are small generated indices"
+)]
+
 use std::collections::BTreeMap;
 
 use srlr_noc::traffic::Pattern;

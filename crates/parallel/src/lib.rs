@@ -29,7 +29,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// The environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "SRLR_THREADS";
@@ -77,6 +76,10 @@ where
     std::thread::scope(|scope| {
         for (worker, out_chunk) in slots.chunks_mut(chunk).enumerate() {
             let f = &f;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "this is the deterministic pool: results land in index order"
+            )]
             scope.spawn(move || {
                 let base = worker * chunk;
                 for (offset, slot) in out_chunk.iter_mut().enumerate() {
@@ -87,8 +90,13 @@ where
     });
     slots
         .into_iter()
-        // srlr-lint: allow(no-panic, reason = "invariant: chunks_mut partitions 0..n, so every slot is written exactly once before the scope joins")
-        .map(|slot| slot.expect("every index was assigned to a worker"))
+        .map(|slot| {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: chunks_mut partitions 0..n, so every slot is written exactly once before the scope joins"
+            )]
+            slot.expect("every index was assigned to a worker")
+        })
         .collect()
 }
 

@@ -83,6 +83,10 @@ pub fn parse_folded(text: &str) -> Result<Vec<FoldedLine>, String> {
 }
 
 /// Seconds → rounded non-negative microseconds.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the cast is reached only for finite positive values; `as` saturates beyond u64::MAX"
+)]
 fn to_micros(seconds: f64) -> u64 {
     let us = (seconds * 1e6).round();
     if us.is_finite() && us > 0.0 {

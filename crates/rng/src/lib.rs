@@ -29,7 +29,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// The golden-ratio increment of SplitMix64.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -124,6 +123,10 @@ impl Xoshiro256pp {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the high word of u64 * n is below n, so it fits usize"
+    )]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot draw from an empty range");
         ((u128::from(self.next_u64()) * n as u128) >> 64) as usize

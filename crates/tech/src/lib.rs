@@ -35,7 +35,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Subthreshold bias generators for the adaptive low-swing driver.
 pub mod bias;

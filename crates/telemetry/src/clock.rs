@@ -1,8 +1,8 @@
 //! Time sources for profiling and rate limiting.
 //!
 //! Everything else in the workspace is deterministic — simulated time,
-//! trial indices, cycle counts — and the `det-time` lint bans the wall
-//! clock outside this module. Profiling
+//! trial indices, cycle counts — and `clippy::disallowed_types` bans the
+//! wall clock outside this module. Profiling
 //! is the one place real time is genuinely wanted, so [`Clock`] fences
 //! it: release binaries profile against [`Clock::wall`], while tests use
 //! [`Clock::tick`] (every read advances a virtual counter, so timings
@@ -15,6 +15,11 @@
 //! All variants are thread-safe: readings go through atomics so a
 //! shared `Clock` can rate-limit [`crate::Progress`] from parallel
 //! workers.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the one fence around the wall clock"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

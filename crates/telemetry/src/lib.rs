@@ -22,9 +22,10 @@
 //!   `None`; every record method is a branch that returns without
 //!   allocating. Instrumented hot loops are free when telemetry is off.
 //! * **Simulated time only.** Timestamps are cycles, trial indices, or
-//!   simulated picoseconds — never the wall clock (`det-time` reserves
-//!   that for this crate's [`clock`] module, where profiling fences it
-//!   behind the [`Clock`] abstraction).
+//!   simulated picoseconds — never the wall clock
+//!   (`clippy::disallowed_types` reserves that for this crate's
+//!   [`clock`] module, where profiling fences it behind the [`Clock`]
+//!   abstraction).
 //! * **Bit-identical at any worker count.** Parallel stages return
 //!   their results in item-index order (`par_map_indexed`), and the
 //!   calling thread records every span and metric from those ordered

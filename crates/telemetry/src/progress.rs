@@ -12,8 +12,8 @@
 //! lines closer together than `min_interval_s` are suppressed (the
 //! final line always prints). Because the clock is the [`Clock`]
 //! abstraction rather than the wall clock directly, the limiter is
-//! unit-testable with [`Clock::manual`] — the `det-time` lint keeps
-//! `Instant` itself fenced inside [`crate::clock`].
+//! unit-testable with [`Clock::manual`] — `clippy::disallowed_types`
+//! keeps `Instant` itself fenced inside [`crate::clock`].
 
 use crate::clock::Clock;
 use std::io::Write as _;

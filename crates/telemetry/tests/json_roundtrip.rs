@@ -8,6 +8,15 @@
 //! subnormals, deep nesting, empty containers — and asserts
 //! `parse(write(doc)) == doc` for every one of them.
 
+#![allow(
+    clippy::unreachable,
+    reason = "test helpers fail loudly on a broken fixture"
+)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are small generated indices"
+)]
+
 use srlr_telemetry::json::{parse, write_f64, write_str};
 use srlr_telemetry::{Json, Value};
 use std::collections::BTreeMap;

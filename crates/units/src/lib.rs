@@ -32,7 +32,6 @@
 //! [`density`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 #[macro_use]
 mod macros;

@@ -43,7 +43,10 @@ pub fn si_scale(value: f64) -> (f64, &'static str) {
     }
     let magnitude = value.abs().log10();
     // Group of three decades, clamped to the supported prefix range.
-    // srlr-lint: allow(lossy-cast, reason = "f64->i32 decade exponent of a finite value; clamped to [-24, 24] on the next line")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "f64->i32 decade exponent of a finite value; clamped to [-24, 24] on the next line"
+    )]
     let exponent = ((magnitude / 3.0).floor() * 3.0) as i32;
     let exponent = exponent.clamp(-24, 24);
     let (exp, symbol) = PREFIXES

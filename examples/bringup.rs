@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example bringup`.
 
+#![allow(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use srlr_circuit::vcd::VcdExporter;
 use srlr_core::transient::SrlrTransientFixture;
 use srlr_core::SrlrDesign;

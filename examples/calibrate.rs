@@ -2,6 +2,8 @@
 //! combination, plus the Fig. 6 swing sweep. Used while tuning the
 //! pulse-domain model against the paper's reported robustness numbers.
 
+#![allow(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use srlr_core::{DelayCellDesign, DriverKind, SrlrDesign};
 use srlr_link::montecarlo::McExperiment;
 use srlr_tech::Technology;

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example mesh_multicast`.
 
+#![allow(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, MulticastAccounting, Network, NocConfig, PowerModel};
 use srlr_tech::Technology;

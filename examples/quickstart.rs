@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+#![allow(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use srlr_link::ber::BerTester;
 use srlr_link::SrlrLink;
 use srlr_tech::Technology;

@@ -5,6 +5,11 @@
 //! case is a pure function of the fixed seed, so failures reproduce
 //! exactly without a shrinker or a regression file.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are small generated indices"
+)]
+
 use srlr_link::{LinkErrorModel, Prbs};
 use srlr_repro::circuit::Waveform;
 use srlr_repro::core::{PulseState, SrlrDesign};
