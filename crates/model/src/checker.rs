@@ -64,6 +64,18 @@
 //! ([`crate::dtmc`]).  Because the graph is acyclic and assembled in
 //! BFS order, the elimination incurs zero fill-in — reported and
 //! asserted, not assumed.
+//!
+//! # One exploration per route length
+//!
+//! The state graph reads a route only through its link count: states
+//! hold link indices, `apply` takes the number of links, and `chosen`,
+//! `canonicalize` and the crossing outcomes never read a router
+//! coordinate.  Every route of the same length therefore yields the
+//! same graph and the same verdict, bit for bit, so [`verify`] explores
+//! each distinct length once and labels the verdict onto every ordered
+//! pair of that length.  Coordinates enter only there: each recorded
+//! counterexample's choices are replayed on the pair's own route
+//! ([`replay_choices`]) to give its `(from, to)` trace.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -535,24 +547,27 @@ impl PairResult {
 /// are still *counted* via the proof flags but not materialized.
 const TRACES_PER_KIND: usize = 3;
 
+/// One crossing applied to a state: the successor and the link timing
+/// the proof obligations and traces read.
 struct Applied {
     state: State,
-    step: TraceStep,
+    arrival: u64,
+    /// The link's watermark before this crossing was granted.
+    busy_before: u64,
     overtake: bool,
 }
 
 /// Applies one crossing outcome to `state` (absolute or canonical —
-/// the arithmetic is shift-invariant).
+/// the arithmetic is shift-invariant) on a route of `hops` links.
 fn apply(
     config: &ModelConfig,
-    route: &[(Coord, Coord)],
+    hops: usize,
     state: &State,
     flit: usize,
     link: u32,
     ready: u64,
     outcome: &CrossingOutcome,
 ) -> Applied {
-    let hops = route.len();
     let li = link as usize;
     let delay = 1 + outcome.extra_delay;
     let busy_before = state.busy[li];
@@ -560,7 +575,6 @@ fn apply(
         Variant::Correct => link_arrival(ready, delay, busy_before),
         Variant::IgnoreBusyWatermark => ready + delay,
     };
-    let overtake = arrival <= busy_before;
     let mut next = state.clone();
     // Track the max so later overtakes under the broken variant are
     // still judged against the true latest granted arrival.
@@ -574,23 +588,11 @@ fn apply(
         }
     };
     next.poisoned |= !outcome.delivered;
-    let (from, to) = route[li];
     Applied {
         state: next,
-        step: TraceStep {
-            flit,
-            link,
-            from,
-            to,
-            attempts: outcome.attempts,
-            nacks: outcome.nacks,
-            delivered: outcome.delivered,
-            extra_delay: outcome.extra_delay,
-            sent: ready,
-            arrival,
-            busy_before,
-        },
-        overtake,
+        arrival,
+        busy_before,
+        overtake: arrival <= busy_before,
     }
 }
 
@@ -614,18 +616,20 @@ pub struct Replayed {
     pub nacks: u64,
 }
 
-/// Replays the deterministic schedule from the initial state, asking
-/// `oracle(flit, link)` for the outcome index of each crossing (out of
-/// range indices select the exhaustion branch).  Runs until terminal.
-pub fn replay<F: FnMut(usize, u32) -> usize>(
+/// Runs the deterministic schedule on the concrete `src -> dst` route,
+/// asking `next_pick(flit, link)` for each crossing's outcome index (out of
+/// range indices select the exhaustion branch) and stopping at a
+/// terminal state or at the first `None`.  The only place crossings
+/// get their `(from, to)` router labels.
+fn walk(
     config: &ModelConfig,
     src: Coord,
     dst: Coord,
-    mut oracle: F,
+    mut next_pick: impl FnMut(usize, u32) -> Option<usize>,
 ) -> Replayed {
     let route = route_links(config.mesh, src, dst);
     let outcomes = crossing_outcomes(config);
-    let mut state = State::initial(config.packet_len, route.len().max(1));
+    let mut state = State::initial(config.packet_len, route.len());
     let mut steps = Vec::new();
     let (mut attempts, mut nacks) = (0u64, 0u64);
     if route.is_empty() {
@@ -635,11 +639,27 @@ pub fn replay<F: FnMut(usize, u32) -> usize>(
         }
     }
     while let Some((flit, link, ready)) = state.chosen() {
-        let pick = oracle(flit, link).min(outcomes.len() - 1);
-        let applied = apply(config, &route, &state, flit, link, ready, &outcomes[pick]);
-        attempts += u64::from(applied.step.attempts);
-        nacks += u64::from(applied.step.nacks);
-        steps.push(applied.step);
+        let Some(pick) = next_pick(flit, link) else {
+            break;
+        };
+        let outcome = &outcomes[pick.min(outcomes.len() - 1)];
+        let applied = apply(config, route.len(), &state, flit, link, ready, outcome);
+        let (from, to) = route[link as usize];
+        attempts += u64::from(outcome.attempts);
+        nacks += u64::from(outcome.nacks);
+        steps.push(TraceStep {
+            flit,
+            link,
+            from,
+            to,
+            attempts: outcome.attempts,
+            nacks: outcome.nacks,
+            delivered: outcome.delivered,
+            extra_delay: outcome.extra_delay,
+            sent: ready,
+            arrival: applied.arrival,
+            busy_before: applied.busy_before,
+        });
         state = applied.state;
     }
     Replayed {
@@ -651,62 +671,111 @@ pub fn replay<F: FnMut(usize, u32) -> usize>(
     }
 }
 
+/// Replays the deterministic schedule from the initial state, asking
+/// `oracle(flit, link)` for the outcome index of each crossing (out of
+/// range indices select the exhaustion branch).  Runs until terminal.
+pub fn replay<F: FnMut(usize, u32) -> usize>(
+    config: &ModelConfig,
+    src: Coord,
+    dst: Coord,
+    mut oracle: F,
+) -> Replayed {
+    walk(config, src, dst, |flit, link| Some(oracle(flit, link)))
+}
+
 /// Replays a recorded counterexample prefix: feeds `choices` in order
 /// and stops when they run out (the trace may end mid-flight).
 pub fn replay_choices(config: &ModelConfig, src: Coord, dst: Coord, choices: &[usize]) -> Replayed {
-    let route = route_links(config.mesh, src, dst);
-    let outcomes = crossing_outcomes(config);
-    let mut state = State::initial(config.packet_len, route.len().max(1));
-    let mut steps = Vec::new();
-    let (mut attempts, mut nacks) = (0u64, 0u64);
-    for &pick in choices {
-        let Some((flit, link, ready)) = state.chosen() else {
-            break;
-        };
-        if route.is_empty() {
-            break;
+    let mut choices = choices.iter().copied();
+    walk(config, src, dst, |_, _| choices.next())
+}
+
+/// A counterexample found on a route of some length, before it is
+/// labelled with a concrete route and replayed into a trace.
+struct Witness {
+    kind: ViolationKind,
+    choices: Vec<usize>,
+    message: String,
+}
+
+/// Everything exhaustive exploration proves about a route of `hops`
+/// links; [`PairResult`] minus the coordinates and traces.
+struct RouteVerdict {
+    hops: usize,
+    states: usize,
+    transitions: usize,
+    transient: usize,
+    deliver_probability: f64,
+    solved: bool,
+    fill_in: usize,
+    delivered_reachable: bool,
+    drop_reachable: bool,
+    deadlock_free: bool,
+    no_overtaking: bool,
+    progress_monotone: bool,
+    witnesses: Vec<Witness>,
+}
+
+impl RouteVerdict {
+    /// Labels the verdict with the concrete route `src -> dst` (which
+    /// must have `self.hops` links), replaying each witness on it.
+    fn label(&self, config: &ModelConfig, src: Coord, dst: Coord) -> PairResult {
+        PairResult {
+            src,
+            dst,
+            hops: self.hops,
+            states: self.states,
+            transitions: self.transitions,
+            transient: self.transient,
+            deliver_probability: self.deliver_probability,
+            solved: self.solved,
+            fill_in: self.fill_in,
+            delivered_reachable: self.delivered_reachable,
+            drop_reachable: self.drop_reachable,
+            deadlock_free: self.deadlock_free,
+            no_overtaking: self.no_overtaking,
+            progress_monotone: self.progress_monotone,
+            violations: self
+                .witnesses
+                .iter()
+                .map(|w| Violation {
+                    kind: w.kind,
+                    src,
+                    dst,
+                    choices: w.choices.clone(),
+                    trace: replay_choices(config, src, dst, &w.choices).steps,
+                    message: w.message.clone(),
+                })
+                .collect(),
         }
-        let pick = pick.min(outcomes.len() - 1);
-        let applied = apply(config, &route, &state, flit, link, ready, &outcomes[pick]);
-        attempts += u64::from(applied.step.attempts);
-        nacks += u64::from(applied.step.nacks);
-        steps.push(applied.step);
-        state = applied.state;
-    }
-    Replayed {
-        delivered: state.is_terminal() && !state.poisoned,
-        terminal: state.is_terminal(),
-        steps,
-        attempts,
-        nacks,
     }
 }
 
 /// Exhaustively checks one route: BFS over canonical states, proof
 /// obligations, and the exact absorbing-DTMC delivery probability.
 pub fn check_pair(config: &ModelConfig, src: Coord, dst: Coord) -> PairResult {
-    check_pair_profiled(config, src, dst, &mut srlr_telemetry::Profiler::disabled())
+    let hops = route_links(config.mesh, src, dst).len();
+    explore_route(config, hops, &mut srlr_telemetry::Profiler::disabled()).label(config, src, dst)
 }
 
-/// [`check_pair`] with profiling: the state-space exploration lands as
-/// a `model.bfs` frame and the absorbing-chain assembly + solve as a
-/// `model.dtmc` frame. A disabled profiler costs one branch per frame;
-/// this *is* the unprofiled path — same code, same result.
-fn check_pair_profiled(
+/// Explores the state graph of a route of `hops` links: the
+/// state-space exploration lands as a `model.bfs` frame and the
+/// absorbing-chain assembly + solve as a `model.dtmc` frame. A disabled
+/// profiler costs one branch per frame; this *is* the unprofiled path —
+/// same code, same result.
+///
+/// Nothing here reads a router coordinate, so every route of the same
+/// length gets the same verdict, bit for bit.
+fn explore_route(
     config: &ModelConfig,
-    src: Coord,
-    dst: Coord,
+    hops: usize,
     prof: &mut srlr_telemetry::Profiler,
-) -> PairResult {
-    let route = route_links(config.mesh, src, dst);
-    let hops = route.len();
+) -> RouteVerdict {
     let outcomes = crossing_outcomes(config);
 
     if hops == 0 {
         // src == dst: nothing to cross, trivially delivered.
-        return PairResult {
-            src,
-            dst,
+        return RouteVerdict {
             hops,
             states: 1,
             transitions: 0,
@@ -719,7 +788,7 @@ fn check_pair_profiled(
             deadlock_free: true,
             no_overtaking: true,
             progress_monotone: true,
-            violations: Vec::new(),
+            witnesses: Vec::new(),
         };
     }
 
@@ -747,7 +816,7 @@ fn check_pair_profiled(
     let mut deadlock_free = true;
     let mut no_overtaking = true;
     let mut progress_monotone = true;
-    let mut violations: Vec<Violation> = Vec::new();
+    let mut witnesses: Vec<Witness> = Vec::new();
     let mut kept = BTreeMap::<&'static str, usize>::new();
 
     // Reconstructs the outcome choices leading to state `id`.
@@ -765,17 +834,13 @@ fn check_pair_profiled(
                   choices: Vec<usize>,
                   message: String,
                   kept: &mut BTreeMap<&'static str, usize>,
-                  violations: &mut Vec<Violation>| {
+                  witnesses: &mut Vec<Witness>| {
         let slot = kept.entry(kind.rule()).or_insert(0);
         if *slot < TRACES_PER_KIND {
             *slot += 1;
-            let trace = replay_choices(config, src, dst, &choices).steps;
-            violations.push(Violation {
+            witnesses.push(Witness {
                 kind,
-                src,
-                dst,
                 choices,
-                trace,
                 message,
             });
         }
@@ -801,13 +866,13 @@ fn check_pair_profiled(
                     state.flits.iter().filter(|f| **f != FlitPos::Done).count()
                 }),
                 &mut kept,
-                &mut violations,
+                &mut witnesses,
             );
             continue;
         };
         let progress_here = state.progress(hops);
         for (pick, outcome) in outcomes.iter().enumerate() {
-            let applied = apply(config, &route, &state, flit, link, ready, outcome);
+            let applied = apply(config, hops, &state, flit, link, ready, outcome);
             transitions += 1;
             if applied.overtake {
                 no_overtaking = false;
@@ -819,10 +884,10 @@ fn check_pair_profiled(
                     format!(
                         "flit {} arrived at cycle {} on link {} whose watermark \
                          was already {}",
-                        applied.step.flit, applied.step.arrival, link, applied.step.busy_before
+                        flit, applied.arrival, link, applied.busy_before
                     ),
                     &mut kept,
-                    &mut violations,
+                    &mut witnesses,
                 );
             }
             let progress_next = applied.state.progress(hops);
@@ -835,7 +900,7 @@ fn check_pair_profiled(
                     choices,
                     "a transition failed to cross exactly one link".to_string(),
                     &mut kept,
-                    &mut violations,
+                    &mut witnesses,
                 );
             }
             let canonical = applied.state.canonicalize();
@@ -894,9 +959,7 @@ fn check_pair_profiled(
     };
     prof.exit();
 
-    PairResult {
-        src,
-        dst,
+    RouteVerdict {
         hops,
         states: absorbed.len(),
         transitions,
@@ -909,7 +972,7 @@ fn check_pair_profiled(
         deadlock_free,
         no_overtaking,
         progress_monotone,
-        violations,
+        witnesses,
     }
 }
 
@@ -954,10 +1017,15 @@ pub fn verify(config: &ModelConfig) -> VerifyReport {
 
 /// [`verify`] with profiling: one `model.verify` frame whose
 /// `model.bfs` / `model.dtmc` children aggregate the exploration and
-/// solve phases over every ordered route. A disabled profiler costs
+/// solve phases over every route length. A disabled profiler costs
 /// one branch per frame; this *is* the unprofiled path.
+///
+/// Each distinct route length is explored once, in order of first
+/// appearance, and its verdict is labelled onto every ordered pair of
+/// that length (see the module docs for why this is exact).
 pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler) -> VerifyReport {
     let mesh = config.mesh;
+    let mut routes: Vec<RouteVerdict> = Vec::new();
     let mut pairs = Vec::new();
     prof.enter("model.verify");
     for s in 0..mesh.len() {
@@ -967,7 +1035,16 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
             }
             let src = mesh.coord_of(s);
             let dst = mesh.coord_of(d);
-            pairs.push(check_pair_profiled(config, src, dst, prof));
+            let hops = route_links(mesh, src, dst).len();
+            let known = routes.iter().position(|r| r.hops == hops);
+            let verdict = match known {
+                Some(i) => &routes[i],
+                None => {
+                    routes.push(explore_route(config, hops, prof));
+                    &routes[routes.len() - 1]
+                }
+            };
+            pairs.push(verdict.label(config, src, dst));
         }
     }
     prof.exit();
@@ -995,9 +1072,7 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
 /// probability `1 - D^(R+1)`, averaged over ordered pairs.
 pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
     let detected = config.detected_probability();
-    // powi takes i32; max_retries is a small retry budget, nowhere near
-    // i32::MAX.
-    let exhaust = detected.powi(config.fault.max_retries as i32 + 1);
+    let exhaust = pow_count(detected, u64::from(config.fault.max_retries) + 1);
     let survive = 1.0 - exhaust;
     let mesh = config.mesh;
     let mut total = 0.0;
@@ -1008,14 +1083,8 @@ pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
                 continue;
             }
             let hops = mesh.coord_of(s).hop_distance(mesh.coord_of(d));
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "packet lengths are flit counts, far below u32::MAX"
-            )]
-            let crossings = (config.packet_len as u32) * hops;
-            // powi takes i32; crossings = packet_len * hops stays far
-            // below i32::MAX for any real mesh.
-            total += survive.powi(crossings as i32);
+            let crossings = (config.packet_len as u64).saturating_mul(u64::from(hops));
+            total += pow_count(survive, crossings);
             count += 1;
         }
     }
@@ -1023,6 +1092,16 @@ pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
         1.0
     } else {
         total / count as f64
+    }
+}
+
+/// `base^exp` for a count exponent: `powi` whenever `exp` fits its
+/// `i32` (so in-range results keep their bits), `powf` beyond it rather
+/// than a wrapped exponent.
+fn pow_count(base: f64, exp: u64) -> f64 {
+    match i32::try_from(exp) {
+        Ok(exp) => base.powi(exp),
+        Err(_) => base.powf(exp as f64),
     }
 }
 
@@ -1074,13 +1153,46 @@ mod tests {
                 .find(|n| n.name == name)
                 .unwrap_or_else(|| panic!("missing frame {name}"))
         };
-        // One verify frame; every ordered pair contributes one BFS and
-        // one DTMC invocation, aggregated under it (12 ordered pairs on
-        // the 2x2 mesh).
+        // One verify frame; every distinct route length contributes one
+        // BFS and one DTMC invocation, aggregated under it: lengths 1
+        // and 2 on the 2x2 mesh (12 ordered pairs), 1..=4 on the 3x3
+        // mesh (72 ordered pairs).
         assert_eq!(node("model.verify").count, 1);
-        assert_eq!(node("model.bfs").count, 12);
-        assert_eq!(node("model.dtmc").count, 12);
+        assert_eq!(node("model.bfs").count, 2);
+        assert_eq!(node("model.dtmc").count, 2);
         assert_eq!(node("model.bfs").parent, node("model.dtmc").parent);
+
+        let three = ModelConfig::new(Mesh::new(3, 3), 2, FaultConfig::new(0.01));
+        let mut prof = Profiler::enabled(Clock::tick(1.0));
+        let report = verify_profiled(&three, &mut prof);
+        assert_eq!(report.pairs.len(), 72);
+        let profile = prof.snapshot();
+        for name in ["model.bfs", "model.dtmc"] {
+            let frame = profile.nodes.iter().find(|n| n.name == name);
+            assert_eq!(frame.map(|n| n.count), Some(4), "{name} on the 3x3 mesh");
+        }
+    }
+
+    #[test]
+    fn closed_form_exponents_do_not_wrap() {
+        // In range the exponents go through `powi`, bit for bit as
+        // before.
+        let in_range = closed_form_delivery(&cfg(0.01, 3));
+        assert_eq!(in_range.to_bits(), 0x3fe3_4e0f_edcf_23c5, "{in_range}");
+        // A budget of u32::MAX once wrapped the exhaustion exponent to
+        // zero (delivery 0); every crossing survives, so it is 1.
+        let huge_budget = closed_form_delivery(&cfg(0.01, u32::MAX));
+        assert_eq!(huge_budget.to_bits(), 1.0f64.to_bits(), "{huge_budget}");
+        // 2^32 flits once truncated to zero crossings (delivery 1). At a
+        // BER where one crossing fails with probability about 2^-32, a
+        // route of h links survives with probability about e^-h.
+        let long = cfg(2.9e-12, 0).with_packet_len(1 << 32);
+        let d = long.detected_probability();
+        let route = |hops: f64| (-(d * hops * (1u64 << 32) as f64)).exp();
+        let expect = (8.0 * route(1.0) + 4.0 * route(2.0)) / 12.0;
+        let got = closed_form_delivery(&long);
+        assert!((got - expect).abs() < 1e-5, "{got} vs {expect}");
+        assert!(got > 0.2 && got < 0.4, "{got}");
     }
 
     #[test]
