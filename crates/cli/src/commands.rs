@@ -139,6 +139,11 @@ fn parse_threads(flags: &Flags) -> Result<Option<usize>, CliError> {
 /// `verify-noc`).
 const TELEMETRY_FLAGS: [&str; 4] = ["trace-out", "metrics-out", "events-out", "profile-out"];
 
+/// An instrumented command's own flags followed by [`TELEMETRY_FLAGS`].
+fn with_telemetry_flags(own: &[&'static str]) -> Vec<&'static str> {
+    [own, &TELEMETRY_FLAGS].concat()
+}
+
 /// Parsed telemetry options of one invocation.
 #[derive(Debug, Default)]
 struct TelemetryOpts {
@@ -162,19 +167,15 @@ impl TelemetryOpts {
         }
     }
 
-    /// Whether any file sink was requested (the collector only records
-    /// when something will drain it).
-    fn wants_collector(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.events_out.is_some()
-    }
-
     /// The observability hooks for a run of `total` work items with
     /// timestamps in `timebase`. With `--profile-out` the profiler runs
     /// on the wall clock; timing lives in its own sink, so the event
     /// stream stays bit-identical whether or not profiling is on.
     fn obs(&self, timebase: &str, label: &str, total: u64) -> Obs {
+        // The collector only records when a file sink will drain it.
+        let sinks = [&self.trace_out, &self.metrics_out, &self.events_out];
         Obs {
-            collector: if self.wants_collector() {
+            collector: if sinks.iter().any(|sink| sink.is_some()) {
                 Collector::enabled(timebase)
             } else {
                 Collector::disabled()
@@ -192,22 +193,15 @@ impl TelemetryOpts {
         }
     }
 
-    /// Writes the folded-stack profile (`--profile-out`), one
-    /// `path;to;frame <self-µs>` line per frame — loadable by
-    /// speedscope and `inferno-flamegraph`, diffable by
-    /// `srlr bench-diff`, rankable by `srlr profile`.
-    fn write_profile(&self, profiler: &srlr_telemetry::Profiler) -> Result<(), CliError> {
-        if let Some(path) = &self.profile_out {
-            let folded = srlr_prof::fold(&profiler.snapshot());
-            write_file(path, folded.as_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Drains the run's telemetry into the requested files: the Chrome
-    /// `trace_event` document (`--trace-out`), the JSONL event stream
-    /// (`--events-out`) and the versioned run report (`--metrics-out`).
-    fn write(&self, collector: &Collector, report: &RunReport) -> Result<(), CliError> {
+    /// Drains a finished run's telemetry into the requested files: the
+    /// Chrome `trace_event` document (`--trace-out`), the JSONL event
+    /// stream (`--events-out`), `report` with the collector's counters
+    /// and metrics absorbed (`--metrics-out`), and the folded-stack
+    /// profile (`--profile-out`), one `path;to;frame <self-µs>` line per
+    /// frame — loadable by speedscope and `inferno-flamegraph`, diffable
+    /// by `srlr bench-diff`, rankable by `srlr profile`.
+    fn finish(&self, obs: &Obs, mut report: RunReport) -> Result<(), CliError> {
+        let collector = &obs.collector;
         if let Some(path) = &self.trace_out {
             write_file(path, collector.chrome_trace_json().as_bytes())?;
         }
@@ -219,7 +213,12 @@ impl TelemetryOpts {
             write_file(path, &buf)?;
         }
         if let Some(path) = &self.metrics_out {
+            report.absorb_collector(collector);
             write_file(path, report.to_json().as_bytes())?;
+        }
+        if let Some(path) = &self.profile_out {
+            let folded = srlr_prof::fold(&obs.profiler.snapshot());
+            write_file(path, folded.as_bytes())?;
         }
         Ok(())
     }
@@ -266,7 +265,7 @@ pub fn shmoo(rest: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage("--bits must be positive".into()));
     }
     let tech = Technology::soi45();
-    let plot = srlr_link::shmoo::paper_shmoo_with_threads(&tech, bits, threads);
+    let plot = srlr_link::shmoo::paper_shmoo(&tech, bits, threads);
     Ok(format!(
         "rate x swing shmoo, nominal die ('+' pass, '.' fail)\n\n{}\npassing fraction: {:.0} %\n",
         plot.render(),
@@ -406,14 +405,7 @@ pub fn table1() -> Result<String, CliError> {
 pub fn fig6(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse_with_switches(
         rest,
-        &[
-            "runs",
-            "threads",
-            "trace-out",
-            "metrics-out",
-            "events-out",
-            "profile-out",
-        ],
+        &with_telemetry_flags(&["runs", "threads"]),
         &["progress"],
     )?;
     let runs: usize = flags.get_or("runs", 300)?;
@@ -461,9 +453,7 @@ pub fn fig6(rest: &[String]) -> Result<String, CliError> {
         Value::F64(s.estimate()),
     );
     report.metric("immunity_ratio", Value::F64(ratio));
-    report.absorb_collector(&obs.collector);
-    tel.write(&obs.collector, &report)?;
-    tel.write_profile(&obs.profiler)?;
+    tel.finish(&obs, report)?;
     Ok(out)
 }
 
@@ -552,10 +542,7 @@ pub fn waveforms(rest: &[String]) -> Result<String, CliError> {
     let tel = TelemetryOpts::from_flags(&flags);
     let tech = Technology::soi45();
     let mut obs = tel.obs("sim-s", "waveforms", 1);
-    let mut collector = std::mem::take(&mut obs.collector);
-    obs.profiler.enter("waveforms.transient");
-    let waves = srlr_core::transient::SrlrTransientFixture::fig4_observed(&tech, &mut collector);
-    obs.profiler.exit();
+    let waves = srlr_core::transient::SrlrTransientFixture::fig4(&tech, &mut obs);
     let mut out = String::new();
     let _ = writeln!(out, "IN (peak {}):", waves.input.peak());
     out.push_str(&waves.input.ascii_plot(8, 80));
@@ -594,9 +581,7 @@ pub fn waveforms(rest: &[String]) -> Result<String, CliError> {
         "next_input_peak_v",
         Value::F64(waves.next_input.peak().volts()),
     );
-    report.absorb_collector(&collector);
-    tel.write(&collector, &report)?;
-    tel.write_profile(&obs.profiler)?;
+    tel.finish(&obs, report)?;
     Ok(out)
 }
 
@@ -609,14 +594,25 @@ pub fn ber(rest: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage("--bits and --gbps must be positive".into()));
     }
     let tech = Technology::soi45();
-    let config =
-        LinkConfig::paper_default().with_data_rate(DataRate::from_gigabits_per_second(gbps));
+    let rate = DataRate::from_gigabits_per_second(gbps);
+    let config = LinkConfig::paper_default().with_data_rate(rate);
     let link = SrlrLink::on_die(
         &tech,
         &SrlrDesign::paper_proposed(&tech),
         config,
         &srlr_tech::GlobalVariation::nominal(),
     );
+    // The stage map is defined only for bit periods that hold the
+    // modulator's launch pulse; beyond that rate its verdicts mean
+    // nothing (they even read error-free).
+    let launch = link.chain().launch_width();
+    if rate.bit_period() < launch {
+        return Err(CliError::Usage(format!(
+            "--gbps must leave a bit period of at least the {launch} launch pulse \
+             (at most {:.2} Gb/s)",
+            1e-9 / launch.seconds()
+        )));
+    }
     let report = BerTester::prbs15().run(&link, bits);
     Ok(format!(
         "{report}\nenergy per bit: {}\n",
@@ -649,17 +645,7 @@ pub fn eye(rest: &[String]) -> Result<String, CliError> {
 pub fn noc(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(
         rest,
-        &[
-            "cols",
-            "rows",
-            "load",
-            "datapath",
-            "cycles",
-            "trace-out",
-            "metrics-out",
-            "events-out",
-            "profile-out",
-        ],
+        &with_telemetry_flags(&["cols", "rows", "load", "datapath", "cycles"]),
     )?;
     let tel = TelemetryOpts::from_flags(&flags);
     let cols: u16 = flags.get_or("cols", 8)?;
@@ -671,6 +657,7 @@ pub fn noc(rest: &[String]) -> Result<String, CliError> {
             "need positive size/cycles and load in [0, 1]".into(),
         ));
     }
+    check_mesh_nodes(cols, rows)?;
     let datapath = match flags.get_str("datapath").unwrap_or("srlr") {
         "srlr" => DatapathKind::SrlrLowSwing,
         "full" => DatapathKind::FullSwingRepeated,
@@ -684,21 +671,16 @@ pub fn noc(rest: &[String]) -> Result<String, CliError> {
     let config = NocConfig::paper_default()
         .with_size(cols, rows)
         .with_datapath(datapath);
-    let mut net = Network::new(config);
-    if tel.wants_collector() {
-        net.enable_flit_telemetry();
-    }
-    let mut obs = tel.obs("cycle", "noc", cycles);
-    let stats = net.run_warmup_and_measure_profiled(
+    let mut obs = tel.obs("cycles", "noc", cycles);
+    let stats = Network::new(config).run_warmup_and_measure(
         Pattern::UniformRandom,
         load,
         cycles / 4,
         cycles,
-        &mut obs.profiler,
+        &mut obs,
     );
     let model = PowerModel::for_datapath(&tech, config.flit_bits, datapath);
     let power = model.report(&stats.energy, cycles, config.clock, config.mesh().len());
-    let collector = net.take_flit_telemetry().unwrap_or_default();
     let mut report = RunReport::new("noc");
     report.param("cols", Value::U64(u64::from(cols)));
     report.param("rows", Value::U64(u64::from(rows)));
@@ -717,12 +699,21 @@ pub fn noc(rest: &[String]) -> Result<String, CliError> {
     for (name, value) in stats.latency_histogram.summary().metric_fields("latency") {
         report.metric(&name, value);
     }
-    report.absorb_collector(&collector);
-    tel.write(&collector, &report)?;
-    tel.write_profile(&obs.profiler)?;
+    tel.finish(&obs, report)?;
     Ok(format!(
         "{cols}x{rows} mesh, {datapath}, load {load}\ntraffic: {stats}\npower:   {power}\n"
     ))
+}
+
+/// Rejects a one-node mesh: uniform random traffic has no destination
+/// other than its source there.
+fn check_mesh_nodes(cols: u16, rows: u16) -> Result<(), CliError> {
+    if u32::from(cols) * u32::from(rows) < 2 {
+        return Err(CliError::Usage(
+            "the mesh needs at least two nodes for random traffic".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Parses a comma-separated list of numbers (`"0,1e-5,1e-3"`).
@@ -744,7 +735,7 @@ fn parse_list(name: &str, raw: &str) -> Result<Vec<f64>, CliError> {
 pub fn noc_faults(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse_with_switches(
         rest,
-        &[
+        &with_telemetry_flags(&[
             "cols",
             "rows",
             "load",
@@ -755,11 +746,7 @@ pub fn noc_faults(rest: &[String]) -> Result<String, CliError> {
             "bits",
             "max-retries",
             "threads",
-            "trace-out",
-            "metrics-out",
-            "events-out",
-            "profile-out",
-        ],
+        ]),
         &["progress"],
     )?;
     let tel = TelemetryOpts::from_flags(&flags);
@@ -776,6 +763,7 @@ pub fn noc_faults(rest: &[String]) -> Result<String, CliError> {
             "need positive size/cycles and load in [0, 1]".into(),
         ));
     }
+    check_mesh_nodes(cols, rows)?;
     if flags.get_str("bers").is_some() && flags.get_str("swings").is_some() {
         return Err(CliError::Usage(
             "--bers and --swings are mutually exclusive".into(),
@@ -906,9 +894,7 @@ pub fn noc_faults(rest: &[String]) -> Result<String, CliError> {
             Value::U64(point.stats.packets_dropped),
         );
     }
-    report.absorb_collector(&obs.collector);
-    tel.write(&obs.collector, &report)?;
-    tel.write_profile(&obs.profiler)?;
+    tel.finish(&obs, report)?;
     Ok(out)
 }
 
@@ -1246,6 +1232,7 @@ pub(crate) fn router_report(cols: u16, rows: u16) -> String {
             load,
             warmup,
             measured,
+            &mut Obs::none(),
         );
         let model = PowerModel::for_datapath(&tech, config.flit_bits, datapath);
         let power = model.report(&stats.energy, measured, config.clock, config.mesh().len());
@@ -1299,8 +1286,13 @@ pub(crate) fn router_report(cols: u16, rows: u16) -> String {
     let config = base.with_packet_len(1);
     let model = PowerModel::for_datapath(&tech, config.flit_bits, DatapathKind::SrlrLowSwing);
     let nodes = config.mesh().len();
-    let vc_stats =
-        Network::new(config).run_warmup_and_measure(Pattern::UniformRandom, 0.10, warmup, measured);
+    let vc_stats = Network::new(config).run_warmup_and_measure(
+        Pattern::UniformRandom,
+        0.10,
+        warmup,
+        measured,
+        &mut Obs::none(),
+    );
     let vc_power = model.report(&vc_stats.energy, measured, config.clock, nodes);
     let mut deflection = DeflectionNetwork::new(config);
     let dfl_stats =
@@ -1481,7 +1473,7 @@ pub(crate) fn latency_table(cols: u16, rows: u16) -> String {
         ]
         .map(|pattern| {
             let mut net = Network::new(NocConfig::paper_default().with_size(cols, rows));
-            let stats = net.run_warmup_and_measure(pattern, load, 500, 1500);
+            let stats = net.run_warmup_and_measure(pattern, load, 500, 1500, &mut Obs::none());
             if stats.packets_received > 0 {
                 format!("{:>13.1} cyc", stats.avg_latency_cycles())
             } else {
@@ -1521,7 +1513,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
 
     let flags = Flags::parse(
         rest,
-        &[
+        &with_telemetry_flags(&[
             "cols",
             "rows",
             "ber",
@@ -1529,11 +1521,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
             "packet-len",
             "variant",
             "format",
-            "trace-out",
-            "metrics-out",
-            "events-out",
-            "profile-out",
-        ],
+        ]),
     )?;
     let tel = TelemetryOpts::from_flags(&flags);
     let cols: u16 = flags.get_or("cols", 2)?;
@@ -1597,11 +1585,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
             FaultConfig::new(ber).with_max_retries(budget),
         )
         .with_variant(variant);
-        let report = srlr_model::verify_profiled(&config, &mut obs.profiler);
-        for violation in report.violations() {
-            violation.emit(&mut obs.collector);
-        }
-        obs.progress.tick();
+        let report = srlr_model::verify_observed(&config, &mut obs);
         reports.push((budget, closed_form_delivery(&config), report));
     }
     let total_violations: usize = reports.iter().map(|(_, _, r)| r.violations().count()).sum();
@@ -1632,9 +1616,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
         run_report.section_metric(&section, "no_overtaking", Value::Bool(report.no_overtaking));
         run_report.section_metric(&section, "terminates", Value::Bool(report.terminates));
     }
-    run_report.absorb_collector(&obs.collector);
-    tel.write(&obs.collector, &run_report)?;
-    tel.write_profile(&obs.profiler)?;
+    tel.finish(&obs, run_report)?;
 
     let routes = reports.first().map_or(0, |(_, _, r)| r.pairs.len());
     let out = match format {

@@ -100,3 +100,28 @@ fn non_finite_and_too_short_inputs_exit_2_without_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn one_node_meshes_exit_2_instead_of_hanging() {
+    // Uniform random traffic has no destination other than the source
+    // on a one-node mesh; the generator once looked for one forever.
+    for command in ["noc", "noc-faults"] {
+        let out = run(&[command, "--cols", "1", "--rows", "1", "--cycles", "20"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("two nodes"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn ber_rates_past_the_launch_pulse_exit_2() {
+    // A bit period shorter than the modulator's 120 ps launch pulse is
+    // outside the stage map's domain, where it once read error-free.
+    for gbps in ["400", "1e300"] {
+        let out = run(&["ber", "--gbps", gbps, "--bits", "2000"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--gbps {gbps}: {stderr}");
+        assert!(stderr.contains("launch pulse"), "--gbps {gbps}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--gbps {gbps}: {stderr}");
+    }
+}

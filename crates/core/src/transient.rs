@@ -271,49 +271,16 @@ impl SrlrTransientFixture {
         Transient::new(&self.net).run_from(duration, &self.initial)
     }
 
-    /// Runs the transient for `duration` and returns the Fig. 4 waveform
-    /// set, recording the integrator's step-control statistics (step
-    /// count, dv-target misses, stiffness caps, min/max dt, per-element
-    /// eval counts) as `transient.*` metrics on `collector`. Free when
-    /// the collector is disabled; the waveforms are bit-identical either
-    /// way.
-    pub fn simulate_observed(
-        &self,
-        duration: TimeInterval,
-        collector: &mut srlr_telemetry::Collector,
-    ) -> Fig4Waveforms {
-        let result = Transient::new(&self.net).run_from(duration, &self.initial);
-        result.stats().record_metrics(collector, "transient");
-        if collector.is_enabled() {
-            collector.set_metric(
-                "transient.nodes",
-                srlr_telemetry::Value::U64(self.net.node_count() as u64),
-            );
-            collector.set_metric(
-                "transient.elements",
-                srlr_telemetry::Value::U64(self.net.element_count() as u64),
-            );
-        }
-        Fig4Waveforms {
-            input: result.waveform(self.input),
-            node_x: result.waveform(self.node_x),
-            output: result.waveform(self.output),
-            next_input: result.waveform(self.next_input),
-        }
-    }
-
-    /// Convenience: the paper's Fig. 4 setup — the proposed design at the
-    /// typical corner, a `1, 0, 1` pattern at 4.1 Gb/s.
-    pub fn fig4(tech: &Technology) -> Fig4Waveforms {
-        Self::fig4_observed(tech, &mut srlr_telemetry::Collector::disabled())
-    }
-
-    /// [`SrlrTransientFixture::fig4`] with integrator telemetry recorded
-    /// on `collector` (see [`SrlrTransientFixture::simulate_observed`]).
-    pub fn fig4_observed(
-        tech: &Technology,
-        collector: &mut srlr_telemetry::Collector,
-    ) -> Fig4Waveforms {
+    /// The paper's Fig. 4 setup — the proposed design at the typical
+    /// corner, a `1, 0, 1` pattern at 4.1 Gb/s — simulated for 3.5 bit
+    /// periods.
+    ///
+    /// The run is one `waveforms.transient` frame on `obs.profiler`, and
+    /// the integrator's step-control statistics (step count, dv-target
+    /// misses, stiffness caps, min/max dt, per-element eval counts) land
+    /// as `transient.*` metrics on `obs.collector`. Disabled hooks cost
+    /// one branch each; the waveforms are bit-identical either way.
+    pub fn fig4(tech: &Technology, obs: &mut srlr_telemetry::Obs) -> Fig4Waveforms {
         let design = SrlrDesign::paper_proposed(tech);
         let bit_period = TimeInterval::from_picoseconds(244.0);
         let fixture = Self::build(
@@ -323,7 +290,27 @@ impl SrlrTransientFixture {
             &[true, false, true],
             bit_period,
         );
-        fixture.simulate_observed(TimeInterval::from_picoseconds(244.0 * 3.5), collector)
+        obs.profiler.enter("waveforms.transient");
+        let result = fixture.simulate_raw(TimeInterval::from_picoseconds(244.0 * 3.5));
+        obs.profiler.exit();
+        let collector = &mut obs.collector;
+        result.stats().record_metrics(collector, "transient");
+        if collector.is_enabled() {
+            collector.set_metric(
+                "transient.nodes",
+                srlr_telemetry::Value::U64(fixture.net.node_count() as u64),
+            );
+            collector.set_metric(
+                "transient.elements",
+                srlr_telemetry::Value::U64(fixture.net.element_count() as u64),
+            );
+        }
+        Fig4Waveforms {
+            input: result.waveform(fixture.input),
+            node_x: result.waveform(fixture.node_x),
+            output: result.waveform(fixture.output),
+            next_input: result.waveform(fixture.next_input),
+        }
     }
 }
 
@@ -332,7 +319,7 @@ mod tests {
     use super::*;
 
     fn waves() -> Fig4Waveforms {
-        SrlrTransientFixture::fig4(&Technology::soi45())
+        SrlrTransientFixture::fig4(&Technology::soi45(), &mut srlr_telemetry::Obs::none())
     }
 
     #[test]
@@ -401,9 +388,13 @@ mod tests {
 
     #[test]
     fn observed_simulation_records_integrator_metrics() {
-        use srlr_telemetry::{Collector, Value};
-        let mut c = Collector::enabled("sim");
-        let observed = SrlrTransientFixture::fig4_observed(&Technology::soi45(), &mut c);
+        use srlr_telemetry::{Collector, Obs, Value};
+        let mut obs = Obs {
+            collector: Collector::enabled("sim"),
+            ..Obs::none()
+        };
+        let observed = SrlrTransientFixture::fig4(&Technology::soi45(), &mut obs);
+        let c = &obs.collector;
         let steps = match c.metrics().get("transient.steps") {
             Some(&Value::U64(n)) => n,
             other => panic!("missing transient.steps metric: {other:?}"),

@@ -39,34 +39,11 @@ impl BathtubPoint {
 }
 
 /// Sweeps data rate with per-stage width jitter, accumulating errors over
-/// `seeds` independent noise streams of `bits_per_seed` PRBS bits each.
-///
-/// # Panics
-///
-/// Panics if any count is zero or the jitter is negative.
-pub fn rate_bathtub(
-    tech: &Technology,
-    design: &SrlrDesign,
-    rates: &[DataRate],
-    jitter_sigma: TimeInterval,
-    bits_per_seed: usize,
-    seeds: u64,
-) -> Vec<BathtubPoint> {
-    rate_bathtub_with_threads(
-        tech,
-        design,
-        rates,
-        jitter_sigma,
-        bits_per_seed,
-        seeds,
-        None,
-    )
-}
-
-/// [`rate_bathtub`] with an explicit worker-thread count (`None` defers
-/// to `SRLR_THREADS` / the machine). Every `(rate, seed)` pair is an
-/// independent jittered transmission, so the sweep is flattened into one
-/// parallel workload; the curve is identical at every thread count.
+/// `seeds` independent noise streams of `bits_per_seed` PRBS bits each,
+/// with `threads` workers (`None` defers to `SRLR_THREADS` / the
+/// machine). Every `(rate, seed)` pair is an independent jittered
+/// transmission, so the sweep is flattened into one parallel workload;
+/// the curve is identical at every thread count.
 ///
 /// # Panics
 ///
@@ -211,13 +188,14 @@ mod tests {
             .iter()
             .map(|&g| DataRate::from_gigabits_per_second(g))
             .collect();
-        rate_bathtub(
+        rate_bathtub_with_threads(
             &tech,
             &design,
             &rates,
             TimeInterval::from_picoseconds(3.0),
             500,
             6,
+            None,
         )
     }
 
@@ -320,6 +298,6 @@ mod tests {
     fn empty_rates_rejected() {
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
-        let _ = rate_bathtub(&tech, &design, &[], TimeInterval::zero(), 10, 1);
+        let _ = rate_bathtub_with_threads(&tech, &design, &[], TimeInterval::zero(), 10, 1, None);
     }
 }

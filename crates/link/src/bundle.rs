@@ -21,32 +21,17 @@ pub struct LinkBundle {
 }
 
 impl LinkBundle {
-    /// Builds a `width`-lane bundle on one die: every lane shares the
-    /// die's global variation and draws independent local mismatch.
+    /// Builds a `width`-lane bundle on one die with `threads` workers
+    /// (`None` defers to `SRLR_THREADS` / the machine): every lane
+    /// shares the die's global variation and draws independent local
+    /// mismatch. Lane `k` draws its mismatch from the counter-based
+    /// stream `k` of the bundle seed, so the elaborated bundle is
+    /// identical at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero.
     pub fn on_die(
-        tech: &Technology,
-        design: &SrlrDesign,
-        config: LinkConfig,
-        var: &GlobalVariation,
-        width: usize,
-        seed: u64,
-    ) -> Self {
-        Self::on_die_with_threads(tech, design, config, var, width, seed, None)
-    }
-
-    /// [`LinkBundle::on_die`] with an explicit worker-thread count
-    /// (`None` defers to `SRLR_THREADS` / the machine). Lane `k` draws
-    /// its mismatch from the counter-based stream `k` of the bundle seed,
-    /// so the elaborated bundle is identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn on_die_with_threads(
         tech: &Technology,
         design: &SrlrDesign,
         config: LinkConfig,
@@ -78,6 +63,7 @@ impl LinkBundle {
             &GlobalVariation::nominal(),
             64,
             seed,
+            None,
         )
     }
 
@@ -182,6 +168,7 @@ mod tests {
             &GlobalVariation::nominal(),
             8,
             1,
+            None,
         )
     }
 
@@ -228,6 +215,7 @@ mod tests {
             &GlobalVariation::nominal(),
             64,
             7,
+            None,
         );
         assert!(
             boosted.clean_lane_count() >= stock_clean,
@@ -251,6 +239,7 @@ mod tests {
                 &GlobalVariation::nominal(),
                 w,
                 3,
+                None,
             )
         };
         let p8 = build(8).total_power();
@@ -265,7 +254,7 @@ mod tests {
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
         let build = |threads| {
-            LinkBundle::on_die_with_threads(
+            LinkBundle::on_die(
                 &tech,
                 &design,
                 LinkConfig::paper_default(),
@@ -307,6 +296,7 @@ mod tests {
             &GlobalVariation::nominal(),
             0,
             1,
+            None,
         );
     }
 }

@@ -25,31 +25,16 @@ pub struct ShmooPlot {
 }
 
 impl ShmooPlot {
-    /// Characterises `design` over the given axes on one die.
+    /// Characterises `design` over the given axes on one die, with
+    /// `threads` workers (`None` defers to `SRLR_THREADS` / the
+    /// machine). Cells are independent design points, so the map is
+    /// evaluated as one flat parallel workload; the result is identical
+    /// at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if either axis is empty.
     pub fn measure(
-        tech: &Technology,
-        design: &SrlrDesign,
-        var: &GlobalVariation,
-        swings: Vec<Voltage>,
-        rates: Vec<DataRate>,
-        prbs_bits: usize,
-    ) -> Self {
-        Self::measure_with_threads(tech, design, var, swings, rates, prbs_bits, None)
-    }
-
-    /// [`ShmooPlot::measure`] with an explicit worker-thread count
-    /// (`None` defers to `SRLR_THREADS` / the machine). Cells are
-    /// independent design points, so the map is evaluated as one flat
-    /// parallel workload; the result is identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty.
-    pub fn measure_with_threads(
         tech: &Technology,
         design: &SrlrDesign,
         var: &GlobalVariation,
@@ -170,18 +155,9 @@ impl ShmooPlot {
 }
 
 /// The paper design's default shmoo axes: swings 250–600 mV, rates
-/// 1–8 Gb/s.
-pub fn paper_shmoo(tech: &Technology, prbs_bits: usize) -> ShmooPlot {
-    paper_shmoo_with_threads(tech, prbs_bits, None)
-}
-
-/// [`paper_shmoo`] with an explicit worker-thread count (`None` defers
-/// to `SRLR_THREADS` / the machine).
-pub fn paper_shmoo_with_threads(
-    tech: &Technology,
-    prbs_bits: usize,
-    threads: Option<usize>,
-) -> ShmooPlot {
+/// 1–8 Gb/s, with `threads` workers (`None` defers to `SRLR_THREADS` /
+/// the machine).
+pub fn paper_shmoo(tech: &Technology, prbs_bits: usize, threads: Option<usize>) -> ShmooPlot {
     let design = SrlrDesign::paper_proposed(tech);
     let swings: Vec<Voltage> = (5..=12)
         .map(|i| Voltage::from_millivolts(f64::from(i) * 50.0))
@@ -189,7 +165,7 @@ pub fn paper_shmoo_with_threads(
     let rates: Vec<DataRate> = (2..=16)
         .map(|i| DataRate::from_gigabits_per_second(f64::from(i) * 0.5))
         .collect();
-    ShmooPlot::measure_with_threads(
+    ShmooPlot::measure(
         tech,
         &design,
         &GlobalVariation::nominal(),
@@ -205,7 +181,7 @@ mod tests {
     use super::*;
 
     fn plot() -> ShmooPlot {
-        paper_shmoo(&Technology::soi45(), 256)
+        paper_shmoo(&Technology::soi45(), 256, None)
     }
 
     #[test]
@@ -268,11 +244,11 @@ mod tests {
     #[test]
     fn parallel_shmoo_matches_serial() {
         let tech = Technology::soi45();
-        let serial = paper_shmoo_with_threads(&tech, 128, Some(1));
+        let serial = paper_shmoo(&tech, 128, Some(1));
         for threads in [2usize, 8] {
             assert_eq!(
                 serial,
-                paper_shmoo_with_threads(&tech, 128, Some(threads)),
+                paper_shmoo(&tech, 128, Some(threads)),
                 "threads={threads} diverged from the serial shmoo"
             );
         }
@@ -286,7 +262,7 @@ mod tests {
         let design = SrlrDesign::paper_proposed(&tech);
         let var = GlobalVariation::nominal();
         let prbs_bits = 64;
-        let p = paper_shmoo(&tech, prbs_bits);
+        let p = paper_shmoo(&tech, prbs_bits, None);
         let mut stress: Vec<Vec<bool>> = vec![
             [true, false].repeat(32),
             [true, true, true, true, false].repeat(13),
@@ -328,6 +304,7 @@ mod tests {
             vec![],
             vec![DataRate::from_gigabits_per_second(4.0)],
             64,
+            None,
         );
     }
 }

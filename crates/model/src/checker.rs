@@ -468,7 +468,7 @@ impl Violation {
     /// Emits the counterexample as telemetry events: one
     /// `model.violation` header followed by one `model.crossing` per
     /// trace step (timestamped by step index).
-    pub fn emit(&self, collector: &mut Collector) {
+    fn emit(&self, collector: &mut Collector) {
         collector.event(
             "model.violation",
             0.0,
@@ -1012,18 +1012,22 @@ impl VerifyReport {
 
 /// Checks every ordered (src, dst) route of the configured mesh.
 pub fn verify(config: &ModelConfig) -> VerifyReport {
-    verify_profiled(config, &mut srlr_telemetry::Profiler::disabled())
+    verify_observed(config, &mut srlr_telemetry::Obs::none())
 }
 
-/// [`verify`] with profiling: one `model.verify` frame whose
-/// `model.bfs` / `model.dtmc` children aggregate the exploration and
-/// solve phases over every route length. A disabled profiler costs
-/// one branch per frame; this *is* the unprofiled path.
+/// [`verify`] with observability: one `model.verify` frame on
+/// `obs.profiler` whose `model.bfs` / `model.dtmc` children aggregate
+/// the exploration and solve phases over every route length; every
+/// counterexample recorded on `obs.collector` as one `model.violation`
+/// event followed by one `model.crossing` event per trace step
+/// (timestamped by step index); and one `obs.progress` tick. Disabled
+/// hooks cost one branch each; this *is* the unobserved path.
 ///
 /// Each distinct route length is explored once, in order of first
 /// appearance, and its verdict is labelled onto every ordered pair of
 /// that length (see the module docs for why this is exact).
-pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler) -> VerifyReport {
+pub fn verify_observed(config: &ModelConfig, obs: &mut srlr_telemetry::Obs) -> VerifyReport {
+    let prof = &mut obs.profiler;
     let mesh = config.mesh;
     let mut routes: Vec<RouteVerdict> = Vec::new();
     let mut pairs = Vec::new();
@@ -1055,7 +1059,7 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
     } else {
         pairs.iter().map(|p| p.deliver_probability).sum::<f64>() / pairs.len() as f64
     };
-    VerifyReport {
+    let report = VerifyReport {
         config: config.clone(),
         deadlock_free: pairs.iter().all(|p| p.deadlock_free),
         no_overtaking: pairs.iter().all(|p| p.no_overtaking),
@@ -1064,7 +1068,12 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
         total_transitions,
         deliver_probability,
         pairs,
+    };
+    for violation in report.violations() {
+        violation.emit(&mut obs.collector);
     }
+    obs.progress.tick();
+    report
 }
 
 /// The closed-form delivery probability the DTMC must reproduce: each
@@ -1133,11 +1142,14 @@ mod tests {
 
     #[test]
     fn profiled_verify_matches_unprofiled_and_frames_the_phases() {
-        use srlr_telemetry::{Clock, Profiler};
+        use srlr_telemetry::{Clock, Obs, Profiler};
         let config = cfg(0.01, 2);
         let plain = verify(&config);
-        let mut prof = Profiler::enabled(Clock::tick(1.0));
-        let profiled = verify_profiled(&config, &mut prof);
+        let mut obs = Obs {
+            profiler: Profiler::enabled(Clock::tick(1.0)),
+            ..Obs::none()
+        };
+        let profiled = verify_observed(&config, &mut obs);
         assert_eq!(plain.total_states, profiled.total_states);
         assert_eq!(plain.total_transitions, profiled.total_transitions);
         assert_eq!(
@@ -1145,7 +1157,7 @@ mod tests {
             profiled.deliver_probability.to_bits(),
             "profiling must not perturb the solve"
         );
-        let profile = prof.snapshot();
+        let profile = obs.profiler.snapshot();
         let node = |name: &str| {
             profile
                 .nodes
@@ -1163,14 +1175,39 @@ mod tests {
         assert_eq!(node("model.bfs").parent, node("model.dtmc").parent);
 
         let three = ModelConfig::new(Mesh::new(3, 3), 2, FaultConfig::new(0.01));
-        let mut prof = Profiler::enabled(Clock::tick(1.0));
-        let report = verify_profiled(&three, &mut prof);
+        let mut obs = Obs {
+            profiler: Profiler::enabled(Clock::tick(1.0)),
+            ..Obs::none()
+        };
+        let report = verify_observed(&three, &mut obs);
         assert_eq!(report.pairs.len(), 72);
-        let profile = prof.snapshot();
+        let profile = obs.profiler.snapshot();
         for name in ["model.bfs", "model.dtmc"] {
             let frame = profile.nodes.iter().find(|n| n.name == name);
             assert_eq!(frame.map(|n| n.count), Some(4), "{name} on the 3x3 mesh");
         }
+    }
+
+    #[test]
+    fn observed_verify_records_each_counterexample() {
+        use srlr_telemetry::{Collector, Obs};
+        let observe = |variant: Variant| {
+            let mut obs = Obs {
+                collector: Collector::enabled("counterexample-step"),
+                ..Obs::none()
+            };
+            let report = verify_observed(&cfg(1e-3, 1).with_variant(variant), &mut obs);
+            (report, obs.collector)
+        };
+        let (report, collector) = observe(Variant::IgnoreBusyWatermark);
+        let count = |name: &str| collector.events().iter().filter(|e| e.name == name).count();
+        assert!(report.violations().count() > 0, "the broken variant fails");
+        assert_eq!(count("model.violation"), report.violations().count());
+        let steps: usize = report.violations().map(|v| v.trace.len()).sum();
+        assert_eq!(count("model.crossing"), steps);
+        let (report, collector) = observe(Variant::Correct);
+        assert!(report.all_proven());
+        assert!(collector.events().is_empty(), "a proof records nothing");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!
 //! Failures are not booleans: a violated obligation carries a
 //! replayable counterexample trace ([`Violation`]) that can be
-//! re-executed step by step ([`replay_choices`]) and emitted through
-//! `srlr-telemetry` for SARIF reporting in the CLI.
+//! re-executed step by step ([`replay_choices`]); [`verify_observed`]
+//! records each one as `srlr-telemetry` events, and the CLI renders
+//! them as text, JSON or SARIF.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +38,7 @@ pub mod dtmc;
 
 pub use checker::{
     check_pair, closed_form_delivery, crossing_outcomes, replay, replay_choices, verify,
-    verify_profiled, CrossingOutcome, ModelConfig, PairResult, Replayed, TraceStep, Variant,
+    verify_observed, CrossingOutcome, ModelConfig, PairResult, Replayed, TraceStep, Variant,
     VerifyReport, Violation, ViolationKind,
 };
 pub use dtmc::{Solution, SparseSystem};

@@ -452,13 +452,16 @@ pub fn ber_sweep_observed(
     let (progress, profiler) = (&obs.progress, &obs.profiler);
     let observed = srlr_parallel::par_map_indexed(bers.len(), workers, |i| {
         let ber = bers[i];
-        let mut prof = profiler.child();
-        prof.enter("noc.point");
+        let mut point_obs = srlr_telemetry::Obs {
+            profiler: profiler.child(),
+            ..srlr_telemetry::Obs::none()
+        };
+        point_obs.profiler.enter("noc.point");
         let mut net = crate::Network::new(base.with_faults(FaultConfig { ber, ..template }));
-        let stats = net.run_warmup_and_measure_profiled(pattern, load, warmup, measure, &mut prof);
-        prof.exit();
+        let stats = net.run_warmup_and_measure(pattern, load, warmup, measure, &mut point_obs);
+        point_obs.profiler.exit();
         progress.tick();
-        (FaultSweepPoint { ber, stats }, prof)
+        (FaultSweepPoint { ber, stats }, point_obs.profiler)
     });
     let mut points = Vec::with_capacity(observed.len());
     for (point, prof) in observed {

@@ -35,10 +35,11 @@
 //!
 //! ```
 //! use srlr_noc::{NocConfig, Network, traffic::Pattern};
+//! use srlr_telemetry::Obs;
 //!
 //! let config = NocConfig::paper_default().with_size(4, 4);
 //! let mut net = Network::new(config);
-//! let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 500, 1500);
+//! let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 500, 1500, &mut Obs::none());
 //! assert!(stats.packets_received > 0);
 //! assert!(stats.avg_latency_cycles() < 100.0);
 //! ```

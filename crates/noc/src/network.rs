@@ -264,8 +264,13 @@ impl Network {
     /// per-directed-link flit tallies. Costs memory proportional to
     /// traffic; intended for validation, debugging and `--events-out`.
     pub fn enable_flit_telemetry(&mut self) {
+        self.start_flit_telemetry(Collector::enabled("cycles"));
+    }
+
+    /// Starts the flit-lifecycle tracer recording into `collector`.
+    fn start_flit_telemetry(&mut self, collector: Collector) {
         self.telemetry = Some(Box::new(FlitTelemetry {
-            collector: Collector::enabled("cycles"),
+            collector,
             link_flits: vec![0; self.mesh.len() * Direction::MESH.len()],
             window: WindowTally {
                 start: self.cycle,
@@ -673,6 +678,13 @@ impl Network {
     /// Runs `warmup` cycles of traffic, then measures for `measure`
     /// cycles, returning the window statistics.
     ///
+    /// The warmup and measurement windows land as `noc.warmup` /
+    /// `noc.measure` frames on `obs.profiler`. An enabled `obs.collector`
+    /// records the flit-lifecycle trace of both windows (see
+    /// [`Self::enable_flit_telemetry`]) unless the tracer is already on,
+    /// in which case the caller keeps it. Disabled hooks cost one branch
+    /// each; the statistics are bit-identical either way.
+    ///
     /// # Panics
     ///
     /// Panics if `measure` is zero.
@@ -682,31 +694,7 @@ impl Network {
         injection_rate: f64,
         warmup: u64,
         measure: u64,
-    ) -> NetworkStats {
-        self.run_warmup_and_measure_profiled(
-            pattern,
-            injection_rate,
-            warmup,
-            measure,
-            &mut srlr_telemetry::Profiler::disabled(),
-        )
-    }
-
-    /// [`Self::run_warmup_and_measure`] with profiling: the warmup and
-    /// measurement windows land as `noc.warmup` / `noc.measure` frames
-    /// in `prof`. A disabled profiler costs one branch per frame and
-    /// this *is* the unprofiled path — same code, same result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measure` is zero.
-    pub fn run_warmup_and_measure_profiled(
-        &mut self,
-        pattern: Pattern,
-        injection_rate: f64,
-        warmup: u64,
-        measure: u64,
-        prof: &mut srlr_telemetry::Profiler,
+        obs: &mut srlr_telemetry::Obs,
     ) -> NetworkStats {
         assert!(measure > 0, "measurement window must be non-empty");
         let mut gen = TrafficGenerator::new(
@@ -716,6 +704,11 @@ impl Network {
             self.config.packet_len,
             self.config.seed,
         );
+        let trace = obs.collector.is_enabled() && self.telemetry.is_none();
+        if trace {
+            self.start_flit_telemetry(std::mem::take(&mut obs.collector));
+        }
+        let prof = &mut obs.profiler;
         prof.enter("noc.warmup");
         for _ in 0..warmup {
             self.inject_from(&mut gen);
@@ -742,6 +735,11 @@ impl Network {
         stats.energy = self.counters.delta(&counters_before);
         if let (Some(fault), Some(before)) = (self.fault.as_ref(), faults_before) {
             stats.faults = fault.tally().diff(&before);
+        }
+        if trace {
+            if let Some(collector) = self.take_flit_telemetry() {
+                obs.collector = collector;
+            }
         }
         stats
     }
@@ -808,6 +806,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::packet::PacketId;
+    use srlr_telemetry::Obs;
 
     fn small_config() -> NocConfig {
         NocConfig::paper_default().with_size(4, 4)
@@ -857,7 +856,8 @@ mod tests {
     #[test]
     fn uniform_traffic_flows_at_low_load() {
         let mut net = Network::new(small_config());
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 300, 1000);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 300, 1000, &mut Obs::none());
         assert!(stats.packets_received > 50, "{stats}");
         let avg = stats.avg_latency_cycles();
         assert!(avg > 5.0 && avg < 60.0, "avg latency {avg}");
@@ -867,7 +867,7 @@ mod tests {
     fn latency_rises_with_load() {
         let lat = |rate: f64| {
             let mut net = Network::new(small_config());
-            net.run_warmup_and_measure(Pattern::UniformRandom, rate, 300, 1500)
+            net.run_warmup_and_measure(Pattern::UniformRandom, rate, 300, 1500, &mut Obs::none())
                 .avg_latency_cycles()
         };
         let low = lat(0.02);
@@ -879,7 +879,8 @@ mod tests {
     fn throughput_tracks_offered_load_below_saturation() {
         let mut net = Network::new(small_config());
         let rate = 0.04;
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, rate, 500, 2000);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, rate, 500, 2000, &mut Obs::none());
         let offered_flits = rate * 5.0;
         let accepted = stats.throughput_flits_per_node_cycle();
         assert!(
@@ -892,7 +893,7 @@ mod tests {
     fn neighbor_traffic_has_lower_latency_than_uniform() {
         let run = |pattern| {
             let mut net = Network::new(small_config());
-            net.run_warmup_and_measure(pattern, 0.05, 300, 1500)
+            net.run_warmup_and_measure(pattern, 0.05, 300, 1500, &mut Obs::none())
                 .avg_latency_cycles()
         };
         assert!(run(Pattern::Neighbor) < run(Pattern::UniformRandom));
@@ -943,7 +944,13 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let mut net = Network::new(small_config().with_seed(9));
-            let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 200, 800);
+            let stats = net.run_warmup_and_measure(
+                Pattern::UniformRandom,
+                0.08,
+                200,
+                800,
+                &mut Obs::none(),
+            );
             (stats.packets_received, stats.latency_sum)
         };
         assert_eq!(run(), run());
@@ -977,7 +984,13 @@ mod tests {
     fn zero_ber_fault_model_is_transparent() {
         let run = |config: NocConfig| {
             let mut net = Network::new(config);
-            let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 200, 800);
+            let stats = net.run_warmup_and_measure(
+                Pattern::UniformRandom,
+                0.08,
+                200,
+                800,
+                &mut Obs::none(),
+            );
             (
                 stats.packets_received,
                 stats.latency_sum,
@@ -993,7 +1006,8 @@ mod tests {
     #[test]
     fn faulty_links_retry_and_recover() {
         let mut net = Network::new(small_config().with_ber(2e-3));
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 300, 2000);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 300, 2000, &mut Obs::none());
         assert!(stats.faults.flits_corrupted > 0, "{:?}", stats.faults);
         assert!(stats.energy.retry_hops > 0);
         assert!(stats.energy.nacks >= stats.energy.retry_hops);
@@ -1007,7 +1021,8 @@ mod tests {
         // 2 % BER corrupts ~80 % of 80-bit words; with the default 4
         // retries plenty of flits exhaust their budget.
         let mut net = Network::new(small_config().with_ber(0.02));
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000, &mut Obs::none());
         assert!(stats.packets_dropped > 0, "{stats}");
         assert!(stats.delivered_fraction() < 1.0);
         assert!(stats.faults.retries_exhausted >= stats.packets_dropped);
@@ -1069,7 +1084,13 @@ mod tests {
             if trace {
                 net.enable_flit_telemetry();
             }
-            let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 200, 800);
+            let stats = net.run_warmup_and_measure(
+                Pattern::UniformRandom,
+                0.08,
+                200,
+                800,
+                &mut Obs::none(),
+            );
             (stats.packets_received, stats.latency_sum, stats.energy)
         };
         assert_eq!(run(false), run(true));
@@ -1079,7 +1100,8 @@ mod tests {
     fn flit_telemetry_records_faults_and_drops() {
         let mut net = Network::new(small_config().with_ber(0.02));
         net.enable_flit_telemetry();
-        let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000);
+        let _ =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000, &mut Obs::none());
         let dropped = net.packets_dropped();
         assert!(dropped > 0, "2 % BER must drop packets");
         let tel = net.take_flit_telemetry().expect("enabled");
@@ -1097,7 +1119,8 @@ mod tests {
     fn flit_telemetry_samples_queues_and_link_utilization() {
         let mut net = Network::new(small_config().with_seed(7));
         net.enable_flit_telemetry();
-        let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.10, 200, 800);
+        let _ =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.10, 200, 800, &mut Obs::none());
         let cycles = net.cycle();
         let tel = net.take_flit_telemetry().expect("enabled");
         // One queue/occupancy sample per simulated cycle.
@@ -1132,7 +1155,8 @@ mod tests {
     fn retry_window_events_tally_the_fault_totals() {
         let mut net = Network::new(small_config().with_ber(0.02));
         net.enable_flit_telemetry();
-        let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000);
+        let _ =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.03, 300, 2000, &mut Obs::none());
         let tel = net.take_flit_telemetry().expect("enabled");
         let windows: Vec<_> = tel
             .events()
@@ -1168,7 +1192,8 @@ mod tests {
     fn fault_free_runs_emit_no_window_events() {
         let mut net = Network::new(small_config());
         net.enable_flit_telemetry();
-        let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 100, 400);
+        let _ =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 100, 400, &mut Obs::none());
         let tel = net.take_flit_telemetry().expect("enabled");
         assert!(
             tel.events().iter().all(|e| e.name != "flit.window"),
@@ -1181,19 +1206,13 @@ mod tests {
         use srlr_telemetry::{Clock, Profiler};
         let run = |profile: bool| {
             let mut net = Network::new(small_config().with_seed(3));
-            let mut prof = if profile {
-                Profiler::enabled(Clock::tick(1.0))
-            } else {
-                Profiler::disabled()
-            };
-            let stats = net.run_warmup_and_measure_profiled(
-                Pattern::UniformRandom,
-                0.05,
-                150,
-                600,
-                &mut prof,
-            );
-            (stats, prof.snapshot())
+            let mut obs = Obs::none();
+            if profile {
+                obs.profiler = Profiler::enabled(Clock::tick(1.0));
+            }
+            let stats =
+                net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 150, 600, &mut obs);
+            (stats, obs.profiler.snapshot())
         };
         let (plain, empty) = run(false);
         assert!(empty.nodes.is_empty());
@@ -1204,9 +1223,36 @@ mod tests {
     }
 
     #[test]
+    fn an_enabled_collector_receives_the_flit_trace() {
+        let run = |traced: bool| {
+            let mut net = Network::new(small_config().with_seed(3));
+            let mut obs = Obs::none();
+            if traced {
+                obs.collector = Collector::enabled("cycles");
+            }
+            let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 50, 200, &mut obs);
+            assert!(!net.flit_telemetry_enabled(), "the run stops its tracer");
+            (stats, obs.collector)
+        };
+        let (plain, _) = run(false);
+        let (stats, collector) = run(true);
+        assert_eq!(plain, stats, "tracing must not perturb the run");
+        let mut by_hand = Network::new(small_config().with_seed(3));
+        by_hand.enable_flit_telemetry();
+        let _ =
+            by_hand.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 50, 200, &mut Obs::none());
+        let expected = by_hand.take_flit_telemetry().expect("enabled");
+        assert!(!collector.events().is_empty(), "the run recorded flits");
+        assert_eq!(collector.events(), expected.events());
+        assert_eq!(collector.counters(), expected.counters());
+        assert_eq!(collector.metrics(), expected.metrics());
+    }
+
+    #[test]
     fn counters_accumulate() {
         let mut net = Network::new(small_config());
-        let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 100, 400);
+        let _ =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 100, 400, &mut Obs::none());
         let c = net.counters();
         assert!(c.buffer_writes > 0);
         assert!(c.buffer_reads > 0);
@@ -1222,6 +1268,7 @@ mod tests {
 mod adaptive_tests {
     use super::*;
     use crate::routing::RoutingAlgorithm;
+    use srlr_telemetry::Obs;
 
     fn config(routing: RoutingAlgorithm) -> NocConfig {
         NocConfig::paper_default()
@@ -1232,8 +1279,13 @@ mod adaptive_tests {
     #[test]
     fn west_first_network_delivers_everything() {
         let mut net = Network::new(config(RoutingAlgorithm::WestFirst));
-        let stats =
-            net.run_warmup_and_measure(crate::traffic::Pattern::UniformRandom, 0.08, 300, 1500);
+        let stats = net.run_warmup_and_measure(
+            crate::traffic::Pattern::UniformRandom,
+            0.08,
+            300,
+            1500,
+            &mut Obs::none(),
+        );
         assert!(stats.packets_received > 100, "{stats}");
         assert!(net.drain(20_000), "adaptive mesh must drain (deadlock?)");
     }
@@ -1243,7 +1295,13 @@ mod adaptive_tests {
         // The turn-model guarantee: even past saturation the network must
         // keep making progress and drain completely afterwards.
         let mut net = Network::new(config(RoutingAlgorithm::WestFirst));
-        let stats = net.run_warmup_and_measure(crate::traffic::Pattern::Transpose, 0.30, 500, 1500);
+        let stats = net.run_warmup_and_measure(
+            crate::traffic::Pattern::Transpose,
+            0.30,
+            500,
+            1500,
+            &mut Obs::none(),
+        );
         assert!(stats.packets_received > 100, "{stats}");
         assert!(net.drain(100_000), "deadlock under heavy transpose load");
     }
@@ -1254,8 +1312,14 @@ mod adaptive_tests {
         // over the adaptive quadrant should not do worse.
         let run = |routing| {
             let mut net = Network::new(config(routing));
-            net.run_warmup_and_measure(crate::traffic::Pattern::Transpose, 0.10, 400, 1500)
-                .throughput_flits_per_node_cycle()
+            net.run_warmup_and_measure(
+                crate::traffic::Pattern::Transpose,
+                0.10,
+                400,
+                1500,
+                &mut Obs::none(),
+            )
+            .throughput_flits_per_node_cycle()
         };
         let xy = run(RoutingAlgorithm::Xy);
         let adaptive = run(RoutingAlgorithm::WestFirst);

@@ -52,8 +52,10 @@ impl TrafficGenerator {
     /// # Panics
     ///
     /// Panics if the injection rate is outside `[0, 1]`, the packet
-    /// length is zero, a hotspot fraction is outside `[0, 1]`, or a
-    /// multicast fanout is zero or exceeds the mesh size.
+    /// length is zero, a uniform or hotspot pattern runs on a one-node
+    /// mesh (it has no destination other than the source), a hotspot
+    /// fraction is outside `[0, 1]`, or a multicast fanout is zero or
+    /// exceeds the mesh size.
     pub fn new(
         mesh: Mesh,
         pattern: Pattern,
@@ -66,6 +68,12 @@ impl TrafficGenerator {
             "injection rate must be in [0, 1]"
         );
         assert!(packet_len > 0, "packets need at least one flit");
+        if matches!(pattern, Pattern::UniformRandom | Pattern::Hotspot { .. }) {
+            assert!(
+                mesh.len() >= 2,
+                "random destinations need a mesh of at least two nodes"
+            );
+        }
         match pattern {
             Pattern::Hotspot { fraction, hot } => {
                 assert!(
@@ -324,6 +332,21 @@ mod bimodal_tests {
     fn unimodal_generator_is_unchanged() {
         let mut g = TrafficGenerator::new(Mesh::new(4, 4), Pattern::UniformRandom, 0.5, 5, 3);
         assert!((0..50).all(|_| g.make_packet(Coord::new(0, 0), 0).len_flits == 5));
+    }
+
+    #[test]
+    fn one_node_meshes_reject_random_destinations() {
+        let one = Mesh::new(1, 1);
+        for pattern in [
+            Pattern::UniformRandom,
+            Pattern::Hotspot {
+                hot: Coord::new(0, 0),
+                fraction: 0.5,
+            },
+        ] {
+            let built = std::panic::catch_unwind(|| TrafficGenerator::new(one, pattern, 0.5, 5, 3));
+            assert!(built.is_err(), "{pattern:?} on a one-node mesh");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use srlr_noc::traffic::Pattern;
 use srlr_noc::{
     Coord, Direction, FaultConfig, FaultModel, Mesh, Network, NocConfig, Packet, PacketId,
 };
+use srlr_telemetry::Obs;
 
 /// The sender of a 2x2 mesh's (0,0) -> (1,0) link.
 const SRC: Coord = Coord { x: 0, y: 0 };
@@ -109,7 +110,8 @@ fn faulty_seeded_runs_are_trace_identical() {
             .with_ber(5e-3);
         let mut net = Network::new(config);
         net.enable_flit_telemetry();
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 200, 800);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 200, 800, &mut Obs::none());
         let tel = net.take_flit_telemetry().expect("telemetry enabled");
         let mut events = Vec::new();
         tel.write_events_jsonl(&mut events)

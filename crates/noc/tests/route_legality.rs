@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, Network, NocConfig, RoutingAlgorithm};
-use srlr_telemetry::Value;
+use srlr_telemetry::{Obs, Value};
 
 /// Runs a 6x6 mesh with the flit tracer on and returns each packet's
 /// route: the routers its head flit left, in visit order.
@@ -29,7 +29,7 @@ fn traced_routes(routing: RoutingAlgorithm, load: f64, cycles: u64) -> BTreeMap<
             .with_routing(routing),
     );
     net.enable_flit_telemetry();
-    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, load, 0, cycles);
+    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, load, 0, cycles, &mut Obs::none());
     assert!(net.drain(50_000), "network must drain");
     let tel = net.take_flit_telemetry().expect("tracer was enabled");
     let mut routes: BTreeMap<u64, Vec<Coord>> = BTreeMap::new();
@@ -118,7 +118,7 @@ fn west_first_routes_are_minimal_and_turn_legal() {
 #[test]
 fn tracing_is_opt_in() {
     let mut net = Network::new(NocConfig::paper_default().with_size(4, 4));
-    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 0, 200);
+    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.05, 0, 200, &mut Obs::none());
     assert!(!net.flit_telemetry_enabled());
     assert!(
         net.take_flit_telemetry().is_none(),

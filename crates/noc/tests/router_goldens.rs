@@ -13,6 +13,7 @@
 
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Network, NocConfig, RoutingAlgorithm};
+use srlr_telemetry::Obs;
 
 const WARMUP: u64 = 100;
 const MEASURE: u64 = 300;
@@ -34,7 +35,7 @@ fn digest(routing: RoutingAlgorithm, pattern: Pattern, load: f64, ber: f64, extr
         .with_extra_pipeline(extra)
         .with_ber(ber);
     let mut net = Network::new(config);
-    let stats = net.run_warmup_and_measure(pattern, load, WARMUP, MEASURE);
+    let stats = net.run_warmup_and_measure(pattern, load, WARMUP, MEASURE, &mut Obs::none());
     let mut text = format!(
         "{stats:?}|{:?}|{}|{}",
         net.counters(),

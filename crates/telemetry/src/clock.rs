@@ -1,4 +1,4 @@
-//! Time sources for profiling and rate limiting.
+//! Time sources for profiling.
 //!
 //! Everything else in the workspace is deterministic — simulated time,
 //! trial indices, cycle counts — and `clippy::disallowed_types` bans the
@@ -12,9 +12,8 @@
 //! only the reported seconds do, which is why timing lives in its own
 //! sink excluded from the byte-identity assertions (DESIGN.md §8).
 //!
-//! All variants are thread-safe: readings go through atomics so a
-//! shared `Clock` can rate-limit [`crate::Progress`] from parallel
-//! workers.
+//! All variants are thread-safe: readings go through atomics, so one
+//! `Clock` can be read from parallel workers.
 
 #![expect(
     clippy::disallowed_types,

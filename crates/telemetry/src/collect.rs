@@ -295,15 +295,6 @@ impl Collector {
         out.push_str("]}");
         out
     }
-
-    /// Writes [`Collector::chrome_trace_json`] to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.chrome_trace_json().as_bytes())
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! 1. a JSONL structured-event stream
 //!    ([`Collector::write_events_jsonl`]),
 //! 2. a Chrome `trace_event` span export loadable in Perfetto /
-//!    `chrome://tracing` ([`Collector::write_chrome_trace`]), and
+//!    `chrome://tracing` ([`Collector::chrome_trace_json`]), and
 //! 3. a versioned machine-readable JSON run report ([`RunReport`])
 //!    emitted by bench harnesses and CLI subcommands alongside their
 //!    ASCII output.
@@ -50,10 +50,14 @@ pub use progress::Progress;
 pub use report::{RunReport, RUN_REPORT_VERSION};
 pub use sarif::SarifDoc;
 
-/// The observability hooks an experiment accepts: a collector for the
-/// file sinks, a progress reporter, and a call-tree profiler (the
-/// timing sink). [`Obs::none`] (the default) is free — every hook is
-/// one branch on a disabled sink and does no work.
+/// The observability hooks of one run: a collector for the file sinks,
+/// a progress reporter, and a call-tree profiler (the timing sink).
+///
+/// Every instrumented experiment takes them as its last argument,
+/// `obs: &mut Obs`, and records into whichever hooks are enabled; the
+/// caller creates the `Obs` and drains it afterwards. [`Obs::none`]
+/// (the default) is free — every hook is one branch on a disabled sink
+/// and does no work — and the results are bit-identical either way.
 #[derive(Debug, Default)]
 pub struct Obs {
     /// Structured event/metric collector (drained by the caller).

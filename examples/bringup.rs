@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::soi45();
 
     println!("== shmoo: rate x swing operating region ('+' pass) ==");
-    let plot = shmoo::paper_shmoo(&tech, 512);
+    let plot = shmoo::paper_shmoo(&tech, 512, None);
     print!("{}", plot.render());
     println!("passing fraction: {:.0} %", plot.pass_fraction() * 100.0);
 

@@ -9,6 +9,7 @@
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, MulticastAccounting, Network, NocConfig, PowerModel};
 use srlr_tech::Technology;
+use srlr_telemetry::Obs;
 
 fn main() {
     let tech = Technology::soi45();
@@ -31,7 +32,13 @@ fn main() {
     // Dynamic view: run multicast traffic and compare datapath energy
     // with and without the free-multicast discount.
     let mut net = Network::new(config);
-    let stats = net.run_warmup_and_measure(Pattern::Multicast { fanout: 4 }, 0.01, 500, 3000);
+    let stats = net.run_warmup_and_measure(
+        Pattern::Multicast { fanout: 4 },
+        0.01,
+        500,
+        3000,
+        &mut Obs::none(),
+    );
     println!("\nmulticast traffic (fanout 4): {stats}");
 
     let model = PowerModel::paper_default(&tech);

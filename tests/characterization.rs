@@ -14,7 +14,7 @@ fn shmoo_and_bathtub_agree_on_the_rate_ceiling() {
     // jittered bathtub's wall must sit within a gigabit of each other
     // (jitter only erodes, never extends, the clean region).
     let tech = Technology::soi45();
-    let plot = shmoo::paper_shmoo(&tech, 256);
+    let plot = shmoo::paper_shmoo(&tech, 256, None);
     let row = plot
         .swings
         .iter()
@@ -32,13 +32,14 @@ fn shmoo_and_bathtub_agree_on_the_rate_ceiling() {
     let rates: Vec<DataRate> = (8..=14)
         .map(|i| DataRate::from_gigabits_per_second(f64::from(i) * 0.5))
         .collect();
-    let curve = bathtub::rate_bathtub(
+    let curve = bathtub::rate_bathtub_with_threads(
         &tech,
         &design,
         &rates,
         TimeInterval::from_picoseconds(3.0),
         400,
         4,
+        None,
     );
     let wall = curve
         .iter()

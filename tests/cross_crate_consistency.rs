@@ -7,6 +7,7 @@ use srlr_link::SrlrLink;
 use srlr_noc::{DatapathKind, PowerModel};
 use srlr_repro::core::SrlrDesign;
 use srlr_repro::tech::{GlobalVariation, Technology};
+use srlr_telemetry::Obs;
 use srlr_units::{TimeInterval, Voltage};
 
 #[test]
@@ -20,7 +21,7 @@ fn pulse_model_and_transient_agree_on_next_stage_swing() {
         .swing
         .volts();
 
-    let waves = SrlrTransientFixture::fig4(&tech);
+    let waves = SrlrTransientFixture::fig4(&tech, &mut Obs::none());
     let transient = waves.next_input.peak().volts();
     let ratio = pulse_level / transient;
     assert!(
@@ -37,7 +38,7 @@ fn pulse_model_and_transient_agree_on_output_width() {
     let out = chain.stages()[0].process(chain.nominal_input_pulse());
     let pulse_width = out.output.width.picoseconds();
 
-    let waves = SrlrTransientFixture::fig4(&tech);
+    let waves = SrlrTransientFixture::fig4(&tech, &mut Obs::none());
     let widths = waves.output.pulse_widths(Voltage::from_volts(0.4));
     assert!(!widths.is_empty());
     let transient_width = widths[0].picoseconds();
@@ -52,7 +53,7 @@ fn pulse_model_and_transient_agree_on_output_width() {
 fn transient_x_standby_matches_design_assumption() {
     // Both levels assume node X rests at VDD − Vth(lvt).
     let tech = Technology::soi45();
-    let waves = SrlrTransientFixture::fig4(&tech);
+    let waves = SrlrTransientFixture::fig4(&tech, &mut Obs::none());
     let standby = waves
         .node_x
         .value_at(TimeInterval::from_picoseconds(2.0))

@@ -12,6 +12,7 @@
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{ber_sweep, FaultConfig, Network, NocConfig, PowerModel};
 use srlr_repro::tech::Technology;
+use srlr_telemetry::Obs;
 
 fn base_config() -> NocConfig {
     NocConfig::paper_default().with_size(4, 4)
@@ -21,7 +22,8 @@ fn base_config() -> NocConfig {
 fn ber_zero_is_bit_identical_to_no_fault_model() {
     let run = |config: NocConfig| {
         let mut net = Network::new(config);
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.06, 300, 1200);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.06, 300, 1200, &mut Obs::none());
         (
             stats.packets_received,
             stats.latency_sum,
@@ -119,7 +121,8 @@ fn fault_sweep_is_bit_identical_across_thread_counts() {
 #[test]
 fn fault_counters_are_consistent_with_each_other() {
     let mut net = Network::new(base_config().with_ber(3e-3));
-    let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.06, 300, 1500);
+    let stats =
+        net.run_warmup_and_measure(Pattern::UniformRandom, 0.06, 300, 1500, &mut Obs::none());
     let faults = &stats.faults;
     assert!(faults.flits_corrupted > 0, "3e-3 over 1500 cycles must hit");
     assert!(
@@ -147,7 +150,8 @@ fn extreme_ber_drops_packets_without_panicking_or_wedging() {
     let mut net = Network::new(
         base_config().with_faults(FaultConfig::new(0.05).with_max_retries(2).with_timing(2, 1)),
     );
-    let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 200, 1200);
+    let stats =
+        net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 200, 1200, &mut Obs::none());
     assert!(stats.packets_dropped > 0, "5 % BER must exhaust retries");
     assert!(
         stats.delivered_fraction() < 1.0,

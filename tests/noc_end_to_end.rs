@@ -4,6 +4,7 @@
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, DatapathKind, Mesh, MulticastAccounting, Network, NocConfig, PowerModel};
 use srlr_repro::tech::Technology;
+use srlr_telemetry::Obs;
 use srlr_units::Frequency;
 
 #[test]
@@ -25,7 +26,8 @@ fn srlr_datapath_cuts_noc_power_but_not_buffers() {
             .with_size(4, 4)
             .with_datapath(datapath);
         let mut net = Network::new(config);
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 300, 1200);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, 0.08, 300, 1200, &mut Obs::none());
         let model = PowerModel::for_datapath(&tech, config.flit_bits, datapath);
         model.report(&stats.energy, 1200, config.clock, config.mesh().len())
     };
@@ -48,7 +50,8 @@ fn mesh_saturates_gracefully() {
     // collapsing, and latency keeps rising.
     let run = |rate: f64| {
         let mut net = Network::new(NocConfig::paper_default().with_size(4, 4));
-        let s = net.run_warmup_and_measure(Pattern::UniformRandom, rate, 400, 1500);
+        let s =
+            net.run_warmup_and_measure(Pattern::UniformRandom, rate, 400, 1500, &mut Obs::none());
         (s.throughput_flits_per_node_cycle(), s.avg_latency_cycles())
     };
     let (t_low, l_low) = run(0.03);
@@ -68,7 +71,7 @@ fn transpose_and_uniform_both_complete() {
         Pattern::BitComplement,
     ] {
         let mut net = Network::new(NocConfig::paper_default().with_size(4, 4));
-        let stats = net.run_warmup_and_measure(pattern, 0.04, 300, 1200);
+        let stats = net.run_warmup_and_measure(pattern, 0.04, 300, 1200, &mut Obs::none());
         assert!(stats.packets_received > 20, "{pattern:?}: {stats}");
     }
 }
@@ -76,14 +79,20 @@ fn transpose_and_uniform_both_complete() {
 #[test]
 fn network_drains_after_load() {
     let mut net = Network::new(NocConfig::paper_default().with_size(4, 4));
-    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.10, 100, 400);
+    let _ = net.run_warmup_and_measure(Pattern::UniformRandom, 0.10, 100, 400, &mut Obs::none());
     assert!(net.drain(20_000), "network failed to drain");
 }
 
 #[test]
 fn multicast_traffic_saves_datapath_hops() {
     let mut net = Network::new(NocConfig::paper_default().with_size(8, 8));
-    let stats = net.run_warmup_and_measure(Pattern::Multicast { fanout: 4 }, 0.02, 300, 1500);
+    let stats = net.run_warmup_and_measure(
+        Pattern::Multicast { fanout: 4 },
+        0.02,
+        300,
+        1500,
+        &mut Obs::none(),
+    );
     assert!(stats.packets_received > 50);
     assert!(
         net.multicast_saved_hops() > 0,
@@ -110,7 +119,8 @@ fn power_scales_roughly_linearly_with_load_below_saturation() {
     let energy_at = |rate: f64| {
         let config = NocConfig::paper_default().with_size(4, 4);
         let mut net = Network::new(config);
-        let stats = net.run_warmup_and_measure(Pattern::UniformRandom, rate, 300, 1500);
+        let stats =
+            net.run_warmup_and_measure(Pattern::UniformRandom, rate, 300, 1500, &mut Obs::none());
         let model = PowerModel::paper_default(&tech);
         model.dynamic_energy(&stats.energy).joules()
     };
