@@ -106,6 +106,14 @@ pub fn bathtub(rest: &[String]) -> Result<String, CliError> {
             "need non-negative jitter, positive bits".into(),
         ));
     }
+    let seeds = 8;
+    let min_bits = srlr_link::bathtub::min_pulsed_bits(seeds);
+    if bits < min_bits {
+        return Err(CliError::Usage(format!(
+            "--bits must be at least {min_bits}: every seed's PRBS-7 stimulus opens \
+             with zeros, and fewer bits send no pulse"
+        )));
+    }
     let tech = Technology::soi45();
     let design = SrlrDesign::paper_proposed(&tech);
     let rates: Vec<DataRate> = (7..=14)
@@ -117,7 +125,7 @@ pub fn bathtub(rest: &[String]) -> Result<String, CliError> {
         &rates,
         srlr_units::TimeInterval::from_picoseconds(jitter_ps),
         bits,
-        8,
+        seeds,
         threads,
     );
     Ok(format!(
@@ -705,12 +713,14 @@ pub fn noc(rest: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// Rejects a one-node mesh: uniform random traffic has no destination
-/// other than its source there.
+/// Rejects a one-node mesh: no packet there has a destination other
+/// than its source, so random traffic has none to pick and the model
+/// checker has no route to check.
 fn check_mesh_nodes(cols: u16, rows: u16) -> Result<(), CliError> {
     if u32::from(cols) * u32::from(rows) < 2 {
         return Err(CliError::Usage(
-            "the mesh needs at least two nodes for random traffic".into(),
+            "the mesh needs at least two nodes: a packet needs a destination other than its source"
+                .into(),
         ));
     }
     Ok(())
@@ -1552,6 +1562,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
     if !(1..=4).contains(&cols) || !(1..=4).contains(&rows) {
         return Err(CliError::Usage("mesh sides must be in 1..=4".into()));
     }
+    check_mesh_nodes(cols, rows)?;
     if !(1..=6).contains(&packet_len) {
         return Err(CliError::Usage("--packet-len must be in 1..=6".into()));
     }

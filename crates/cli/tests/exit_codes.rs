@@ -92,6 +92,9 @@ fn non_finite_and_too_short_inputs_exit_2_without_panic() {
         (&["ber", "--gbps", "nan"][..], "--gbps"),
         (&["ber", "--gbps", "inf"][..], "--gbps"),
         (&["eye", "--bits", "14"][..], "--bits"),
+        // Every bathtub seed's PRBS-7 stimulus opens with zeros: two
+        // bits send no pulse and once read "clean" at any jitter.
+        (&["bathtub", "--bits", "2", "--jitter", "1e6"][..], "--bits"),
     ] {
         let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -104,12 +107,18 @@ fn non_finite_and_too_short_inputs_exit_2_without_panic() {
 #[test]
 fn one_node_meshes_exit_2_instead_of_hanging() {
     // Uniform random traffic has no destination other than the source
-    // on a one-node mesh; the generator once looked for one forever.
-    for command in ["noc", "noc-faults"] {
-        let out = run(&[command, "--cols", "1", "--rows", "1", "--cycles", "20"]);
+    // on a one-node mesh; the generator once looked for one forever,
+    // and the model checker once checked 0 routes and passed.
+    let one_node = ["--cols", "1", "--rows", "1"];
+    for args in [
+        [&["noc"][..], &one_node, &["--cycles", "20"]].concat(),
+        [&["noc-faults"][..], &one_node, &["--cycles", "20"]].concat(),
+        [&["verify-noc"][..], &one_node].concat(),
+    ] {
+        let out = run(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
-        assert!(stderr.contains("two nodes"), "{command}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("two nodes"), "{args:?}: {stderr}");
     }
 }
 

@@ -222,8 +222,10 @@ fn bench_diff_gates_the_committed_snapshots_against_themselves() {
     // against itself (schema parses, nothing regresses).
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     for name in [
-        "BENCH_noc_faults.json",
-        "BENCH_model_check.json",
+        "NOC_faults_8x8.json",
+        "VERIFY_noc_2x2.json",
+        "VERIFY_noc_3x3.json",
+        "VERIFY_noc_4x4.json",
         "BENCH_lint.json",
     ] {
         let snap = root.join(name);

@@ -1,9 +1,10 @@
 //! The telemetry file sinks are pinned byte for byte: `srlr waveforms`,
 //! a 2x2 `srlr noc` run and a broken-variant `srlr verify-noc` must
-//! write the `golden/` files exactly. Each command's observation hooks
-//! are plumbed through the library's `&mut Obs` entry points, so a
-//! change to that plumbing that drops, reorders or re-stamps a record
-//! shows up here as a diff.
+//! write the `golden/` files exactly, and the 2x2 `srlr verify-noc`
+//! proof its committed snapshot `VERIFY_noc_2x2.json`. Each command's
+//! observation hooks are plumbed through the library's `&mut Obs`
+//! entry points, so a change to that plumbing that drops, reorders or
+//! re-stamps a record shows up here as a diff.
 
 #![allow(
     clippy::expect_used,
@@ -12,14 +13,20 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A scratch file that cleans up after itself.
+/// A scratch file that cleans up after itself. Each one gets its own
+/// number, so tests that run the same command in parallel never share
+/// (or delete) each other's files.
 struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(name: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("srlr-sink-golden-{}-{name}", std::process::id()));
+        let pid = std::process::id();
+        p.push(format!("srlr-sink-golden-{pid}-{n}-{name}"));
         Self(p)
     }
 
@@ -96,4 +103,14 @@ fn verify_noc_counterexample_sinks_match_their_goldens() {
         got[1],
         include_str!("golden/verify-noc-no-watermark.metrics.json")
     );
+}
+
+#[test]
+fn verify_noc_2x2_report_matches_its_committed_snapshot() {
+    // The repo-root snapshot CI also gates with `bench-diff` (the
+    // default 2x2 mesh, 4-flit packets, BER 1e-3): states, transitions,
+    // exact and closed-form delivery probability and the three
+    // verdicts at each retry budget.
+    let got = sinks(&["verify-noc", "--retries", "0,1,3"], &["metrics-out"], 0);
+    assert_eq!(got[0], include_str!("../../../VERIFY_noc_2x2.json"));
 }

@@ -142,6 +142,19 @@ pub fn rate_bathtub_with_threads(
         .collect()
 }
 
+/// The shortest `bits_per_seed` at which one of the first `seeds`
+/// jitter seeds' PRBS-7 stimuli carries a `1`. Every seed's stream
+/// opens with zeros, and a `0` launches no pulse, so a shorter budget
+/// sends nothing and reads clean at any rate and any jitter.
+pub fn min_pulsed_bits(seeds: u64) -> usize {
+    // PRBS-7 repeats every 127 bits, and so does the seed mapping
+    // every 126 seeds: the first period of each distinct stream decides.
+    (0..seeds.min(126))
+        .filter_map(|seed| prbs7_for_seed(seed).take(127).position(|bit| bit))
+        .min()
+        .map_or(usize::MAX, |zeros| zeros + 1)
+}
+
 /// The PRBS-7 stimulus of jitter seed `seed`.
 #[expect(
     clippy::cast_possible_truncation,
@@ -229,6 +242,24 @@ mod tests {
                 assert!(b > 0.0, "BER fell back to zero at index {i}");
             }
         }
+    }
+
+    #[test]
+    fn a_budget_below_the_first_pulse_sends_nothing() {
+        let tech = Technology::soi45();
+        let design = SrlrDesign::paper_proposed(&tech);
+        let rates = [DataRate::from_gigabits_per_second(7.0)];
+        let huge = TimeInterval::from_picoseconds(1e6);
+        let seeds = 8;
+        let min = min_pulsed_bits(seeds);
+        assert!(min > 1, "every seed opens with a zero");
+        let silent = rate_bathtub_with_threads(&tech, &design, &rates, huge, min - 1, seeds, None);
+        assert_eq!(silent[0].errors, 0, "no pulse, nothing to corrupt");
+        let pulsed = rate_bathtub_with_threads(&tech, &design, &rates, huge, min, seeds, None);
+        assert!(
+            pulsed[0].errors > 0,
+            "the first pulse drowns in 1 us of jitter"
+        );
     }
 
     #[test]

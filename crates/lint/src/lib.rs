@@ -95,6 +95,9 @@ pub struct Report {
     pub files_checked: usize,
     /// Unsuppressed violations, sorted by path/line.
     pub violations: Vec<Diagnostic>,
+    /// Nodes of the call graph that `alloc-in-hot-path` walks; 0 when
+    /// no `lint-hotpaths.txt` declares hot roots.
+    pub callgraph_nodes: usize,
 }
 
 impl Report {
@@ -163,8 +166,10 @@ pub fn run(config: &Config) -> Result<Report, Error> {
         diags.extend(semantic::check_unordered_float_reduce(file));
         diags.extend(semantic::check_rng_stream_discipline(file));
     }
+    let mut callgraph_nodes = 0;
     if let Some(hot) = semantic::load_hotpaths(&config.root) {
         let graph = semantic::build_call_graph(&parsed);
+        callgraph_nodes = graph.nodes().len();
         diags.extend(semantic::check_alloc_in_hot_path(&parsed, &graph, &hot));
     }
     diags.extend(
@@ -194,6 +199,7 @@ pub fn run(config: &Config) -> Result<Report, Error> {
     Ok(Report {
         files_checked: parsed.len(),
         violations: diags,
+        callgraph_nodes,
     })
 }
 

@@ -62,7 +62,7 @@ const LAYERS: &[&str] = &[
 /// themselves.
 const LEAVES: &[&str] = &["rng", "parallel", "telemetry"];
 /// Tool/front-end crates: consumers of the whole stack, unconstrained.
-const TOOLS: &[&str] = &["cli", "bench", "lint"];
+const TOOLS: &[&str] = &["cli", "lint"];
 
 /// Crates whose public fns/fields must use `srlr-units` newtypes.
 const DIMENSIONED: &[&str] = &["tech", "circuit", "core", "link"];
@@ -565,7 +565,7 @@ fn fn_id(rel: &str, def: &FnDef) -> String {
 /// definitions, with edges pruned by the crate layering DAG (code in
 /// `link` cannot call into `noc`, so a method name defined in both is
 /// not resolved upward).
-pub fn build_call_graph(files: &[ParsedFile]) -> CallGraph {
+pub(crate) fn build_call_graph(files: &[ParsedFile]) -> CallGraph {
     let file_fns: Vec<FileFns<'_>> = files
         .iter()
         .map(|f| FileFns {

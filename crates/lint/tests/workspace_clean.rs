@@ -9,7 +9,9 @@
 //! print, a thread spawn, an undocumented public item, a truncating
 //! cast, a reasonless `allow` or a stale `expect`. A fixture workspace
 //! built against the committed table (`support/lint_table.rs`) proves
-//! that each of those fails under its lint.
+//! that each of those fails under its lint. The lint pass's own size
+//! (files, call-graph nodes, hot roots) is pinned by the committed
+//! `BENCH_lint.json`.
 
 #![allow(
     clippy::expect_used,
@@ -21,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use srlr_lint::{run, Config};
+use srlr_telemetry::{RunReport, Value};
 
 #[path = "support/lint_table.rs"]
 mod lint_table;
@@ -38,6 +41,32 @@ fn workspace_has_no_lint_violations() {
     );
     let rendered: String = report.violations.iter().map(|d| d.render()).collect();
     assert!(report.is_clean(), "srlr-lint found violations:\n{rendered}");
+}
+
+/// The committed snapshot of the lint pass's size: files scanned,
+/// fresh violations (zero), rules, call-graph nodes and declared hot
+/// roots. A change that adds or removes workspace functions moves the
+/// call-graph count; the assertion prints the fresh JSON to commit.
+const LINT_SNAPSHOT: &str = "BENCH_lint.json";
+
+#[test]
+fn lint_counts_match_the_committed_snapshot() {
+    let root = workspace_root();
+    let report = run(&Config::new(&root)).expect("lint run succeeds");
+    let hot = srlr_lint::semantic::load_hotpaths(&root).expect("committed lint-hotpaths.txt");
+    let count = |n: usize| Value::U64(n as u64);
+    let mut counts = RunReport::new("lint");
+    counts.section_metric("scan", "files_checked", count(report.files_checked));
+    counts.section_metric("scan", "fresh_violations", count(report.violations.len()));
+    counts.section_metric("scan", "rules", count(srlr_lint::rules::ALL_RULES.len()));
+    counts.section_metric("callgraph", "nodes", count(report.callgraph_nodes));
+    counts.section_metric("callgraph", "hot_roots", count(hot.roots.len()));
+    let committed = std::fs::read_to_string(root.join(LINT_SNAPSHOT)).expect("committed snapshot");
+    assert_eq!(
+        counts.to_json(),
+        committed,
+        "{LINT_SNAPSHOT} is stale: commit the left-hand JSON"
+    );
 }
 
 /// `cargo clippy` with its own target directory, so it never waits on

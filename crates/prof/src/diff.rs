@@ -1,6 +1,6 @@
-//! Structured diff of two `RunReport`/`BENCH_*.json` snapshots, with
-//! tolerance bands — the engine behind `srlr bench-diff` and the CI
-//! `perf-regression` gate.
+//! Structured diff of two `RunReport` snapshots, with tolerance bands —
+//! the engine behind `srlr bench-diff` and CI's gates on the committed
+//! run reports.
 //!
 //! Both inputs are flattened to `dotted.path → scalar` maps; the diff
 //! reports keys that appeared, disappeared, or changed. A numeric

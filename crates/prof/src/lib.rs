@@ -11,9 +11,9 @@
 //!   one on-disk profile format.
 //! * [`hotspot`] — top-N self-time attribution tables ranked from
 //!   folded lines, the numbers an optimization PR argues from.
-//! * [`diff`] — structured comparison of two `RunReport`/`BENCH_*.json`
-//!   snapshots with relative tolerance bands; drives the `srlr
-//!   bench-diff` CLI and the CI `perf-regression` gate (exit 1 on
+//! * [`diff`] — structured comparison of two `RunReport`s with
+//!   relative tolerance bands; drives the `srlr bench-diff` CLI and the
+//!   CI gates on the committed run-report snapshots (exit 1 on
 //!   regression, 2 on usage, 0 when clean — the workspace-wide
 //!   contract).
 //!

@@ -10,7 +10,7 @@
 //! 2. a Chrome `trace_event` span export loadable in Perfetto /
 //!    `chrome://tracing` ([`Collector::chrome_trace_json`]), and
 //! 3. a versioned machine-readable JSON run report ([`RunReport`])
-//!    emitted by bench harnesses and CLI subcommands alongside their
+//!    emitted by the CLI subcommands (`--metrics-out`) alongside their
 //!    ASCII output.
 //!
 //! All JSON is hand-rolled ([`json`]) — the workspace is hermetic and

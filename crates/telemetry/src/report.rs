@@ -1,15 +1,15 @@
 //! Versioned machine-readable run reports.
 //!
-//! Bench harnesses and CLI subcommands emit one [`RunReport`] per run
+//! CLI subcommands emit one [`RunReport`] per run (`--metrics-out`)
 //! alongside their ASCII output, so downstream tooling (regression
-//! dashboards, the CI smoke job) can consume results without scraping
-//! text. The schema is versioned by [`RUN_REPORT_VERSION`]; consumers
-//! must reject reports with a version they do not understand.
+//! dashboards, the committed snapshots that `srlr bench-diff` gates)
+//! can consume results without scraping text. The schema is versioned
+//! by [`RUN_REPORT_VERSION`]; consumers must reject reports with a
+//! version they do not understand.
 
 use crate::collect::Collector;
 use crate::json::{write_str, Value};
 use std::collections::BTreeMap;
-use std::io;
 
 /// Version of the run-report JSON schema.
 ///
@@ -109,15 +109,6 @@ impl RunReport {
         }
         out.push_str("}\n}\n");
         out
-    }
-
-    /// Writes [`RunReport::to_json`] to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.to_json().as_bytes())
     }
 }
 
