@@ -252,7 +252,8 @@ fn committed_hotpath_roots_name_real_profiler_spans() {
     assert!(!hot.roots.is_empty(), "at least one declared hot root");
 
     // The Monte Carlo roots profile under `fig6`, the NoC roots under
-    // `noc-faults`; a root's span must appear in one of them.
+    // `noc-faults`, the model checker's under `verify-noc`; a root's
+    // span must appear in one of them.
     let mut paths: Vec<String> = Vec::new();
     for (name, args) in [
         ("fig6", &["fig6", "--runs", "20"][..]),
@@ -260,6 +261,7 @@ fn committed_hotpath_roots_name_real_profiler_spans() {
             "noc-faults",
             &["noc-faults", "--bers", "0,1e-2", "--cycles", "200"][..],
         ),
+        ("verify-noc", &["verify-noc", "--retries", "1"][..]),
     ] {
         let profile = Scratch::new(&format!("hotroots-{name}.folded"));
         let mut argv = args.to_vec();

@@ -76,8 +76,27 @@
 //! pair of that length.  Coordinates enter only there: each recorded
 //! counterexample's choices are replayed on the pair's own route
 //! ([`replay_choices`]) to give its `(from, to)` trace.
+//!
+//! # Cost
+//!
+//! A state is a fixed run of `2 * flits + hops + 1` words: per flit its
+//! next link (or an ejected marker) and its ready cycle, per link its
+//! watermark, then the poisoned flag.  No field is packed narrower than
+//! its value range, so equal states have equal words.  One exploration
+//! keeps its states in a single arena, and a state's id is its index
+//! there.  An open-addressing table of ids interns them; it is probed,
+//! never iterated, so ids are discovery order by construction.  The
+//! breadth-first search is a cursor over ids, because FIFO pop order is
+//! discovery order.  A transition copies the expanded state into one
+//! reused scratch buffer, crosses, canonicalizes and probes there, and
+//! allocates nothing; only a new state is copied, once, into the arena.
+//! The search is linear in the transitions, plus amortized table growth.
+//!
+//! On the 4x4 mesh with 4-flit packets at budgets 0, 1 and 3 (1.59M
+//! explored transitions), `model.bfs` takes ~185 ns of self time per
+//! explored transition and `model.dtmc` ~71 ns, on a 2-core Xeon VM.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use srlr_noc::protocol::{link_arrival, retry_step, AttemptOutcome, RetryState, RetryStep};
 use srlr_noc::{Coord, FaultConfig, Mesh};
@@ -251,73 +270,86 @@ pub fn crossing_outcomes(config: &ModelConfig) -> Vec<CrossingOutcome> {
     }
 }
 
-/// Where one flit is within its route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FlitPos {
-    /// Waiting to cross route link `link`, ready at cycle `ready`.
-    Pending {
-        /// Index into the route's link list.
-        link: u32,
-        /// Cycle at which the flit may cross.
-        ready: u64,
-    },
-    /// Ejected at the destination.
-    Done,
+/// Link word of an ejected flit. Link indices are `u32`, so no pending
+/// flit's link word can equal it.
+const DONE: u64 = u64::MAX;
+
+/// Word layout of one packed protocol state of a `flits`-flit packet on
+/// a route of `hops` links, `2 * flits + hops + 1` words in all:
+///
+/// * `[0, flits)` — per flit, the index of the next route link to cross
+///   (a `u32` widened to a word) or [`DONE`] once ejected;
+/// * `[flits, 2 * flits)` — per flit, the cycle at which it is ready to
+///   cross (0 once ejected, so equal states have equal words);
+/// * `[2 * flits, 2 * flits + hops)` — per route link, the `busy_until`
+///   watermark (latest granted arrival);
+/// * the last word — 1 when some crossing exhausted its retry budget.
+///
+/// Every field keeps its full value range, so two states are equal
+/// exactly when their words are.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    flits: usize,
+    hops: usize,
 }
 
-/// A (possibly canonical) protocol state of one packet on one route.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct State {
-    flits: Vec<FlitPos>,
-    /// Per route link: latest granted arrival cycle.
-    busy: Vec<u64>,
-    /// Some crossing exhausted the retry budget.
-    poisoned: bool,
-}
+impl Layout {
+    /// Words per state.
+    fn stride(self) -> usize {
+        2 * self.flits + self.hops + 1
+    }
 
-impl State {
-    fn initial(packet_len: usize, hops: usize) -> State {
-        State {
-            flits: (0..packet_len)
-                .map(|i| FlitPos::Pending {
-                    link: 0,
-                    ready: i as u64,
-                })
-                .collect(),
-            busy: vec![0; hops],
-            poisoned: false,
+    /// Word index of link `link`'s watermark.
+    fn busy_at(self, link: usize) -> usize {
+        2 * self.flits + link
+    }
+
+    /// Word index of the poisoned flag.
+    fn poisoned_at(self) -> usize {
+        2 * self.flits + self.hops
+    }
+
+    /// Flit `i`'s next route link, or `None` once it is ejected.
+    fn next_link(self, s: &[u64], i: usize) -> Option<u32> {
+        u32::try_from(s[i]).ok()
+    }
+
+    /// Writes the initial state into `s`: flit `i` waits at the first
+    /// link, ready at cycle `i`; every watermark is 0.
+    fn initial(self, s: &mut [u64]) {
+        s.fill(0);
+        for (i, ready) in (0u64..).zip(&mut s[self.flits..2 * self.flits]) {
+            *ready = i;
         }
     }
 
-    fn is_terminal(&self) -> bool {
-        self.flits.iter().all(|f| *f == FlitPos::Done)
+    fn is_terminal(self, s: &[u64]) -> bool {
+        s[..self.flits].iter().all(|&w| w == DONE)
+    }
+
+    fn is_poisoned(self, s: &[u64]) -> bool {
+        s[self.poisoned_at()] != 0
     }
 
     /// Total links crossed — the strictly increasing progress measure.
-    fn progress(&self, hops: usize) -> usize {
-        self.flits
-            .iter()
-            .map(|f| match *f {
-                FlitPos::Done => hops,
-                FlitPos::Pending { link, .. } => link as usize,
-            })
+    fn progress(self, s: &[u64]) -> usize {
+        (0..self.flits)
+            .map(|i| self.next_link(s, i).map_or(self.hops, |link| link as usize))
             .sum()
     }
 
     /// The deterministic representative crossing: among flits whose
     /// wormhole predecessor is strictly ahead, the lowest
     /// `(ready, flit index)`.  Returns `(flit, link, ready)`.
-    fn chosen(&self) -> Option<(usize, u32, u64)> {
+    fn chosen(self, s: &[u64]) -> Option<(usize, u32, u64)> {
         let mut best: Option<(u64, usize, u32)> = None;
-        for (i, f) in self.flits.iter().enumerate() {
-            let FlitPos::Pending { link, ready } = *f else {
+        for i in 0..self.flits {
+            let Some(link) = self.next_link(s, i) else {
                 continue;
             };
-            let predecessor_ahead = i == 0
-                || match self.flits[i - 1] {
-                    FlitPos::Done => true,
-                    FlitPos::Pending { link: ahead, .. } => ahead > link,
-                };
+            let ready = s[self.flits + i];
+            let predecessor_ahead =
+                i == 0 || self.next_link(s, i - 1).is_none_or(|ahead| ahead > link);
             if !predecessor_ahead {
                 continue;
             }
@@ -328,31 +360,28 @@ impl State {
         best.map(|(ready, i, link)| (i, link, ready))
     }
 
-    /// Time-shift canonical form; see the module docs for why the
-    /// watermark clamp is a bisimulation.
-    fn canonicalize(mut self) -> State {
-        let base = self
-            .flits
+    /// Time-shift canonical form, in place; see the module docs for why
+    /// the watermark clamp is a bisimulation.
+    fn canonicalize(self, s: &mut [u64]) {
+        let (links, rest) = s.split_at_mut(self.flits);
+        let (ready, rest) = rest.split_at_mut(self.flits);
+        let busy = &mut rest[..self.hops];
+        let base = links
             .iter()
-            .filter_map(|f| match *f {
-                FlitPos::Pending { ready, .. } => Some(ready),
-                FlitPos::Done => None,
-            })
+            .zip(ready.iter())
+            .filter(|&(&link, _)| link != DONE)
+            .map(|(_, &r)| r)
             .min();
         match base {
-            None => {
-                // Terminal: only the poisoned bit matters.
-                for b in &mut self.busy {
-                    *b = 0;
-                }
-            }
+            // Terminal: only the poisoned flag matters.
+            None => busy.fill(0),
             Some(base) => {
-                for f in &mut self.flits {
-                    if let FlitPos::Pending { ready, .. } = f {
-                        *ready = *ready - base + 1;
+                for (&link, r) in links.iter().zip(ready.iter_mut()) {
+                    if link != DONE {
+                        *r = *r - base + 1;
                     }
                 }
-                for b in &mut self.busy {
+                for b in busy {
                     // max(b, base - 1) - (base - 1), computed without
                     // underflow; watermarks below base - 1 are
                     // indistinguishable from base - 1.
@@ -360,7 +389,161 @@ impl State {
                 }
             }
         }
-        self
+    }
+
+    /// Applies one crossing outcome to `s` in place (absolute or
+    /// canonical — the arithmetic is shift-invariant) and returns the
+    /// link timing the proof obligations and traces read.
+    fn cross(
+        self,
+        variant: Variant,
+        s: &mut [u64],
+        (flit, link, ready): (usize, u32, u64),
+        outcome: &CrossingOutcome,
+    ) -> Crossing {
+        let li = link as usize;
+        let delay = 1 + outcome.extra_delay;
+        let busy_at = self.busy_at(li);
+        let busy_before = s[busy_at];
+        let arrival = match variant {
+            Variant::Correct => link_arrival(ready, delay, busy_before),
+            Variant::IgnoreBusyWatermark => ready + delay,
+        };
+        // Track the max so later overtakes under the broken variant are
+        // still judged against the true latest granted arrival.
+        s[busy_at] = busy_before.max(arrival);
+        (s[flit], s[self.flits + flit]) = if li + 1 == self.hops {
+            (DONE, 0)
+        } else {
+            (u64::from(link) + 1, arrival + 1)
+        };
+        if !outcome.delivered {
+            s[self.poisoned_at()] = 1;
+        }
+        Crossing {
+            arrival,
+            busy_before,
+            overtake: arrival <= busy_before,
+        }
+    }
+}
+
+/// The link timing of one applied crossing.
+struct Crossing {
+    arrival: u64,
+    /// The link's watermark before this crossing was granted.
+    busy_before: u64,
+    overtake: bool,
+}
+
+/// Free slot marker of the [`Store`] id table.
+const EMPTY: usize = usize::MAX;
+
+/// The canonical states of one exploration, interned: state `id` is the
+/// run of `stride` words at `id * stride` in one arena, and an
+/// open-addressing table (linear probing, at most half full) maps
+/// states to ids.  The table is only probed, never iterated, so ids are
+/// exactly discovery order.
+struct Store {
+    layout: Layout,
+    stride: usize,
+    arena: Vec<u64>,
+    /// Ids, or [`EMPTY`]; the length is `2^(64 - shift)`.
+    slots: Vec<usize>,
+    shift: u32,
+}
+
+impl Store {
+    fn new(layout: Layout) -> Store {
+        const BITS: u32 = 6;
+        Store {
+            layout,
+            stride: layout.stride(),
+            arena: Vec::new(),
+            slots: vec![EMPTY; 1 << BITS],
+            shift: u64::BITS - BITS,
+        }
+    }
+
+    /// Interned states.
+    fn len(&self) -> usize {
+        self.arena.len() / self.stride
+    }
+
+    /// The words of state `id`.
+    fn state(&self, id: usize) -> &[u64] {
+        &self.arena[id * self.stride..(id + 1) * self.stride]
+    }
+
+    /// The table slot a probe for `words` starts at: the top bits of an
+    /// Fx-style multiplicative hash.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the shift leaves at most log2(slots.len()) significant bits, and the table fits usize"
+    )]
+    fn home(&self, words: &[u64]) -> usize {
+        let hash = words.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        (hash >> self.shift) as usize
+    }
+
+    /// `Ok(id)` when `words` is interned, else `Err(slot)`: the free
+    /// slot it would occupy.
+    fn find(&self, words: &[u64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(words);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                id if self.state(id) == words => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Interns `words` as a new state in `slot`, the free slot a failed
+    /// [`Store::find`] returned, and returns its id.
+    fn insert(&mut self, slot: usize, words: &[u64]) -> usize {
+        let id = self.len();
+        self.arena.extend_from_slice(words);
+        self.slots[slot] = id;
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the table and re-places every id, in id order.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for id in 0..self.len() {
+            let mut slot = self.home(self.state(id));
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id;
+        }
+    }
+
+    /// One transition: copies state `id` into `scratch`, applies
+    /// `outcome` to its `choice` crossing, canonicalizes, and looks the
+    /// successor up.  Allocates nothing; a new successor is left in
+    /// `scratch` for [`Store::insert`].
+    fn successor(
+        &self,
+        variant: Variant,
+        id: usize,
+        choice: (usize, u32, u64),
+        outcome: &CrossingOutcome,
+        scratch: &mut [u64],
+    ) -> (Crossing, Result<usize, usize>) {
+        scratch.copy_from_slice(self.state(id));
+        let crossing = self.layout.cross(variant, scratch, choice, outcome);
+        self.layout.canonicalize(scratch);
+        (crossing, self.find(scratch))
     }
 }
 
@@ -547,55 +730,6 @@ impl PairResult {
 /// are still *counted* via the proof flags but not materialized.
 const TRACES_PER_KIND: usize = 3;
 
-/// One crossing applied to a state: the successor and the link timing
-/// the proof obligations and traces read.
-struct Applied {
-    state: State,
-    arrival: u64,
-    /// The link's watermark before this crossing was granted.
-    busy_before: u64,
-    overtake: bool,
-}
-
-/// Applies one crossing outcome to `state` (absolute or canonical —
-/// the arithmetic is shift-invariant) on a route of `hops` links.
-fn apply(
-    config: &ModelConfig,
-    hops: usize,
-    state: &State,
-    flit: usize,
-    link: u32,
-    ready: u64,
-    outcome: &CrossingOutcome,
-) -> Applied {
-    let li = link as usize;
-    let delay = 1 + outcome.extra_delay;
-    let busy_before = state.busy[li];
-    let arrival = match config.variant {
-        Variant::Correct => link_arrival(ready, delay, busy_before),
-        Variant::IgnoreBusyWatermark => ready + delay,
-    };
-    let mut next = state.clone();
-    // Track the max so later overtakes under the broken variant are
-    // still judged against the true latest granted arrival.
-    next.busy[li] = busy_before.max(arrival);
-    next.flits[flit] = if li + 1 == hops {
-        FlitPos::Done
-    } else {
-        FlitPos::Pending {
-            link: link + 1,
-            ready: arrival + 1,
-        }
-    };
-    next.poisoned |= !outcome.delivered;
-    Applied {
-        state: next,
-        arrival,
-        busy_before,
-        overtake: arrival <= busy_before,
-    }
-}
-
 fn route_links(mesh: Mesh, src: Coord, dst: Coord) -> Vec<(Coord, Coord)> {
     let path = mesh.xy_path(src, dst);
     path.windows(2).map(|w| (w[0], w[1])).collect()
@@ -629,21 +763,24 @@ fn walk(
 ) -> Replayed {
     let route = route_links(config.mesh, src, dst);
     let outcomes = crossing_outcomes(config);
-    let mut state = State::initial(config.packet_len, route.len());
+    let layout = Layout {
+        flits: config.packet_len,
+        hops: route.len(),
+    };
+    let mut state = vec![0; layout.stride()];
+    layout.initial(&mut state);
     let mut steps = Vec::new();
     let (mut attempts, mut nacks) = (0u64, 0u64);
     if route.is_empty() {
         // Degenerate src == dst route: immediately delivered.
-        for f in &mut state.flits {
-            *f = FlitPos::Done;
-        }
+        state[..layout.flits].fill(DONE);
     }
-    while let Some((flit, link, ready)) = state.chosen() {
+    while let Some(choice @ (flit, link, ready)) = layout.chosen(&state) {
         let Some(pick) = next_pick(flit, link) else {
             break;
         };
         let outcome = &outcomes[pick.min(outcomes.len() - 1)];
-        let applied = apply(config, route.len(), &state, flit, link, ready, outcome);
+        let crossing = layout.cross(config.variant, &mut state, choice, outcome);
         let (from, to) = route[link as usize];
         attempts += u64::from(outcome.attempts);
         nacks += u64::from(outcome.nacks);
@@ -657,14 +794,14 @@ fn walk(
             delivered: outcome.delivered,
             extra_delay: outcome.extra_delay,
             sent: ready,
-            arrival: applied.arrival,
-            busy_before: applied.busy_before,
+            arrival: crossing.arrival,
+            busy_before: crossing.busy_before,
         });
-        state = applied.state;
     }
+    let terminal = layout.is_terminal(&state);
     Replayed {
-        delivered: state.is_terminal() && !state.poisoned,
-        terminal: state.is_terminal(),
+        delivered: terminal && !layout.is_poisoned(&state),
+        terminal,
         steps,
         attempts,
         nacks,
@@ -792,23 +929,26 @@ fn explore_route(
         };
     }
 
-    // State ids, one interning map per progress value: a state's
-    // progress is a function of the state, so a successor is looked up
-    // only among the states of its own progress layer.
-    let mut layers: Vec<BTreeMap<State, usize>> =
-        vec![BTreeMap::new(); config.packet_len * hops + 1];
-    // Per state id: `None` while transient, `Some(delivered)` once terminal.
-    let mut absorbed: Vec<Option<bool>> = Vec::new();
+    let layout = Layout {
+        flits: config.packet_len,
+        hops,
+    };
+    let mut store = Store::new(layout);
     let mut parents: Vec<Option<(usize, usize)>> = Vec::new();
-    let mut succs: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut queue: VecDeque<(usize, State)> = VecDeque::new();
+    // Successor ids, state after state: state `id`'s edges are
+    // `edges[edge_start[id]..edge_start[id + 1]]`, one per outcome pick.
+    let mut edges: Vec<usize> = Vec::new();
+    let mut edge_start: Vec<usize> = Vec::new();
+    // Every successor is built here before it is looked up; only a new
+    // one is copied, once, into the store.
+    let mut scratch = vec![0; layout.stride()];
 
-    let initial = State::initial(config.packet_len, hops).canonicalize();
-    layers[0].insert(initial.clone(), 0);
-    absorbed.push(None);
+    layout.initial(&mut scratch);
+    layout.canonicalize(&mut scratch);
+    if let Err(slot) = store.find(&scratch) {
+        store.insert(slot, &scratch);
+    }
     parents.push(None);
-    succs.push(Vec::new());
-    queue.push_back((0, initial));
 
     let mut transitions = 0usize;
     let mut delivered_reachable = false;
@@ -847,34 +987,40 @@ fn explore_route(
     };
 
     prof.enter("model.bfs");
-    while let Some((id, state)) = queue.pop_front() {
-        if state.is_terminal() {
-            if state.poisoned {
+    // Breadth-first search is a cursor over ids: states are expanded in
+    // id order, which is discovery order, so no queue is needed.
+    let mut cursor = 0;
+    while cursor < store.len() {
+        let id = cursor;
+        cursor += 1;
+        edge_start.push(edges.len());
+        let state = store.state(id);
+        if layout.is_terminal(state) {
+            if layout.is_poisoned(state) {
                 drop_reachable = true;
             } else {
                 delivered_reachable = true;
             }
             continue;
         }
-        let Some((flit, link, ready)) = state.chosen() else {
+        let Some(choice @ (flit, link, _)) = layout.chosen(state) else {
             deadlock_free = false;
-            let choices = path_to(&parents, id);
+            let in_flight = state[..layout.flits].iter().filter(|&&w| w != DONE).count();
             record(
                 ViolationKind::Deadlock,
-                choices,
-                format!("no crossing is enabled with {} flits in flight", {
-                    state.flits.iter().filter(|f| **f != FlitPos::Done).count()
-                }),
+                path_to(&parents, id),
+                format!("no crossing is enabled with {in_flight} flits in flight"),
                 &mut kept,
                 &mut witnesses,
             );
             continue;
         };
-        let progress_here = state.progress(hops);
+        let progress_here = layout.progress(state);
         for (pick, outcome) in outcomes.iter().enumerate() {
-            let applied = apply(config, hops, &state, flit, link, ready, outcome);
+            let (crossing, found) =
+                store.successor(config.variant, id, choice, outcome, &mut scratch);
             transitions += 1;
-            if applied.overtake {
+            if crossing.overtake {
                 no_overtaking = false;
                 let mut choices = path_to(&parents, id);
                 choices.push(pick);
@@ -884,14 +1030,13 @@ fn explore_route(
                     format!(
                         "flit {} arrived at cycle {} on link {} whose watermark \
                          was already {}",
-                        flit, applied.arrival, link, applied.busy_before
+                        flit, crossing.arrival, link, crossing.busy_before
                     ),
                     &mut kept,
                     &mut witnesses,
                 );
             }
-            let progress_next = applied.state.progress(hops);
-            if progress_next != progress_here + 1 {
+            if layout.progress(&scratch) != progress_here + 1 {
                 progress_monotone = false;
                 let mut choices = path_to(&parents, id);
                 choices.push(pick);
@@ -903,46 +1048,41 @@ fn explore_route(
                     &mut witnesses,
                 );
             }
-            let canonical = applied.state.canonicalize();
-            let layer = &mut layers[progress_next];
-            let next_id = match layer.get(&canonical) {
-                Some(&existing) => existing,
-                None => {
-                    let fresh = absorbed.len();
-                    layer.insert(canonical.clone(), fresh);
-                    absorbed.push(canonical.is_terminal().then_some(!canonical.poisoned));
+            let next_id = match found {
+                Ok(existing) => existing,
+                Err(slot) => {
                     parents.push(Some((id, pick)));
-                    succs.push(Vec::new());
-                    queue.push_back((fresh, canonical));
-                    fresh
+                    store.insert(slot, &scratch)
                 }
             };
-            succs[id].push((next_id, outcome.probability));
+            edges.push(next_id);
         }
     }
+    edge_start.push(edges.len());
     prof.exit();
 
     prof.enter("model.dtmc");
     // Absorbing-DTMC solve: x_t = sum_succ p * (x_succ | [delivered]).
-    let mut transient_index: Vec<Option<usize>> = vec![None; absorbed.len()];
+    let mut transient_index: Vec<Option<usize>> = vec![None; store.len()];
     let mut transient = 0usize;
-    for (id, end) in absorbed.iter().enumerate() {
-        if end.is_none() {
-            transient_index[id] = Some(transient);
+    for (id, index) in transient_index.iter_mut().enumerate() {
+        if !layout.is_terminal(store.state(id)) {
+            *index = Some(transient);
             transient += 1;
         }
     }
     let mut system = SparseSystem::new(transient);
-    for (id, edges) in succs.iter().enumerate() {
+    for (id, span) in edge_start.windows(2).enumerate() {
         let Some(row) = transient_index[id] else {
             continue;
         };
         system.add(row, row, 1.0);
-        for &(next_id, p) in edges {
+        for (&next_id, outcome) in edges[span[0]..span[1]].iter().zip(&outcomes) {
+            let p = outcome.probability;
             match transient_index[next_id] {
                 Some(col) => system.add(row, col, -p),
                 None => {
-                    if absorbed[next_id] == Some(true) {
+                    if !layout.is_poisoned(store.state(next_id)) {
                         system.add_rhs(row, p);
                     }
                 }
@@ -961,7 +1101,7 @@ fn explore_route(
 
     RouteVerdict {
         hops,
-        states: absorbed.len(),
+        states: store.len(),
         transitions,
         transient,
         deliver_probability,
@@ -987,6 +1127,11 @@ pub struct VerifyReport {
     pub total_states: usize,
     /// Transitions summed over pairs.
     pub total_transitions: usize,
+    /// Canonical states actually explored: summed over the distinct
+    /// route lengths, each explored once (see [`verify_observed`]).
+    pub explored_states: usize,
+    /// Transitions actually explored, summed like `explored_states`.
+    pub explored_transitions: usize,
     /// Mean exact delivery probability over ordered pairs — the
     /// quantity uniform-random traffic estimates by Monte Carlo.
     pub deliver_probability: f64,
@@ -1054,6 +1199,8 @@ pub fn verify_observed(config: &ModelConfig, obs: &mut srlr_telemetry::Obs) -> V
     prof.exit();
     let total_states = pairs.iter().map(|p| p.states).sum();
     let total_transitions = pairs.iter().map(|p| p.transitions).sum();
+    let explored_states = routes.iter().map(|r| r.states).sum();
+    let explored_transitions = routes.iter().map(|r| r.transitions).sum();
     let deliver_probability = if pairs.is_empty() {
         1.0
     } else {
@@ -1066,6 +1213,8 @@ pub fn verify_observed(config: &ModelConfig, obs: &mut srlr_telemetry::Obs) -> V
         terminates: pairs.iter().all(|p| p.progress_monotone),
         total_states,
         total_transitions,
+        explored_states,
+        explored_transitions,
         deliver_probability,
         pairs,
     };
@@ -1326,31 +1475,46 @@ mod tests {
 
     #[test]
     fn canonicalization_is_shift_invariant() {
-        let a = State {
-            flits: vec![
-                FlitPos::Pending { link: 1, ready: 7 },
-                FlitPos::Pending { link: 0, ready: 5 },
-            ],
-            busy: vec![6, 2],
-            poisoned: false,
+        let layout = Layout { flits: 2, hops: 2 };
+        let canonical = |mut words: Vec<u64>| {
+            layout.canonicalize(&mut words);
+            words
         };
+        // Links [1, 0], ready [7, 5], watermarks [6, 2], not poisoned.
+        let a = vec![1, 0, 7, 5, 6, 2, 0];
         let mut b = a.clone();
-        for f in &mut b.flits {
-            if let FlitPos::Pending { ready, .. } = f {
-                *ready += 13;
-            }
-        }
-        for w in &mut b.busy {
+        for w in &mut b[2..6] {
             *w += 13;
         }
-        assert_eq!(a.clone().canonicalize(), b.canonicalize());
+        assert_eq!(canonical(a.clone()), canonical(b));
         // The watermark below base - 1 clamps to the same bucket as
         // base - 1 exactly.
         let mut c = a.clone();
-        c.busy[1] = 0;
+        c[5] = 0;
         let mut d = a;
-        d.busy[1] = 4; // base 5 -> base - 1 = 4
-        assert_eq!(c.canonicalize(), d.canonicalize());
+        d[5] = 4; // base 5 -> base - 1 = 4
+        assert_eq!(canonical(c), canonical(d));
+        // A terminal state keeps only its poisoned flag.
+        let done = vec![DONE, DONE, 0, 0, 9, 4, 1];
+        assert_eq!(canonical(done), vec![DONE, DONE, 0, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn the_store_interns_each_state_once_in_discovery_order() {
+        let layout = Layout { flits: 1, hops: 2 };
+        let mut store = Store::new(layout);
+        // Enough distinct states to grow the table several times.
+        for i in 0..1000u64 {
+            let words = [0, i, i % 7, i / 7, 0];
+            let slot = store.find(&words).expect_err("not yet interned");
+            assert_eq!(store.insert(slot, &words), store.len() - 1);
+        }
+        for i in 0..1000u64 {
+            let id = usize::try_from(i).unwrap();
+            assert_eq!(store.find(&[0, i, i % 7, i / 7, 0]), Ok(id));
+            assert_eq!(store.state(id), &[0, i, i % 7, i / 7, 0]);
+        }
+        assert!(store.find(&[0, 0, 0, 0, 1]).is_err());
     }
 
     #[test]

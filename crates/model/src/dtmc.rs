@@ -21,29 +21,35 @@
 //!
 //! # Cost
 //!
-//! Rows are ordered maps, and the solver keeps a column index of the
-//! structure below the diagonal: `below[c]` is the ordered set of row
-//! positions `r > c` holding an entry `(r, c)`.  It is built once from
-//! the assembled rows, re-keyed when a pivot swap moves a row, and
-//! extended when elimination creates a sub-diagonal fill entry.  The
-//! pivot search and the elimination of column `k` visit only
-//! `below[k]`, never the rows that lack the column, so a solve costs
-//! O(nnz · log n) plus the fill it creates.  Ties in the pivot search
-//! go to the lowest row position, exactly as in a scan of every later
-//! row, so pivots, `fill_in` and `x` do not depend on the index.  On a
-//! BFS-ordered chain every `below[c]` is empty and the solve is
-//! assembly plus back-substitution.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Each row is a vector of `(column, coefficient)` pairs sorted by
+//! column.  A coefficient is inserted at its binary-search position, and
+//! a repeated `(row, column)` accumulates into the stored one in
+//! assembly order.  The solver keeps a column index of the structure
+//! below the diagonal: `below[c]` is the sorted list of row positions
+//! `r > c` holding an entry `(r, c)`.  It is built once from the
+//! assembled rows, re-keyed when a pivot swap moves a row, and extended
+//! when elimination creates a sub-diagonal fill entry.  The pivot search
+//! and the elimination of column `k` visit only `below[k]`, never the
+//! rows that lack the column.  A lookup is a binary search and an
+//! insertion shifts the rest of its row or list, so with short rows a
+//! solve costs O(nnz · log n) plus the fill it creates.  Ties in the
+//! pivot search go to the lowest row position, exactly as in a scan of
+//! every later row, so pivots, `fill_in` and `x` do not depend on the
+//! index.  On a BFS-ordered chain every `below[c]` is empty and the
+//! solve is assembly plus back-substitution.
 
 /// Pivots with absolute value below this are treated as singular.
 const PIVOT_FLOOR: f64 = 1.0e-300;
 
-/// A sparse square system `A x = rhs` with rows stored as ordered maps.
+/// One sparse row: `(column, coefficient)` pairs sorted by column.
+type Row = Vec<(usize, f64)>;
+
+/// A sparse square system `A x = rhs` with rows stored as column-sorted
+/// vectors.
 #[derive(Debug, Clone)]
 pub struct SparseSystem {
     n: usize,
-    rows: Vec<BTreeMap<usize, f64>>,
+    rows: Vec<Row>,
     rhs: Vec<f64>,
 }
 
@@ -58,12 +64,61 @@ pub struct Solution {
     pub fill_in: usize,
 }
 
+/// The coefficient at `col`, if the row stores one.
+fn get(row: &[(usize, f64)], col: usize) -> Option<f64> {
+    row.binary_search_by_key(&col, |&(c, _)| c)
+        .ok()
+        .map(|i| row[i].1)
+}
+
+/// The coefficient slot at `col`, inserted as `0.0` at its sorted
+/// position when absent; the flag tells whether it was.
+fn entry(row: &mut Row, col: usize) -> (&mut f64, bool) {
+    match row.binary_search_by_key(&col, |&(c, _)| c) {
+        Ok(i) => (&mut row[i].1, false),
+        Err(i) => {
+            row.insert(i, (col, 0.0));
+            (&mut row[i].1, true)
+        }
+    }
+}
+
+/// Removes and returns the coefficient at `col`.
+fn remove(row: &mut Row, col: usize) -> Option<f64> {
+    let i = row.binary_search_by_key(&col, |&(c, _)| c).ok()?;
+    Some(row.remove(i).1)
+}
+
+/// The entries with column below `bound`.
+fn left_of(row: &[(usize, f64)], bound: usize) -> &[(usize, f64)] {
+    &row[..row.partition_point(|&(c, _)| c < bound)]
+}
+
+/// The entries with column above `bound`.
+fn right_of(row: &[(usize, f64)], bound: usize) -> &[(usize, f64)] {
+    &row[row.partition_point(|&(c, _)| c <= bound)..]
+}
+
+/// Adds `r` to a sorted set of row positions.
+fn set_insert(set: &mut Vec<usize>, r: usize) {
+    if let Err(i) = set.binary_search(&r) {
+        set.insert(i, r);
+    }
+}
+
+/// Removes `r` from a sorted set of row positions.
+fn set_remove(set: &mut Vec<usize>, r: usize) {
+    if let Ok(i) = set.binary_search(&r) {
+        set.remove(i);
+    }
+}
+
 impl SparseSystem {
     /// Creates an `n`-by-`n` system with all coefficients zero.
     pub fn new(n: usize) -> Self {
         SparseSystem {
             n,
-            rows: vec![BTreeMap::new(); n],
+            rows: vec![Vec::new(); n],
             rhs: vec![0.0; n],
         }
     }
@@ -82,7 +137,7 @@ impl SparseSystem {
     /// so that callers can assemble defensively.
     pub fn add(&mut self, row: usize, col: usize, coeff: f64) {
         if row < self.n && col < self.n {
-            *self.rows[row].entry(col).or_insert(0.0) += coeff;
+            *entry(&mut self.rows[row], col).0 += coeff;
         }
     }
 
@@ -95,7 +150,7 @@ impl SparseSystem {
 
     /// Number of structurally non-zero coefficients currently stored.
     pub fn nonzeros(&self) -> usize {
-        self.rows.iter().map(BTreeMap::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Solves the system by sparse Gaussian elimination with partial
@@ -108,11 +163,11 @@ impl SparseSystem {
     /// Returns `None` when a pivot column is numerically singular.
     pub fn solve(mut self) -> Option<Solution> {
         let n = self.n;
-        // below[c]: row positions r > c holding an entry (r, c).
-        let mut below: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        // below[c]: sorted row positions r > c holding an entry (r, c).
+        let mut below: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (r, row) in self.rows.iter().enumerate() {
-            for (&c, _) in row.range(..r) {
-                below[c].insert(r);
+            for &(c, _) in left_of(row, r) {
+                below[c].push(r);
             }
         }
         let mut created = 0usize;
@@ -120,9 +175,10 @@ impl SparseSystem {
             // Partial pivoting: pick the row at or below k with the
             // largest magnitude in column k.
             let mut best = k;
-            let mut best_mag = self.rows[k].get(&k).map_or(0.0, |v| v.abs());
-            for &r in below[k].range(k + 1..) {
-                let mag = self.rows[r].get(&k).map_or(0.0, |v| v.abs());
+            let mut best_mag = get(&self.rows[k], k).map_or(0.0, f64::abs);
+            let later = below[k].partition_point(|&r| r <= k);
+            for &r in &below[k][later..] {
+                let mag = get(&self.rows[r], k).map_or(0.0, f64::abs);
                 if mag > best_mag {
                     best_mag = mag;
                     best = r;
@@ -134,38 +190,37 @@ impl SparseSystem {
             if best != k {
                 // Rows at or below k hold nothing left of column k, so
                 // only position `best` changes hands in the index.
-                for (&c, _) in self.rows[best].range(..best) {
-                    below[c].remove(&best);
+                for &(c, _) in left_of(&self.rows[best], best) {
+                    set_remove(&mut below[c], best);
                 }
-                for (&c, _) in self.rows[k].range(..best) {
-                    below[c].insert(best);
+                for &(c, _) in left_of(&self.rows[k], best) {
+                    set_insert(&mut below[c], best);
                 }
                 self.rows.swap(k, best);
                 self.rhs.swap(k, best);
             }
-            let pivot = *self.rows[k].get(&k)?;
+            let pivot = get(&self.rows[k], k)?;
             // Eliminate column k from every later row that carries it.
             let targets = std::mem::take(&mut below[k]);
             if targets.is_empty() {
                 continue;
             }
-            let pivot_row: Vec<(usize, f64)> =
-                self.rows[k].range(k + 1..).map(|(&c, &v)| (c, v)).collect();
+            let pivot_row = right_of(&self.rows[k], k).to_vec();
             let pivot_rhs = self.rhs[k];
             for r in targets {
-                let factor = match self.rows[r].remove(&k) {
+                let factor = match remove(&mut self.rows[r], k) {
                     Some(v) => v / pivot,
                     None => continue,
                 };
                 for &(c, v) in &pivot_row {
-                    let slot = self.rows[r].entry(c).or_insert_with(|| {
+                    let (slot, fresh) = entry(&mut self.rows[r], c);
+                    *slot -= factor * v;
+                    if fresh {
                         created += 1;
                         if c < r {
-                            below[c].insert(r);
+                            set_insert(&mut below[c], r);
                         }
-                        0.0
-                    });
-                    *slot -= factor * v;
+                    }
                 }
                 self.rhs[r] -= factor * pivot_rhs;
             }
@@ -174,10 +229,10 @@ impl SparseSystem {
         let mut x = vec![0.0; n];
         for k in (0..n).rev() {
             let mut acc = self.rhs[k];
-            for (&c, &v) in self.rows[k].range(k + 1..) {
+            for &(c, v) in right_of(&self.rows[k], k) {
                 acc -= v * x[c];
             }
-            let pivot = *self.rows[k].get(&k)?;
+            let pivot = get(&self.rows[k], k)?;
             x[k] = acc / pivot;
         }
         Some(Solution {
@@ -191,17 +246,25 @@ impl SparseSystem {
 mod tests {
     use super::*;
     use srlr_rng::Xoshiro256pp;
+    use std::collections::BTreeMap;
 
-    /// The solver before the sub-diagonal index: the pivot search and
-    /// the elimination scan every row below the pivot.  Kept as the
-    /// oracle the indexed solver must match bit for bit.
-    fn dense_scan_solve(mut sys: SparseSystem) -> Option<Solution> {
+    /// The solver before the sub-diagonal index and the column-sorted
+    /// rows: rows are ordered maps, and the pivot search and the
+    /// elimination scan every row below the pivot.  Kept as the oracle
+    /// the indexed solver must match bit for bit.
+    fn dense_scan_solve(sys: SparseSystem) -> Option<Solution> {
         let n = sys.n;
+        let mut rows: Vec<BTreeMap<usize, f64>> = sys
+            .rows
+            .iter()
+            .map(|row| row.iter().copied().collect())
+            .collect();
+        let mut rhs = sys.rhs;
         let mut created = 0usize;
         for k in 0..n {
             let mut best = k;
-            let mut best_mag = sys.rows[k].get(&k).map_or(0.0, |v| v.abs());
-            for (offset, row) in sys.rows[k + 1..].iter().enumerate() {
+            let mut best_mag = rows[k].get(&k).map_or(0.0, |v| v.abs());
+            for (offset, row) in rows[k + 1..].iter().enumerate() {
                 let mag = row.get(&k).map_or(0.0, |v| v.abs());
                 if mag > best_mag {
                     best_mag = mag;
@@ -212,35 +275,35 @@ mod tests {
                 return None;
             }
             if best != k {
-                sys.rows.swap(k, best);
-                sys.rhs.swap(k, best);
+                rows.swap(k, best);
+                rhs.swap(k, best);
             }
-            let pivot = *sys.rows[k].get(&k)?;
+            let pivot = *rows[k].get(&k)?;
             let pivot_row: Vec<(usize, f64)> =
-                sys.rows[k].range(k + 1..).map(|(&c, &v)| (c, v)).collect();
-            let pivot_rhs = sys.rhs[k];
+                rows[k].range(k + 1..).map(|(&c, &v)| (c, v)).collect();
+            let pivot_rhs = rhs[k];
             for r in k + 1..n {
-                let factor = match sys.rows[r].remove(&k) {
+                let factor = match rows[r].remove(&k) {
                     Some(v) => v / pivot,
                     None => continue,
                 };
                 for &(c, v) in &pivot_row {
-                    let slot = sys.rows[r].entry(c).or_insert_with(|| {
+                    let slot = rows[r].entry(c).or_insert_with(|| {
                         created += 1;
                         0.0
                     });
                     *slot -= factor * v;
                 }
-                sys.rhs[r] -= factor * pivot_rhs;
+                rhs[r] -= factor * pivot_rhs;
             }
         }
         let mut x = vec![0.0; n];
         for k in (0..n).rev() {
-            let mut acc = sys.rhs[k];
-            for (&c, &v) in sys.rows[k].range(k + 1..) {
+            let mut acc = rhs[k];
+            for (&c, &v) in rows[k].range(k + 1..) {
                 acc -= v * x[c];
             }
-            let pivot = *sys.rows[k].get(&k)?;
+            let pivot = *rows[k].get(&k)?;
             x[k] = acc / pivot;
         }
         Some(Solution {

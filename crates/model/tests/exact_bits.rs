@@ -1,8 +1,9 @@
 //! Bit pins for the exact delivery probability.
 //!
 //! Every value here was recorded from `verify` before the solver gained
-//! its sub-diagonal column index and the state search its per-progress
-//! interning.  Both are pure speedups: state ids, counts, proof flags
+//! its sub-diagonal column index and column-sorted rows, and before the
+//! state search gained its per-progress interning and then its packed
+//! arena store.  All are pure speedups: state ids, counts, proof flags
 //! and every probability bit must stay as recorded.  Each pin holds the
 //! mean delivery probability's bits, an FNV-1a fold of every route's
 //! probability bits in route order, and the (states, transitions)

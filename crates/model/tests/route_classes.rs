@@ -99,3 +99,29 @@ fn broken_scheduler_counterexamples_name_their_own_route() {
         }
     }
 }
+
+#[test]
+fn explored_work_counts_each_route_length_once() {
+    // The repository benchmark's configuration: 2x2 mesh, 8-flit packets.
+    for (budget, explored) in [(0, (50, 92)), (1, (206, 606)), (3, (2498, 12470))] {
+        let report = verify(&config(2, 8, budget));
+        assert_eq!(
+            (report.explored_states, report.explored_transitions),
+            explored,
+            "budget {budget}"
+        );
+        // One pair per distinct route length carries exactly the
+        // explored work; the per-pair totals count every pair.
+        let mut lengths = Vec::new();
+        let (mut states, mut transitions) = (0, 0);
+        for pair in report.pairs.iter().filter(|p| p.hops > 0) {
+            if !lengths.contains(&pair.hops) {
+                lengths.push(pair.hops);
+                states += pair.states;
+                transitions += pair.transitions;
+            }
+        }
+        assert_eq!((states, transitions), explored, "budget {budget}");
+        assert!(report.total_states > report.explored_states);
+    }
+}
