@@ -1561,7 +1561,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
     // transitions, and each distinct route length is explored once.
     // These bounds keep a check interactive: the CI configurations at
     // budgets 0, 1, 3 (2x2; 3x3 and 4x4 with 4-flit packets) take
-    // ~0.003 s, ~0.03 s and ~0.45 s on a 2-core Xeon VM.
+    // ~0.003 s, ~0.03 s and ~0.4 s on a 2-core Xeon VM.
     if !(1..=4).contains(&cols) || !(1..=4).contains(&rows) {
         return Err(CliError::Usage("mesh sides must be in 1..=4".into()));
     }

@@ -14,8 +14,12 @@
 //! with its accumulated NACK/backoff delay) or exhausts the retry
 //! budget and poisons the packet.  Silent CRC escapes deliver with the
 //! same attempt count and delay as a clean pass, so the two branches
-//! reach identical successor states and are merged into one weighted
-//! branch (see [`ModelConfig::silent_escape`]).
+//! would reach identical successor states; the model counts every
+//! corrupted word as detected ([`ModelConfig::detected_probability`]).
+//! The CRC-16 in use has Hamming distance 4 over the 80-bit codeword,
+//! so at the BERs swept here the escape fraction is below `1e-9`, which
+//! moves the exact delivery probability by far less than a Monte Carlo
+//! confidence interval.
 //!
 //! # State, scheduling and canonicalization
 //!
@@ -60,10 +64,19 @@
 //! # Exact delivery probability
 //!
 //! Weighting each branch by its probability turns the state graph into
-//! an absorbing DTMC solved exactly by sparse Gaussian elimination
-//! ([`crate::dtmc`]).  Because the graph is acyclic and assembled in
-//! BFS order, the elimination incurs zero fill-in — reported and
-//! asserted, not assumed.
+//! an absorbing DTMC: `x[s]`, the probability of ending in `Delivered`
+//! from transient state `s`, solves `(I - Q) x = b`.  Every transition
+//! crosses exactly one link (the progress obligation), and the initial
+//! state has progress 0, so a state's BFS depth equals its progress and
+//! each successor is discovered one level deeper: every edge points to
+//! a larger id, and `I - Q` is unit upper-triangular in id order.  One
+//! backward pass over the explored edges, from the last id to the
+//! first, is then the back-substitution that solves it.  It sums each
+//! state's delivered mass in edge order, then adds each distinct
+//! transient successor's summed mass times its `x` by ascending id —
+//! the order of the sparse elimination it replaced, so every
+//! probability bit is kept.  When the progress obligation fails, the
+//! order does not hold and the probability is `NaN`.
 //!
 //! # One exploration per route length
 //!
@@ -93,16 +106,14 @@
 //! The search is linear in the transitions, plus amortized table growth.
 //!
 //! On the 4x4 mesh with 4-flit packets at budgets 0, 1 and 3 (1.59M
-//! explored transitions), `model.bfs` takes ~185 ns of self time per
-//! explored transition and `model.dtmc` ~71 ns, on a 2-core Xeon VM.
+//! explored transitions), `model.bfs` takes ~190 ns of self time per
+//! explored transition and `model.dtmc` ~22 ns, on a 2-core Xeon VM.
 
 use std::collections::BTreeMap;
 
 use srlr_noc::protocol::{link_arrival, retry_step, AttemptOutcome, RetryState, RetryStep};
 use srlr_noc::{Coord, FaultConfig, Mesh};
 use srlr_telemetry::{Collector, Value};
-
-use crate::dtmc::SparseSystem;
 
 /// Which link-scheduling rule the checker verifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,20 +146,12 @@ pub struct ModelConfig {
     pub packet_len: usize,
     /// Fault/retry parameters shared with the simulator.
     pub fault: FaultConfig,
-    /// Conditional probability that a *corrupted* codeword passes the
-    /// CRC undetected.  The CRC-16 in use has Hamming distance 4 over
-    /// the 80-bit codeword, so at the BERs swept here the escape
-    /// fraction is below `1e-9`; the default of `0.0` shifts the exact
-    /// delivery probability by far less than a Monte Carlo confidence
-    /// interval.  Kept as a knob so the sensitivity is measurable.
-    pub silent_escape: f64,
     /// Scheduling rule under test.
     pub variant: Variant,
 }
 
 impl ModelConfig {
-    /// Creates a configuration for the correct scheduler with no
-    /// silent CRC escapes.
+    /// Creates a configuration for the correct scheduler.
     ///
     /// # Panics
     ///
@@ -159,7 +162,6 @@ impl ModelConfig {
             mesh,
             packet_len,
             fault,
-            silent_escape: 0.0,
             variant: Variant::Correct,
         }
     }
@@ -191,24 +193,11 @@ impl ModelConfig {
         self
     }
 
-    /// Replaces the conditional silent-escape probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= silent_escape < 1`.
-    pub fn with_silent_escape(mut self, silent_escape: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&silent_escape),
-            "silent escape must be a probability below one"
-        );
-        self.silent_escape = silent_escape;
-        self
-    }
-
     /// Probability that one crossing attempt is *detected* as corrupt:
-    /// the word-error probability minus the silent-escape slice.
+    /// the word-error probability, every corrupted word counted as
+    /// detected (see the module docs on silent CRC escapes).
     pub fn detected_probability(&self) -> f64 {
-        self.fault.word_error_probability() * (1.0 - self.silent_escape)
+        self.fault.word_error_probability()
     }
 }
 
@@ -697,14 +686,11 @@ pub struct PairResult {
     pub states: usize,
     /// Explored transitions.
     pub transitions: usize,
-    /// Transient (non-terminal) states — the DTMC system size.
+    /// Transient (non-terminal) states of the absorbing chain.
     pub transient: usize,
-    /// Exact probability the packet is delivered (reaches `Delivered`).
+    /// Exact probability the packet is delivered (reaches `Delivered`);
+    /// `NaN` when `progress_monotone` fails.
     pub deliver_probability: f64,
-    /// Whether the linear solve succeeded (a DAG chain always does).
-    pub solved: bool,
-    /// Matrix entries created during elimination; zero in BFS order.
-    pub fill_in: usize,
     /// The `Delivered` absorbing state is reachable.
     pub delivered_reachable: bool,
     /// The `CountedDrop` absorbing state is reachable.
@@ -843,8 +829,6 @@ struct RouteVerdict {
     transitions: usize,
     transient: usize,
     deliver_probability: f64,
-    solved: bool,
-    fill_in: usize,
     delivered_reachable: bool,
     drop_reachable: bool,
     deadlock_free: bool,
@@ -865,8 +849,6 @@ impl RouteVerdict {
             transitions: self.transitions,
             transient: self.transient,
             deliver_probability: self.deliver_probability,
-            solved: self.solved,
-            fill_in: self.fill_in,
             delivered_reachable: self.delivered_reachable,
             drop_reachable: self.drop_reachable,
             deadlock_free: self.deadlock_free,
@@ -897,7 +879,7 @@ pub fn check_pair(config: &ModelConfig, src: Coord, dst: Coord) -> PairResult {
 
 /// Explores the state graph of a route of `hops` links: the
 /// state-space exploration lands as a `model.bfs` frame and the
-/// absorbing-chain assembly + solve as a `model.dtmc` frame. A disabled
+/// absorbing-chain solve as a `model.dtmc` frame. A disabled
 /// profiler costs one branch per frame; this *is* the unprofiled path —
 /// same code, same result.
 ///
@@ -918,8 +900,6 @@ fn explore_route(
             transitions: 0,
             transient: 0,
             deliver_probability: 1.0,
-            solved: true,
-            fill_in: 0,
             delivered_reachable: true,
             drop_reachable: false,
             deadlock_free: true,
@@ -1062,40 +1042,15 @@ fn explore_route(
     prof.exit();
 
     prof.enter("model.dtmc");
-    // Absorbing-DTMC solve: x_t = sum_succ p * (x_succ | [delivered]).
-    let mut transient_index: Vec<Option<usize>> = vec![None; store.len()];
-    let mut transient = 0usize;
-    for (id, index) in transient_index.iter_mut().enumerate() {
-        if !layout.is_terminal(store.state(id)) {
-            *index = Some(transient);
-            transient += 1;
-        }
-    }
-    let mut system = SparseSystem::new(transient);
-    for (id, span) in edge_start.windows(2).enumerate() {
-        let Some(row) = transient_index[id] else {
-            continue;
-        };
-        system.add(row, row, 1.0);
-        for (&next_id, outcome) in edges[span[0]..span[1]].iter().zip(&outcomes) {
-            let p = outcome.probability;
-            match transient_index[next_id] {
-                Some(col) => system.add(row, col, -p),
-                None => {
-                    if !layout.is_poisoned(store.state(next_id)) {
-                        system.add_rhs(row, p);
-                    }
-                }
-            }
-        }
-    }
-    let (deliver_probability, solved, fill_in) = if transient == 0 {
-        (if drop_reachable { 0.0 } else { 1.0 }, true, 0)
+    let transient = (0..store.len())
+        .filter(|&id| !layout.is_terminal(store.state(id)))
+        .count();
+    let deliver_probability = if progress_monotone {
+        let mut x = vec![0.0; store.len()];
+        let mut succ = vec![(0, 0.0); outcomes.len()];
+        back_substitute(&store, &edges, &edge_start, &outcomes, &mut x, &mut succ)
     } else {
-        match system.solve() {
-            Some(solution) => (solution.x[0], true, solution.fill_in),
-            None => (f64::NAN, false, 0),
-        }
+        f64::NAN
     };
     prof.exit();
 
@@ -1105,8 +1060,6 @@ fn explore_route(
         transitions,
         transient,
         deliver_probability,
-        solved,
-        fill_in,
         delivered_reachable,
         drop_reachable,
         deadlock_free,
@@ -1114,6 +1067,63 @@ fn explore_route(
         progress_monotone,
         witnesses,
     }
+}
+
+/// P(deliver) from the initial state (id 0) by one backward pass over
+/// the BFS's successor lists: state `id`'s edges are
+/// `edges[edge_start[id]..edge_start[id + 1]]`, one per outcome.
+///
+/// Every edge must point to a larger id, which holds whenever
+/// `progress_monotone` does (see the module docs), so each transient
+/// successor's `x` is final before its predecessors read it.  `x` (one
+/// slot per state) and `succ` (one per outcome) are the caller's
+/// scratch; the pass allocates nothing.
+///
+/// The arithmetic is the back-substitution of `(I - Q) x = b` in BFS
+/// order, term for term: `x[id]` sums the delivered successors' masses
+/// in edge order, then adds each distinct transient successor's mass
+/// (its masses summed in edge order) times its `x`, by ascending id.
+fn back_substitute(
+    store: &Store,
+    edges: &[usize],
+    edge_start: &[usize],
+    outcomes: &[CrossingOutcome],
+    x: &mut [f64],
+    succ: &mut [(usize, f64)],
+) -> f64 {
+    let layout = store.layout;
+    for id in (0..store.len()).rev() {
+        if layout.is_terminal(store.state(id)) {
+            continue;
+        }
+        let mut acc = 0.0;
+        let mut distinct = 0;
+        let span = &edges[edge_start[id]..edge_start[id + 1]];
+        for (&next, outcome) in span.iter().zip(outcomes) {
+            debug_assert!(next > id, "an edge points to an earlier state");
+            let p = outcome.probability;
+            let state = store.state(next);
+            if !layout.is_terminal(state) {
+                match succ[..distinct].iter_mut().find(|(s, _)| *s == next) {
+                    Some((_, mass)) => *mass += p,
+                    None => {
+                        succ[distinct] = (next, p);
+                        distinct += 1;
+                    }
+                }
+            } else if !layout.is_poisoned(state) {
+                acc += p;
+            }
+        }
+        // Keys are unique after grouping, so the unstable sort (which
+        // does not allocate) gives the same order as a stable one.
+        succ[..distinct].sort_unstable_by_key(|&(s, _)| s);
+        for &(s, mass) in &succ[..distinct] {
+            acc += mass * x[s];
+        }
+        x[id] = acc;
+    }
+    x[0]
 }
 
 /// Aggregate verification verdict over every ordered route of a mesh.
@@ -1393,7 +1403,7 @@ mod tests {
             // *enumerated* (nondeterministic semantics), so it remains
             // reachable in the qualitative graph.
             assert!(pair.drop_reachable);
-            assert!(pair.solved);
+            assert!(pair.progress_monotone);
         }
     }
 
@@ -1418,7 +1428,6 @@ mod tests {
             let survive = 1.0 - detected.powi(retries as i32 + 1);
             let report = verify(&config);
             for pair in &report.pairs {
-                assert!(pair.solved);
                 let crossings = i32::try_from(config.packet_len * pair.hops).unwrap();
                 let expect = survive.powi(crossings);
                 assert!(
@@ -1436,11 +1445,45 @@ mod tests {
     }
 
     #[test]
-    fn bfs_order_incurs_zero_fill_in() {
-        let report = verify(&cfg(0.01, 3));
-        for pair in &report.pairs {
-            assert_eq!(pair.fill_in, 0, "fill-in on {} -> {}", pair.src, pair.dst);
+    fn an_absorbing_chain_absorbs_with_probability_one() {
+        // Transient states 0, 1, 2 and the two terminal classes 3
+        // (delivered) and 4 (dropped), one edge per outcome.  State 0
+        // reaches state 2 twice and state 1 once, out of id order.
+        let layout = Layout { flits: 1, hops: 2 };
+        let mut store = Store::new(layout);
+        for words in [
+            [0, 1, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+            [1, 2, 0, 0, 0],
+            [DONE, 0, 0, 0, 0],
+            [DONE, 0, 0, 0, 1],
+        ] {
+            let slot = store.find(&words).expect_err("distinct states");
+            store.insert(slot, &words);
         }
+        let outcomes: Vec<CrossingOutcome> = [0.4, 0.3, 0.2, 0.1]
+            .into_iter()
+            .map(|probability| CrossingOutcome {
+                attempts: 1,
+                nacks: 0,
+                delivered: true,
+                extra_delay: 0,
+                probability,
+            })
+            .collect();
+        let edges = [2, 3, 1, 2, 3, 4, 3, 3, 4, 3, 4, 4];
+        let edge_start = [0, 4, 8, 12, 12, 12];
+        let mut x = [0.0; 5];
+        let mut succ = [(0, 0.0); 4];
+        let got = back_substitute(&store, &edges, &edge_start, &outcomes, &mut x, &mut succ);
+        let x1: f64 = 0.4 + 0.2 + 0.1;
+        let x2: f64 = 0.3;
+        // Delivered mass first, then the grouped successors by id.
+        let want = 0.3 + 0.2 * x1 + (0.4 + 0.1) * x2;
+        assert_eq!(x[1].to_bits(), x1.to_bits());
+        assert_eq!(x[2].to_bits(), x2.to_bits());
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        assert!((got - 0.59).abs() < 1e-15, "{got}");
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! in one is a semantics change in both.
 //!
 //! The same state graph, weighted by per-crossing outcome
-//! probabilities, is an absorbing discrete-time Markov chain.  Solving
-//! `(I - Q) x = b` by sparse Gaussian elimination ([`dtmc`]) yields
-//! the *exact* delivery probability, which integration tests pin
+//! probabilities, is an absorbing discrete-time Markov chain.  It is
+//! acyclic and its BFS order is topological, so one backward pass over
+//! the explored edges solves `(I - Q) x = b` and yields the *exact*
+//! delivery probability, which integration tests pin
 //! inside the Monte Carlo Wilson interval of `ber_sweep` at every
 //! swept BER.
 //!
@@ -34,11 +35,9 @@
 #![forbid(unsafe_code)]
 
 pub mod checker;
-pub mod dtmc;
 
 pub use checker::{
     check_pair, closed_form_delivery, crossing_outcomes, replay, replay_choices, verify,
     verify_observed, CrossingOutcome, ModelConfig, PairResult, Replayed, TraceStep, Variant,
     VerifyReport, Violation, ViolationKind,
 };
-pub use dtmc::{Solution, SparseSystem};
