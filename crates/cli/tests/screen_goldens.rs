@@ -1,0 +1,51 @@
+//! `srlr ablation` (default 500 dice per design) and `srlr shmoo`
+//! (default 512 bits per cell) are pinned byte for byte at one worker
+//! thread and at two, like the Fig. 6 table (`fig6_golden.rs`). Both run
+//! the per-die screen on designs that table does not: the ablation's
+//! single delay cell and its inverter driver with adaptive bias, and
+//! the shmoo's nominal die across 1–8 Gb/s and 250–600 mV. A screen or
+//! elaboration change that claims bit-identical results is held to
+//! these outputs too.
+
+#![allow(
+    clippy::expect_used,
+    reason = "the test helper fails loudly when the binary cannot run"
+)]
+
+use std::process::Command;
+
+/// Runs `srlr args` with `SRLR_THREADS=threads` and returns its stdout.
+fn srlr(args: &[&str], threads: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_srlr"))
+        .args(args)
+        .env("SRLR_THREADS", threads)
+        .output()
+        .expect("spawn srlr binary");
+    assert!(
+        out.status.success(),
+        "srlr {args:?} failed at {threads} thread(s)"
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn ablation_matches_its_golden_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(
+            srlr(&["ablation"], threads),
+            include_str!("golden/ablation.txt"),
+            "ablation at {threads} thread(s) differs from its golden"
+        );
+    }
+}
+
+#[test]
+fn shmoo_matches_its_golden_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(
+            srlr(&["shmoo", "--threads", threads], threads),
+            include_str!("golden/shmoo.txt"),
+            "shmoo --threads {threads} differs from its golden"
+        );
+    }
+}

@@ -18,7 +18,7 @@ use crate::stage::SrlrStage;
 use srlr_tech::{
     AdaptiveSwingBias, Device, GlobalVariation, MismatchSampler, MosKind, Technology, WireGeometry,
 };
-use srlr_units::{Capacitance, Energy, Length, Resistance, TimeInterval, Voltage};
+use srlr_units::{Capacitance, Current, Energy, Length, Resistance, TimeInterval, Voltage};
 
 /// A complete SRLR design point.
 ///
@@ -255,6 +255,15 @@ impl SrlrDesign {
 /// [`SwingPoint::retarget`]s the chain to every other point, which
 /// re-resolves those three fields with the expressions elaboration uses
 /// and so gives the chain bit for bit.
+///
+/// The charging resistance is split at the die-level drive current
+/// ([`OutputDriver::pull_up_current`]: the pull-up's per-`W/L` drain
+/// current at `(VDD, VDD/2)` on the die). No swing moves it: the
+/// NMOS follower is the same device at every swing, and the inverter's
+/// swing only rescales its PMOS width. Elaboration resolves it once per
+/// die and keeps it in the chain, so a retarget does only the
+/// per-point `× W/L`, the secant and the follower's ×1.3
+/// ([`OutputDriver::charge_resistance_from`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwingPoint {
     design: SrlrDesign,
@@ -313,13 +322,16 @@ impl SwingPoint {
     /// Moves `chain` to this point's swing: `chain` must have been
     /// elaborated on die `var` for this point's design at any swing.
     /// The result equals elaborating the die at this point directly.
+    /// The die's drive current comes from the chain, so no device is
+    /// evaluated.
     pub fn retarget(&self, tech: &Technology, var: &GlobalVariation, chain: &mut SrlrChain) {
         // Node X's capacitance is a die-level quantity, the same in every
         // stage.
         let Some(c_x) = chain.stages.first().map(|stage| stage.c_x) else {
             return;
         };
-        let (drive_level, charge_r, internal_energy) = self.swing_fields(tech, var, c_x);
+        let (drive_level, charge_r, internal_energy) =
+            self.swing_fields(tech, var, c_x, chain.pull_up_current);
         for stage in &mut chain.stages {
             stage.drive_level = drive_level;
             stage.charge_resistance = charge_r;
@@ -327,19 +339,49 @@ impl SwingPoint {
         }
     }
 
+    /// [`SwingPoint::retarget`] of a copy of `from`, in one pass: `chain`
+    /// becomes die `from` at this point's swing, bit for bit, whatever
+    /// it held before. Its stage buffer is reused, so a sweep writes each
+    /// die into every point's chain without allocating.
+    pub fn retarget_from(
+        &self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        from: &SrlrChain,
+        chain: &mut SrlrChain,
+    ) {
+        chain.stages.clear();
+        if let Some(c_x) = from.stages.first().map(|stage| stage.c_x) {
+            let (drive_level, charge_resistance, internal_energy_per_pulse) =
+                self.swing_fields(tech, var, c_x, from.pull_up_current);
+            let at_point = from.stages.iter().map(|stage| SrlrStage {
+                drive_level,
+                charge_resistance,
+                internal_energy_per_pulse,
+                ..*stage
+            });
+            // srlr-lint: allow(alloc-in-hot-path, reason = "fills the caller's reused stage buffer; it grows only on a chain's first copy")
+            chain.stages.extend(at_point);
+        }
+        chain.segment_length = from.segment_length;
+        chain.launch_width = from.launch_width;
+        chain.pull_up_current = from.pull_up_current;
+    }
+
     /// The stage fields the swing reaches, on die `var` with node-X
-    /// capacitance `c_x`: drive level, charging resistance and the fixed
-    /// internal energy per pulse (X cycle, amplifier load, driver input,
-    /// delay-cell buffers).
+    /// capacitance `c_x` and pull-up drive current `pull_up_current`:
+    /// drive level, charging resistance and the fixed internal energy per
+    /// pulse (X cycle, amplifier load, driver input, delay-cell buffers).
     fn swing_fields(
         &self,
         tech: &Technology,
         var: &GlobalVariation,
         c_x: Capacitance,
+        pull_up_current: Current,
     ) -> (Voltage, Resistance, Energy) {
         let drive_command = self.design.commanded_drive_with(self.bias.as_ref(), var);
         let drive_level = self.driver.drive_level(tech, drive_command);
-        let charge_r = self.driver.charge_resistance(tech, var);
+        let charge_r = self.driver.charge_resistance_from(tech, pull_up_current);
         let c_buffers =
             Capacitance::from_femtofarads(2.0 * self.design.delay_cell.buffers() as f64);
         let c_amp_load = Capacitance::from_femtofarads(2.0);
@@ -394,7 +436,9 @@ impl SwingPoint {
         let c_x =
             tech.nmos.junction_capacitance(design.m1_width) + m2.drain_capacitance() + amp_input;
 
-        let (drive_level, charge_r, internal_energy) = self.swing_fields(tech, var, c_x);
+        let pull_up_current = self.driver.pull_up_current(tech, var);
+        let (drive_level, charge_r, internal_energy) =
+            self.swing_fields(tech, var, c_x, pull_up_current);
 
         // Keeper opposition during a discharge: M2's current at half the
         // discharge depth of gate overdrive (its source follows X down
@@ -477,17 +521,34 @@ impl SwingPoint {
         }));
         chain.segment_length = design.segment_length;
         chain.launch_width = design.delay_cell.nominal_delay() * delay_mult;
+        chain.pull_up_current = pull_up_current;
     }
 }
 
 /// A resolved chain of SRLR stages on one die.
-#[derive(Debug, PartialEq)]
+#[derive(PartialEq)]
 pub struct SrlrChain {
     stages: Vec<SrlrStage>,
     segment_length: Length,
     /// Width of the pulse the modulator launches on this die (the
     /// parity-free nominal delay-cell width, corner-scaled).
     launch_width: TimeInterval,
+    /// The die's output-driver drive current, which
+    /// [`SwingPoint::retarget`] reuses at every swing.
+    pull_up_current: Current,
+}
+
+/// The die's resolved fields. The drive current is left out: it is
+/// what every stage's `charge_resistance` was resolved from, so the
+/// stages already show it.
+impl core::fmt::Debug for SrlrChain {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("SrlrChain")
+            .field("stages", &self.stages)
+            .field("segment_length", &self.segment_length)
+            .field("launch_width", &self.launch_width)
+            .finish()
+    }
 }
 
 /// `clone_from` reuses the stage buffer, so copying one die's chain into
@@ -498,6 +559,7 @@ impl Clone for SrlrChain {
             stages: self.stages.clone(),
             segment_length: self.segment_length,
             launch_width: self.launch_width,
+            pull_up_current: self.pull_up_current,
         }
     }
 
@@ -505,6 +567,7 @@ impl Clone for SrlrChain {
         self.stages.clone_from(&source.stages);
         self.segment_length = source.segment_length;
         self.launch_width = source.launch_width;
+        self.pull_up_current = source.pull_up_current;
     }
 }
 
@@ -515,6 +578,7 @@ impl SrlrChain {
             stages: Vec::new(),
             segment_length: Length::zero(),
             launch_width: TimeInterval::zero(),
+            pull_up_current: Current::zero(),
         }
     }
 

@@ -13,7 +13,7 @@
 //! rail, which is also what makes the adaptive swing scheme possible.
 
 use srlr_tech::{Device, GlobalVariation, MosKind, Technology};
-use srlr_units::{Length, Resistance, Voltage};
+use srlr_units::{Current, Length, Resistance, Voltage};
 
 /// Which output-driver topology a design uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,12 +89,39 @@ impl OutputDriver {
 
     /// Pull-up (charging) source resistance on the given die.
     pub fn charge_resistance(&self, tech: &Technology, var: &GlobalVariation) -> Resistance {
+        self.charge_resistance_from(tech, self.pull_up_current(tech, var))
+    }
+
+    /// The pull-up's drain current per unit `W/L` at `(VDD, VDD/2)` on
+    /// the given die: the operating point of its switching resistance.
+    /// Scaling the pull-up ([`OutputDriver::with_pull_up_scaled`]) keeps
+    /// it, so every swing of one design shares it on a die.
+    pub fn pull_up_current(&self, tech: &Technology, var: &GlobalVariation) -> Current {
         let (dvth, mult) = match self.pull_up.kind() {
             MosKind::Nmos => (var.dvth_n, var.drive_mult_n),
             MosKind::Pmos => (var.dvth_p, var.drive_mult_p),
         };
-        let dev = self.pull_up.with_variation(dvth, mult);
-        let base = dev.effective_resistance(tech.vdd);
+        self.pull_up
+            .with_variation(dvth, mult)
+            .switching_current_per_ratio(tech.vdd)
+    }
+
+    /// [`OutputDriver::charge_resistance`] from the die's
+    /// [`OutputDriver::pull_up_current`] of this design: only the
+    /// `× W/L`, the secant and the follower penalty remain, and the
+    /// result is bit for bit the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current is too small for the pull-up to conduct.
+    pub fn charge_resistance_from(
+        &self,
+        tech: &Technology,
+        pull_up_current: Current,
+    ) -> Resistance {
+        let base = self
+            .pull_up
+            .effective_resistance_from(tech.vdd, pull_up_current);
         match self.kind {
             // Source-follower pull-up loses gate overdrive as the output
             // approaches the bias level; fold that in as a fixed penalty.
@@ -139,7 +166,8 @@ impl OutputDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srlr_tech::ProcessCorner;
+    use crate::design::SrlrDesign;
+    use srlr_tech::{MonteCarlo, ProcessCorner};
 
     fn tech() -> Technology {
         Technology::soi45()
@@ -174,6 +202,58 @@ mod tests {
         // PMOS pull-up at equal width is weaker than NMOS even with the
         // follower penalty.
         assert!(inv > nmos);
+    }
+
+    #[test]
+    fn split_charge_resistance_equals_the_unsplit_secant_bit_for_bit() {
+        // A sweep resolves the pull-up's drive current once per die and
+        // rebuilds the charging resistance from it at every swing. That
+        // must be the unsplit `(VDD/2) / Id(VDD, VDD/2)` of the varied
+        // pull-up (×1.3 for the follower) and `charge_resistance`, bit
+        // for bit: for both driver kinds, every inverter pull-up scale
+        // from 350 to 550 mV in 1 mV steps, the five corners and 200
+        // Monte Carlo dice.
+        let t = tech();
+        let unsplit = |d: &OutputDriver, var: &GlobalVariation| {
+            let (dvth, mult) = match d.pull_up.kind() {
+                MosKind::Nmos => (var.dvth_n, var.drive_mult_n),
+                MosKind::Pmos => (var.dvth_p, var.drive_mult_p),
+            };
+            let half = t.vdd / 2.0;
+            let i = d
+                .pull_up
+                .with_variation(dvth, mult)
+                .drain_current(t.vdd, half);
+            let r = Resistance::from_ohms(half.volts() / i.amperes());
+            match d.kind {
+                DriverKind::NmosBased => r * 1.3,
+                DriverKind::Inverter => r,
+            }
+        };
+        let straightforward = SrlrDesign::straightforward(&t);
+        let drivers: Vec<OutputDriver> = core::iter::once(OutputDriver::nmos_based(&t))
+            .chain((350..=550).map(|mv| {
+                straightforward
+                    .with_nominal_swing(Voltage::from_millivolts(f64::from(mv)))
+                    .driver(&t)
+            }))
+            .collect();
+        let mc = MonteCarlo::new(&t, 2013);
+        let dice: Vec<GlobalVariation> = ProcessCorner::ALL
+            .iter()
+            .map(|corner| corner.variation(&t))
+            .chain((0..200).map(|trial| mc.die(trial).global_variation()))
+            .collect();
+        for var in &dice {
+            for d in &drivers {
+                let split = d.charge_resistance_from(&t, d.pull_up_current(&t, var));
+                assert_eq!(split.ohms().to_bits(), unsplit(d, var).ohms().to_bits());
+                assert_eq!(
+                    split.ohms().to_bits(),
+                    d.charge_resistance(&t, var).ohms().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

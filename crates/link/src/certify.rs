@@ -59,6 +59,21 @@
 //! prove, and no verdict moves; it just settles nearly every die without
 //! touching M1's current law.
 //!
+//! Each segment's bound reads five operands: the bit period, the launched
+//! width, and the launcher's `discharge_tau`, `drive_level` and
+//! `charge_tau`. Elaboration gives every stage of a die the same
+//! die-level fields and only two delay-cell widths, so a chain's ten
+//! segments have only two or three distinct operand sets. Round 0 keeps
+//! a small fixed-size memo on the stack, keyed by the bits of every
+//! operand, and evaluates each distinct bound once. A hit returns the
+//! same expression on the same operands, so the memo assumes nothing
+//! about which stages share fields (a chain edited through
+//! `stages_mut()` just misses). The `decay` factor reads only the bit
+//! period, the launched width and `discharge_tau`, none of which the
+//! swing moves, so [`sweep_screen`] keeps the decay entries for all of a
+//! die's points and evaluates each once per die. The interval rounds
+//! evaluate every bound afresh.
+//!
 //! # The swing-dominance lemma
 //!
 //! A swing sweep elaborates each die once and moves it to every other
@@ -143,7 +158,7 @@ const ROUNDS: usize = 4;
 /// the link's configured rate (see the module docs for the argument).
 /// `false` means "unproven", not "failing".
 pub(crate) fn robustly_clean(link: &SrlrLink) -> bool {
-    one_bit_clean(link) && zero_bit_clean(link)
+    one_bit_clean(link) && zero_bit_clean(link, &mut RoundZero::default())
 }
 
 /// The 1-bit half of the certificate: a solitary `1` on fully drained
@@ -238,8 +253,13 @@ pub enum Screen {
 /// `Clean` takes precedence. Its proof's checks are the exact ones with
 /// a margin, so a proven link also delivers the `1`.
 pub fn screen(link: &SrlrLink) -> Screen {
+    screen_with(link, &mut RoundZero::default())
+}
+
+/// [`screen`] with round 0's memo supplied by the caller.
+fn screen_with(link: &SrlrLink, memo: &mut RoundZero) -> Screen {
     let one = solitary_one(link);
-    if one.proven && zero_bit_clean(link) {
+    if one.proven && zero_bit_clean(link, memo) {
         Screen::Clean
     } else {
         refuted_unless(one.delivered)
@@ -257,25 +277,115 @@ fn refuted_unless(delivered: bool) -> Screen {
 }
 
 /// The 0-bit half of the certificate: no reachable ISI residue reaches a
-/// sense threshold. Round 0 first, then the interval rounds.
-fn zero_bit_clean(link: &SrlrLink) -> bool {
-    round_zero(link) || interval_rounds(link)
+/// sense threshold. Round 0 first, then the interval rounds. `memo`
+/// carries round 0's swing-invariant `decay` factors between the points
+/// of one die's sweep.
+fn zero_bit_clean(link: &SrlrLink, memo: &mut RoundZero) -> bool {
+    memo.proves(link) || interval_rounds(link)
 }
 
-/// Round 0 of the residue bound: every launcher emits its widest pulse
-/// under `t_d ≥ 0` alone, so no device is evaluated.
-fn round_zero(link: &SrlrLink) -> bool {
-    let stages = link.chain().stages();
-    let t_bit = link.config().data_rate.bit_period().seconds();
-    let mut launched = link.chain().launch_width().seconds();
-    for (i, stage) in stages.iter().enumerate() {
-        match residue_bound(launcher_of(stages, i), launched, t_bit) {
-            Some((b_star, _)) if clears(b_star, stage) => {}
-            _ => return false,
+/// Round 0 of the residue bound (module docs, "Round 0"), with each of
+/// its residue bounds evaluated once per distinct operand set.
+///
+/// Every entry is keyed by the bits of every operand its value reads,
+/// so a hit returns the result of the same expression on the same
+/// operands. The memo therefore assumes nothing about which stages share
+/// fields, and an entry may be reused on any link. Both tables are fixed
+/// size; once one is full, further operand sets are evaluated unmemoized.
+#[derive(Default)]
+struct RoundZero {
+    /// [`decay_factor`] by (bit period, launched width, launcher
+    /// `discharge_tau`). Swing-invariant, so a sweep keeps these for
+    /// all of a die's points.
+    decays: Memo<[u64; 3], Option<f64>, 4>,
+    /// [`headroom_bound`] by (bit period, launched width, launcher
+    /// `discharge_tau`, `drive_level`, `charge_tau`). These move with the
+    /// swing, so each link starts them afresh.
+    bounds: Memo<[u64; 5], Option<(f64, f64)>, 4>,
+}
+
+impl RoundZero {
+    /// Round 0 on `link`: every launcher emits its widest pulse under
+    /// `t_d ≥ 0` alone, so no device is evaluated.
+    fn proves(&mut self, link: &SrlrLink) -> bool {
+        self.bounds.clear();
+        let stages = link.chain().stages();
+        let t_bit = link.config().data_rate.bit_period().seconds();
+        let mut launched = link.chain().launch_width().seconds();
+        for (i, stage) in stages.iter().enumerate() {
+            match self.residue_bound(launcher_of(stages, i), launched, t_bit) {
+                Some((b_star, _)) if clears(b_star, stage) => {}
+                _ => return false,
+            }
+            launched = widest_output(stage, 0.0);
         }
-        launched = widest_output(stage, 0.0);
+        true
     }
-    true
+
+    /// [`residue_bound`], looked up before it is evaluated.
+    fn residue_bound(
+        &mut self,
+        launcher: &SrlrStage,
+        launched: f64,
+        t_bit: f64,
+    ) -> Option<(f64, f64)> {
+        let discharge_tau = launcher.discharge_tau().seconds();
+        let key = [
+            t_bit,
+            launched,
+            discharge_tau,
+            launcher.drive_level.volts(),
+            launcher.charge_tau().seconds(),
+        ]
+        .map(f64::to_bits);
+        let decays = &mut self.decays;
+        self.bounds.get_or(key, || {
+            decays
+                .get_or([key[0], key[1], key[2]], || {
+                    decay_factor(t_bit, launched, discharge_tau)
+                })
+                .map(|decay| headroom_bound(launcher, launched, decay))
+        })
+    }
+}
+
+/// A fixed-size table of up to `N` evaluated results, searched in
+/// insertion order.
+struct Memo<K, V, const N: usize> {
+    entries: [(K, V); N],
+    len: usize,
+}
+
+impl<K: Copy + Default, V: Copy + Default, const N: usize> Default for Memo<K, V, N> {
+    fn default() -> Self {
+        Self {
+            entries: [(K::default(), V::default()); N],
+            len: 0,
+        }
+    }
+}
+
+impl<const K: usize, V: Copy, const N: usize> Memo<[u64; K], V, N> {
+    /// The value stored under `key`, or `eval()`, stored if there is room.
+    fn get_or(&mut self, key: [u64; K], eval: impl FnOnce() -> V) -> V {
+        // One branch per entry: `==` on arrays may compile to a `bcmp`
+        // call, which costs more than the evaluation it saves.
+        let same = |k: &[u64; K]| k.iter().zip(&key).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0;
+        if let Some(&(_, value)) = self.entries[..self.len].iter().find(|(k, _)| same(k)) {
+            return value;
+        }
+        let value = eval();
+        if let Some(slot) = self.entries.get_mut(self.len) {
+            *slot = (key, value);
+            self.len += 1;
+        }
+        value
+    }
+
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        self.len = 0;
+    }
 }
 
 /// Rounds `1..=ROUNDS` of the interval iteration, starting from
@@ -343,15 +453,29 @@ fn widest_output(stage: &SrlrStage, t_d_min: f64) -> f64 {
 /// `t_bit`; `None` when there is no drain window for the geometric
 /// residue argument.
 fn residue_bound(launcher: &SrlrStage, launched: f64, t_bit: f64) -> Option<(f64, f64)> {
+    decay_factor(t_bit, launched, launcher.discharge_tau().seconds())
+        .map(|decay| headroom_bound(launcher, launched, decay))
+}
+
+/// The guarded per-slot residue decay across the shortest drain gap
+/// after a pulse at most `launched` wide, on a segment draining with time
+/// constant `discharge_tau`; `None` when there is no drain window.
+fn decay_factor(t_bit: f64, launched: f64, discharge_tau: f64) -> Option<f64> {
     let gap_min = t_bit - launched;
     if gap_min <= 0.0 {
         // Pulses can outlast the bit slot.
         return None;
     }
-    let decay = (-gap_min / launcher.discharge_tau().seconds()).exp() * (1.0 + REL);
+    let decay = (-gap_min / discharge_tau).exp() * (1.0 + REL);
     if decay >= 1.0 - 1e-6 {
         return None;
     }
+    Some(decay)
+}
+
+/// `b*` and the peak bound for residues that fall by `decay` per slot,
+/// with every slot carrying `launcher`'s pulse at most `launched` wide.
+fn headroom_bound(launcher: &SrlrStage, launched: f64, decay: f64) -> (f64, f64) {
     // The simulator's headroom divides by the same floored level.
     let v = launcher.drive_level.volts().max(1e-9);
     let d_max = (launcher
@@ -362,7 +486,7 @@ fn residue_bound(launcher: &SrlrStage, launched: f64, t_bit: f64) -> Option<(f64
     // The headroom slope `1 − D/V`; `b*` grows with it, so round it up.
     let slope = (1.0 - d_max / v) * (1.0 + REL);
     let b_star = d_max * decay / (1.0 - decay * slope);
-    Some((b_star, (b_star * slope + d_max).min(v)))
+    (b_star, (b_star * slope + d_max).min(v))
 }
 
 /// Whether residue bound `b_star` clears `stage`'s sense threshold with
@@ -410,7 +534,8 @@ pub fn sweep_clean(links: &[SrlrLink], order: &mut [usize], clean: &mut [bool]) 
 
 /// The sweep screen with the ordered scan's walk supplied by the caller,
 /// so tests can count its walks; `emit(p, verdict)` receives every
-/// point's verdict once.
+/// point's verdict once. One round-0 memo serves all the points, so
+/// each swing-invariant `decay` is evaluated once per die.
 fn sweep_with(
     links: &[SrlrLink],
     order: &mut [usize],
@@ -418,6 +543,7 @@ fn sweep_with(
     mut emit: impl FnMut(usize, Screen),
 ) {
     let order = &mut order[..links.len()];
+    let mut memo = RoundZero::default();
     for (k, slot) in order.iter_mut().enumerate() {
         *slot = k;
     }
@@ -436,7 +562,7 @@ fn sweep_with(
         .all(|pair| dominates(&links[pair[1]], &links[pair[0]]))
     {
         for (p, link) in links.iter().enumerate() {
-            emit(p, screen(link));
+            emit(p, screen_with(link, &mut memo));
         }
         return;
     }
@@ -455,7 +581,7 @@ fn sweep_with(
     }
     for &p in &order[proven_from..] {
         // Proven, so the `1` is delivered.
-        let verdict = if zero_bit_clean(&links[p]) {
+        let verdict = if zero_bit_clean(&links[p], &mut memo) {
             Screen::Clean
         } else {
             Screen::Undecided
@@ -574,7 +700,7 @@ mod tests {
             .iter()
             .map(|point| {
                 let mut link = base.clone();
-                link.retarget(tech, &var, point);
+                link.retarget_from(tech, &var, &base, point);
                 link
             })
             .collect()
@@ -615,7 +741,7 @@ mod tests {
         let (mut round_zero_proofs, mut checked) = (0, 0);
         let mut check = |link: &SrlrLink| {
             checked += 1;
-            if round_zero(link) {
+            if RoundZero::default().proves(link) {
                 round_zero_proofs += 1;
                 assert!(
                     interval_rounds(link),

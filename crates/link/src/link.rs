@@ -204,17 +204,21 @@ impl SrlrLink {
         &self.chain
     }
 
-    /// Moves this link, built on die `var` for `point`'s design at any
-    /// swing, to `point`'s swing (see [`SwingPoint::retarget`]). The
-    /// demodulator stays: its sense threshold does not depend on the
-    /// swing.
-    pub(crate) fn retarget(
+    /// Makes this link `base`, built on die `var` for `point`'s design at
+    /// any swing, moved to `point`'s swing (see
+    /// [`SwingPoint::retarget_from`]), reusing this link's stage buffer.
+    /// The demodulator is `base`'s: its sense threshold does not depend
+    /// on the swing.
+    pub(crate) fn retarget_from(
         &mut self,
         tech: &Technology,
         var: &GlobalVariation,
+        base: &SrlrLink,
         point: &SwingPoint,
     ) {
-        point.retarget(tech, var, &mut self.chain);
+        point.retarget_from(tech, var, &base.chain, &mut self.chain);
+        self.config = base.config;
+        self.demod = base.demod;
     }
 
     /// The link configuration.

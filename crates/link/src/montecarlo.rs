@@ -223,9 +223,10 @@ impl<'a> McExperiment<'a> {
             return pass;
         };
         prof.enter("mc.batch");
-        // One link per sweep point, re-elaborated and retargeted in place
-        // from die to die; an undecided one is copied into the lockstep
-        // set. `order` and `screens` are the screen's scratch.
+        // One link per sweep point, reused from die to die: the last
+        // point's is re-elaborated in place and each die is written from
+        // it into the others, retargeted; an undecided one is copied into
+        // the lockstep set. `order` and `screens` are the screen's scratch.
         let mut at_point: Vec<SrlrLink> = Vec::with_capacity(points.len());
         let mut order = vec![0; points.len()];
         let mut screens = vec![Screen::Undecided; points.len()];
@@ -249,8 +250,7 @@ impl<'a> McExperiment<'a> {
             }
             if let Some((base, retargeted)) = at_point.split_last_mut() {
                 for (link, point) in retargeted.iter_mut().zip(others) {
-                    link.clone_from(base);
-                    link.retarget(self.tech, &var, point);
+                    link.retarget_from(self.tech, &var, base, point);
                 }
             }
             prof.exit();

@@ -15,11 +15,11 @@
     reason = "test helpers fail loudly on a broken fixture"
 )]
 
-use srlr_core::{DieBatch, SrlrChain, SrlrDesign, SwingPoint};
+use srlr_core::{DieBatch, SrlrChain, SrlrDesign, SrlrStage, SwingPoint};
 use srlr_link::certify::{one_bit_clean, screen, solitary_one, sweep_screen, Screen};
 use srlr_link::{LinkConfig, Prbs, SrlrLink};
 use srlr_tech::{MonteCarlo, Technology};
-use srlr_units::{DataRate, TimeInterval, Voltage};
+use srlr_units::{DataRate, Resistance, TimeInterval, Voltage};
 
 const SEEDS: [u64; 2] = [1, 2013];
 const DICE: u64 = 300;
@@ -182,4 +182,151 @@ fn one_walk_proves_and_exactly_refutes_every_pair() {
     // Elaboration is pinned bit for bit (`screen_fingerprint.rs`), so
     // the split is too.
     assert_eq!((refuted, clean), (92_180, 70_953));
+}
+
+/// The 0-bit half of the certificate as an independent, unmemoized walk:
+/// round 0 (each launcher at its widest pulse under `t_d ≥ 0`), then
+/// four interval rounds, with every residue bound evaluated afresh for
+/// every segment.
+fn zero_bit_oracle(link: &SrlrLink) -> bool {
+    const REL: f64 = 1e-9;
+    const ROUNDS: usize = 4;
+    let stages = link.chain().stages();
+    let t_bit = link.config().data_rate.bit_period().seconds();
+    let launcher_of = |i: usize| &stages[i.saturating_sub(1)];
+    let widest_output = |stage: &SrlrStage, t_d_min: f64| {
+        let widest = stage.delay.seconds() - stage.t_rise0.seconds() + stage.t_fall.seconds();
+        (widest - t_d_min).max(0.0)
+    };
+    let residue_bound = |launcher: &SrlrStage, launched: f64| -> Option<(f64, f64)> {
+        let gap_min = t_bit - launched;
+        if gap_min <= 0.0 {
+            return None;
+        }
+        let decay = (-gap_min / launcher.discharge_tau().seconds()).exp() * (1.0 + REL);
+        if decay >= 1.0 - 1e-6 {
+            return None;
+        }
+        let v = launcher.drive_level.volts().max(1e-9);
+        let d_max = (launcher
+            .delivered_swing(TimeInterval::from_seconds(launched))
+            .volts()
+            * (1.0 + REL))
+            .min(v);
+        let slope = (1.0 - d_max / v) * (1.0 + REL);
+        let b_star = d_max * decay / (1.0 - decay * slope);
+        Some((b_star, (b_star * slope + d_max).min(v)))
+    };
+    let clears = |b_star: f64, stage: &SrlrStage| {
+        b_star * (1.0 + REL) < stage.sense_threshold.volts() * (1.0 - 1e-6)
+    };
+
+    let mut launched = link.chain().launch_width().seconds();
+    let round_zero = stages.iter().enumerate().all(|(i, stage)| {
+        let cleared = matches!(
+            residue_bound(launcher_of(i), launched),
+            Some((b_star, _)) if clears(b_star, stage)
+        );
+        launched = widest_output(stage, 0.0);
+        cleared
+    });
+    if round_zero {
+        return true;
+    }
+
+    let mut launched = [link.chain().launch_width().seconds(); ROUNDS];
+    let mut cleared = [true; ROUNDS];
+    let mut live = ROUNDS;
+    for (i, stage) in stages.iter().enumerate() {
+        let launcher = launcher_of(i);
+        let mut peak = launcher.drive_level.volts();
+        for r in 0..live {
+            let bound = residue_bound(launcher, launched[r]);
+            let t_d_min = stage.x_discharge_time(Voltage::from_volts(peak)).seconds() * (1.0 - REL);
+            launched[r] = widest_output(stage, t_d_min);
+            let Some((b_star, next_peak)) = bound else {
+                live = r;
+                break;
+            };
+            cleared[r] &= clears(b_star, stage);
+            peak = next_peak;
+        }
+        if !cleared[..live].contains(&true) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Asserts that `sweep_screen` and `screen` call each link `Clean`
+/// exactly when the 1-bit half proves it and the unmemoized 0-bit half
+/// clears it.
+fn assert_memo_matches_oracle(links: &[SrlrLink], order: &mut [usize], swept: &mut [Screen]) {
+    sweep_screen(links, order, swept);
+    for (p, (link, &swept)) in links.iter().zip(swept.iter()).enumerate() {
+        let clean = solitary_one(link).proven && zero_bit_oracle(link);
+        assert_eq!(swept == Screen::Clean, clean, "sweep screen, point {p}");
+        assert_eq!(screen(link) == Screen::Clean, clean, "screen, point {p}");
+    }
+}
+
+#[test]
+fn the_memoized_residue_bounds_match_an_unmemoized_oracle() {
+    // Round 0 evaluates each distinct residue bound once per link and
+    // each swing-invariant decay once per sweep, keyed by the bits of
+    // every operand. Elaboration makes every stage of a die share its
+    // die-level fields, so on the plain grid most lookups hit. The
+    // nudged chains break that sharing at one stage (by 1 ulp and by
+    // 10 %, in the fields round 0 reads), so a memo keyed by anything
+    // less than every operand returns a bound computed for another
+    // stage there.
+    // The fields round 0 reads, one stage at a time.
+    let nudges: [fn(&mut SrlrStage, f64); 4] = [
+        |s, k| {
+            s.discharge_resistance = nudge(s.discharge_resistance.ohms(), k, Resistance::from_ohms)
+        },
+        |s, k| s.drive_level = nudge(s.drive_level.volts(), k, Voltage::from_volts),
+        |s, k| s.charge_resistance = nudge(s.charge_resistance.ohms(), k, Resistance::from_ohms),
+        |s, k| s.delay = nudge(s.delay.seconds(), k, TimeInterval::from_seconds),
+    ];
+    let mut order = vec![0; 15];
+    let mut swept = vec![Screen::Undecided; 15];
+    let (mut pairs, mut nudged_pairs, mut clean) = (0, 0, 0);
+    for_each_die(|_, trial, links| {
+        assert_memo_matches_oracle(links, &mut order, &mut swept);
+        pairs += links.len();
+        clean += swept.iter().filter(|&&s| s == Screen::Clean).count();
+        if trial % 10 != 0 {
+            return;
+        }
+        // One stage of the die, nudged at every swing.
+        let stage = usize::try_from(trial / 10).expect("small trial") % links[0].chain().len();
+        for apply in nudges {
+            for k in [0.0, 0.1] {
+                let nudged: Vec<SrlrLink> = links
+                    .iter()
+                    .map(|link| {
+                        let mut chain = link.chain().clone();
+                        apply(&mut chain.stages_mut()[stage], k);
+                        SrlrLink::from_chain(chain, link.config())
+                    })
+                    .collect();
+                assert_memo_matches_oracle(&nudged, &mut order, &mut swept);
+                nudged_pairs += nudged.len();
+            }
+        }
+    });
+    assert_eq!(pairs, 216_000);
+    assert_eq!(nudged_pairs, 172_800);
+    assert_eq!(clean, 70_953);
+}
+
+/// `value` raised by 10 % for `k = 0.1`, or by one ulp for `k = 0`.
+fn nudge<T>(value: f64, k: f64, unit: fn(f64) -> T) -> T {
+    // srlr-lint: allow(float-eq, reason = "selects the one-ulp nudge")
+    if k == 0.0 {
+        unit(f64::from_bits(value.to_bits() + 1))
+    } else {
+        unit(value * (1.0 + k))
+    }
 }

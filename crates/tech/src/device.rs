@@ -139,8 +139,28 @@ impl Device {
     /// Panics if the device conducts no current at full drive (e.g. `vdd`
     /// far below threshold), which would make the resistance unbounded.
     pub fn effective_resistance(&self, vdd: Voltage) -> Resistance {
+        self.effective_resistance_from(vdd, self.switching_current_per_ratio(vdd))
+    }
+
+    /// The drain current per unit `W/L` at the operating point of
+    /// [`Device::effective_resistance`], `Id(vdd, vdd/2)`. It does not
+    /// depend on the drawn geometry, so every width of one device on one
+    /// die shares it.
+    pub fn switching_current_per_ratio(&self, vdd: Voltage) -> Current {
+        self.model.drain_current_per_ratio(vdd, vdd / 2.0)
+    }
+
+    /// [`Device::effective_resistance`] from this device's
+    /// [`Device::switching_current_per_ratio`] at `vdd`, resolved
+    /// earlier: only the `× W/L` and the secant remain, and the result is
+    /// bit for bit the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device conducts no current at full drive.
+    pub fn effective_resistance_from(&self, vdd: Voltage, per_ratio: Current) -> Resistance {
         let half = vdd / 2.0;
-        let i = self.drain_current(vdd, half);
+        let i = per_ratio * self.ratio();
         // Below a picoamp the device is effectively cut off and a "switch
         // resistance" is meaningless.
         assert!(
