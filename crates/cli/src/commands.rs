@@ -19,7 +19,7 @@ use srlr_noc::{
 };
 use srlr_tech::{AdaptiveSwingBias, GlobalVariation, ProcessCorner, Technology};
 use srlr_telemetry::sarif::SarifDoc;
-use srlr_telemetry::{Collector, Obs, Progress, RunReport, Value};
+use srlr_telemetry::{index_key, Collector, Obs, Progress, RunReport, Value};
 use srlr_units::{DataRate, Frequency, Length, Voltage};
 use std::fmt::Write as _;
 
@@ -67,7 +67,7 @@ commands:
   crosstalk                        neighbour-activity scenarios
   verify-noc [--cols C] [--rows R] [--ber B] [--retries LIST]
          [--packet-len L] [--variant correct|no-watermark]
-         [--format text|json|sarif]
+         [--format text|sarif]
                                    exhaustive model check of the
                                    retry protocol: deadlock-freedom,
                                    no overtaking, termination, and
@@ -412,7 +412,8 @@ pub fn table1() -> Result<String, CliError> {
 }
 
 /// `srlr fig6 [--runs N] [--threads T]` plus the telemetry flags: the
-/// proposed-design sweep records one `trial` span per die.
+/// proposed-design sweep records one `trial` event per die (stamped by
+/// its flattened index, with its `point`, `trial` and `pass`).
 pub fn fig6(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse_with_switches(
         rest,
@@ -888,7 +889,7 @@ pub fn noc_faults(rest: &[String]) -> Result<String, CliError> {
     report.param("max_retries", Value::U64(u64::from(max_retries)));
     report.param("points", Value::U64(points.len() as u64));
     for (i, (label, point)) in labels.iter().zip(&points).enumerate() {
-        let section = format!("point.{i:03}");
+        let section = index_key("point", i, points.len());
         report.section_metric(&section, "label", Value::Str(label.clone()));
         report.section_metric(&section, "ber", Value::F64(point.ber));
         report.section_metric(
@@ -1518,11 +1519,12 @@ pub(crate) fn latency_table(cols: u16, rows: u16) -> String {
 /// text, and exported as SARIF results).
 ///
 /// Exit behaviour mirrors `srlr-lint`: violations fail with exit `1` in
-/// `text`/`json` formats; `--format sarif` always succeeds so CI can
-/// archive the document from a failing tree (the gate is a text run).
+/// the `text` format; `--format sarif` always succeeds so CI can archive
+/// the document from a failing tree (the gate is a text run). The
+/// machine-readable verdict is the `--metrics-out` run report, one
+/// `budget.NNN` section per budget.
 pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
     use srlr_model::{closed_form_delivery, ModelConfig, Variant};
-    use srlr_telemetry::json::{write_f64, write_str};
 
     let flags = Flags::parse(
         rest,
@@ -1542,9 +1544,9 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
     let ber: f64 = flags.get_or("ber", 1e-3)?;
     let packet_len: usize = flags.get_or("packet-len", 4)?;
     let format = flags.get_str("format").unwrap_or("text");
-    if !matches!(format, "text" | "json" | "sarif") {
+    if !matches!(format, "text" | "sarif") {
         return Err(CliError::Usage(format!(
-            "unknown verify-noc format `{format}` (text|json|sarif)"
+            "unknown verify-noc format `{format}` (text|sarif)"
         )));
     }
     let variant = match flags.get_str("variant").unwrap_or("correct") {
@@ -1612,7 +1614,7 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
     run_report.param("packet_len", Value::U64(packet_len as u64));
     run_report.param("variant", Value::Str(variant.name().to_owned()));
     for (i, (budget, closed, report)) in reports.iter().enumerate() {
-        let section = format!("budget.{i:03}");
+        let section = index_key("budget", i, reports.len());
         run_report.section_metric(&section, "max_retries", Value::U64(u64::from(*budget)));
         run_report.section_metric(&section, "states", Value::U64(report.total_states as u64));
         run_report.section_metric(
@@ -1665,56 +1667,6 @@ pub fn verify_noc(rest: &[String]) -> Result<String, CliError> {
                 }
             }
             return Ok(doc.render());
-        }
-        "json" => {
-            let mut out = String::from("{\"mesh\":");
-            write_str(&mut out, &format!("{cols}x{rows}"));
-            out.push_str(",\"ber\":");
-            write_f64(&mut out, ber);
-            let _ = write!(out, ",\"packet_len\":{packet_len},\"variant\":");
-            write_str(&mut out, variant.name());
-            let _ = write!(out, ",\"routes\":{routes},\"budgets\":[");
-            for (i, (budget, closed, report)) in reports.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"max_retries\":{budget},\"states\":{},\"transitions\":{},\
-                     \"explored_states\":{},\"explored_transitions\":{},\
-                     \"deliver_probability\":",
-                    report.total_states,
-                    report.total_transitions,
-                    report.explored_states,
-                    report.explored_transitions
-                );
-                write_f64(&mut out, report.deliver_probability);
-                out.push_str(",\"closed_form\":");
-                write_f64(&mut out, *closed);
-                let _ = write!(
-                    out,
-                    ",\"deadlock_free\":{},\"no_overtaking\":{},\"terminates\":{},\
-                     \"violations\":[",
-                    report.deadlock_free, report.no_overtaking, report.terminates
-                );
-                for (j, v) in report.violations().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"rule\":");
-                    write_str(&mut out, v.kind.rule());
-                    out.push_str(",\"src\":");
-                    write_str(&mut out, &v.src.to_string());
-                    out.push_str(",\"dst\":");
-                    write_str(&mut out, &v.dst.to_string());
-                    let _ = write!(out, ",\"steps\":{},\"message\":", v.trace.len());
-                    write_str(&mut out, &v.message);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}\n");
-            out
         }
         _ => {
             let mut out = format!(

@@ -118,19 +118,25 @@ fn telemetry_does_not_change_stdout() {
 fn trace_out_is_valid_chrome_trace_json() {
     let (_, trace, events, metrics) = faults_with_sinks("2", "valid");
     let doc = parse(&String::from_utf8(trace).expect("utf8")).expect("valid trace JSON");
-    let spans = doc
+    let trace_events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
         .expect("traceEvents array");
-    let point_spans: Vec<&Json> = spans
+    let points: Vec<&Json> = trace_events
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("point"))
         .collect();
-    assert_eq!(point_spans.len(), 3, "one complete span per BER point");
-    for span in point_spans {
-        assert!(span.get("ts").and_then(Json::as_num).is_some());
-        assert!(span.get("dur").and_then(Json::as_num).is_some());
+    assert_eq!(points.len(), 3, "one instant event per BER point");
+    for (i, point) in points.iter().enumerate() {
+        assert_eq!(point.get("ph").and_then(Json::as_str), Some("i"));
+        assert_eq!(point.get("ts").and_then(Json::as_num), Some(i as f64));
+        let arg = |k: &str| point.get("args").and_then(|a| a.get(k));
+        assert_eq!(arg("point").and_then(Json::as_num), Some(i as f64));
+        assert!(arg("ber").and_then(Json::as_num).is_some());
     }
+    assert!(trace_events
+        .iter()
+        .all(|e| e.get("ph").and_then(Json::as_str) != Some("X")));
 
     // Every JSONL line parses on its own.
     let text = String::from_utf8(events).expect("utf8");
@@ -159,6 +165,53 @@ fn trace_out_is_valid_chrome_trace_json() {
         .get("metrics")
         .and_then(|m| m.get("ber.point.001.latency.p50"))
         .is_some());
+}
+
+/// Runs `fig6 --runs 40` with the trace and event sinks at the given
+/// thread count and returns (trace bytes, events bytes).
+fn fig6_with_sinks(threads: &str) -> (Vec<u8>, Vec<u8>) {
+    let trace = Scratch::new(&format!("fig6-t{threads}.trace.json"));
+    let events = Scratch::new(&format!("fig6-t{threads}.events.jsonl"));
+    let _ = run(&[
+        "fig6",
+        "--runs",
+        "40",
+        "--threads",
+        threads,
+        "--trace-out",
+        trace.path(),
+        "--events-out",
+        events.path(),
+    ]);
+    (trace.read(), events.read())
+}
+
+#[test]
+fn fig6_records_one_trial_event_per_die_at_any_thread_count() {
+    let (trace1, events1) = fig6_with_sinks("1");
+    let (trace2, events2) = fig6_with_sinks("2");
+    assert_eq!(trace1, trace2, "trace must not depend on --threads");
+    assert_eq!(events1, events2, "events must not depend on --threads");
+    let trace = String::from_utf8(trace1).expect("utf8");
+    let events = String::from_utf8(events1).expect("utf8");
+    assert!(parse(&trace).is_ok(), "invalid trace JSON");
+    assert!(!trace.contains("\"ph\":\"X\""), "no complete-span events");
+    assert!(!events.contains("\"type\":\"span\""), "no span lines");
+    // 40 dice x 5 swing points, in flattened-index order.
+    let trials: Vec<Json> = events
+        .lines()
+        .map(|l| parse(l).expect("valid JSONL line"))
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("trial"))
+        .collect();
+    assert_eq!(trials.len(), 200);
+    for (i, trial) in trials.iter().enumerate() {
+        assert_eq!(trial.get("type").and_then(Json::as_str), Some("event"));
+        assert_eq!(trial.get("ts").and_then(Json::as_num), Some(i as f64));
+        let field = |k: &str| trial.get("fields").and_then(|f| f.get(k));
+        assert_eq!(field("point").and_then(Json::as_num), Some((i / 40) as f64));
+        assert_eq!(field("trial").and_then(Json::as_num), Some((i % 40) as f64));
+        assert!(matches!(field("pass"), Some(Json::Bool(_))));
+    }
 }
 
 #[test]

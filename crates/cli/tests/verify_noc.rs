@@ -79,30 +79,38 @@ fn clean_sarif_export_declares_all_rules_with_no_results() {
 }
 
 #[test]
-fn json_format_reports_the_exact_probability_and_closed_form() {
-    let out = run(&["verify-noc", "--retries", "0,1", "--format", "json"]);
+fn metrics_out_reports_the_exact_probability_and_closed_form() {
+    use srlr_telemetry::json::{parse, Json};
+    let dir = std::env::temp_dir().join(format!("srlr-verify-noc-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("report.json");
+    let out = run(&[
+        "verify-noc",
+        "--retries",
+        "0,1",
+        "--metrics-out",
+        path.to_str().expect("utf-8 path"),
+    ]);
     assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc = srlr_telemetry::json::parse(&stdout).expect("valid JSON");
-    let budgets = doc
-        .get("budgets")
-        .and_then(|b| b.as_arr())
-        .expect("budgets array");
-    assert_eq!(budgets.len(), 2);
-    for budget in budgets {
-        let exact = budget
-            .get("deliver_probability")
-            .and_then(|v| v.as_num())
+    let text = std::fs::read_to_string(&path).expect("run report written");
+    std::fs::remove_dir_all(&dir).ok();
+    let doc = parse(&text).expect("valid JSON");
+    let sections = doc.get("sections").expect("sections object");
+    assert!(
+        matches!(sections, Json::Obj(m) if m.len() == 2),
+        "one section per budget: {text}"
+    );
+    for (section, budget) in [("budget.000", 0.0), ("budget.001", 1.0)] {
+        let field = |k: &str| sections.get(section).and_then(|s| s.get(k));
+        assert_eq!(field("max_retries").and_then(Json::as_num), Some(budget));
+        let exact = field("deliver_probability")
+            .and_then(Json::as_num)
             .expect("probability");
-        let closed = budget
-            .get("closed_form")
-            .and_then(|v| v.as_num())
+        let closed = field("closed_form")
+            .and_then(Json::as_num)
             .expect("closed form");
         assert!((exact - closed).abs() < 1e-12);
-        assert_eq!(
-            budget.get("deadlock_free"),
-            Some(&srlr_telemetry::json::Json::Bool(true))
-        );
+        assert_eq!(field("deadlock_free"), Some(&Json::Bool(true)));
     }
 }
 
@@ -134,6 +142,7 @@ fn bad_flags_exit_2() {
         &["verify-noc", "--retries", "0,soup"][..],
         &["verify-noc", "--variant", "chaotic"][..],
         &["verify-noc", "--format", "xml"][..],
+        &["verify-noc", "--format", "json"][..],
         &["verify-noc", "--packet-len", "99"][..],
         &["verify-noc", "--ber", "1.5"][..],
         &["verify-noc", "--cols", "9"][..],

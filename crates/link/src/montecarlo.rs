@@ -53,7 +53,7 @@ use crate::prbs::Prbs;
 use srlr_core::{SrlrDesign, SwingPoint};
 use srlr_tech::montecarlo::ErrorProbability;
 use srlr_tech::{MonteCarlo, Technology};
-use srlr_telemetry::{Obs, Profiler, Value};
+use srlr_telemetry::{index_key, Obs, Profiler, Value};
 use srlr_units::Voltage;
 use std::ops::Range;
 
@@ -349,14 +349,14 @@ impl<'a> McExperiment<'a> {
     }
 
     /// [`McExperiment::swing_sweep`] with observability: each die becomes
-    /// a `trial` span (timestamped by its flattened index, the
-    /// experiment's logical clock) on the track of its sweep point,
-    /// per-point tallies land as `mc.point.NNN.*` metrics (the prefix
-    /// widens past 1000 points so lexicographic order always matches
-    /// numeric order), `obs.progress` ticks once per die across the
-    /// whole flattened workload, and an enabled `obs.profiler` gets an
-    /// `mc.sweep` frame over the per-batch frames. Disabled hooks cost
-    /// one branch each; the result is bit-identical either way.
+    /// a `trial` event (timestamped by its flattened index, the
+    /// experiment's logical clock) carrying its `point`, `trial` and
+    /// `pass`, per-point tallies land as `mc.point.NNN.*` metrics (keyed
+    /// by [`srlr_telemetry::index_key`]), `obs.progress` ticks once per
+    /// die across the whole flattened workload, and an enabled
+    /// `obs.profiler` gets an `mc.sweep` frame over the per-batch
+    /// frames. Disabled hooks cost one branch each; the result is
+    /// bit-identical either way.
     pub fn swing_sweep_observed(
         &self,
         design: &SrlrDesign,
@@ -388,12 +388,9 @@ impl<'a> McExperiment<'a> {
             // sink is identical at any thread count and batch width.
             for (i, &pass) in passes.iter().enumerate() {
                 let (point, trial) = (i / self.runs, i % self.runs);
-                obs.collector.span(
+                obs.collector.event(
                     "trial",
-                    "mc.sweep",
                     i as f64,
-                    1.0,
-                    point as u64,
                     &[
                         ("point", Value::U64(point as u64)),
                         ("trial", Value::U64(trial as u64)),
@@ -404,7 +401,7 @@ impl<'a> McExperiment<'a> {
             obs.collector
                 .add("mc.trials", (swings.len() * self.runs) as u64);
             for (point, (swing, p)) in sweep.iter().enumerate() {
-                let prefix = point_metric_prefix(point, swings.len());
+                let prefix = index_key("mc.point", point, swings.len());
                 obs.collector.set_metric(
                     &format!("{prefix}.swing_mv"),
                     Value::F64(swing.millivolts()),
@@ -453,24 +450,6 @@ pub fn robustness_ratio(straightforward: &ErrorProbability, proposed: &ErrorProb
     } else {
         straightforward.estimate() / proposed.estimate()
     }
-}
-
-/// Metric-key prefix for sweep point `point` of `points`: zero-padded to
-/// at least three digits, widening with the sweep so lexicographic order
-/// matches numeric order at any point count.
-fn point_metric_prefix(point: usize, points: usize) -> String {
-    let width = decimal_digits(points.saturating_sub(1)).max(3);
-    format!("mc.point.{point:0width$}")
-}
-
-/// Number of decimal digits of `n` (1 for 0).
-fn decimal_digits(mut n: usize) -> usize {
-    let mut digits = 1;
-    while n >= 10 {
-        n /= 10;
-        digits += 1;
-    }
-    digits
 }
 
 #[cfg(test)]
@@ -617,7 +596,14 @@ mod tests {
         };
         let traced = exp.swing_sweep_observed(&design, &swing, &mut obs);
         assert_eq!(plain, traced, "telemetry must not perturb the result");
-        assert_eq!(obs.collector.spans().len(), 60, "one span per die");
+        let trials = obs.collector.events();
+        assert_eq!(trials.len(), 60, "one trial event per die");
+        for (i, e) in trials.iter().enumerate() {
+            assert_eq!((e.name.as_str(), e.ts), ("trial", i as f64));
+            assert_eq!(e.fields.get("trial"), Some(&Value::U64(i as u64)));
+            assert_eq!(e.fields.get("point"), Some(&Value::U64(0)));
+            assert!(matches!(e.fields.get("pass"), Some(Value::Bool(_))));
+        }
         assert_eq!(obs.collector.counter("mc.trials"), 60);
         assert_eq!(
             obs.collector.metrics().get("mc.point.000.failures"),
@@ -655,9 +641,16 @@ mod tests {
             assert_eq!(jsonl1, jsonl_n, "JSONL diverged at {threads} threads");
             assert_eq!(chrome1, chrome_n, "trace diverged at {threads} threads");
         }
-        // Spans arrive in flattened-index order regardless of threads.
+        // Trial events arrive in flattened-index order regardless of
+        // threads: die 40 is the first of the second sweep point.
         let text = String::from_utf8(jsonl1).expect("utf8");
-        assert_eq!(text.lines().filter(|l| l.contains("\"span\"")).count(), 80);
+        let trials: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"event\",\"name\":\"trial\""))
+            .collect();
+        assert_eq!(trials.len(), 80);
+        assert!(trials[40].contains("\"ts\":40,") && trials[40].contains("\"point\":1,"));
+        assert!(!text.contains("\"type\":\"span\"") && !chrome1.contains("\"ph\":\"X\""));
     }
 
     #[test]
@@ -841,28 +834,5 @@ mod tests {
         assert!(ratio.is_finite() && ratio > 1.0, "ratio {ratio}");
         let inverse = robustness_ratio(&clean, &dirty);
         assert!(inverse.is_finite() && inverse < 1.0, "inverse {inverse}");
-    }
-
-    #[test]
-    fn point_metric_prefixes_sort_lexicographically_at_any_count() {
-        // Regression: the fixed {point:03} scheme interleaved past 999
-        // points (mc.point.1000 < mc.point.999 lexicographically).
-        for points in [1usize, 7, 1000, 1500, 12_000] {
-            let keys: Vec<String> = (0..points)
-                .map(|p| point_metric_prefix(p, points))
-                .collect();
-            let mut sorted = keys.clone();
-            sorted.sort();
-            assert_eq!(keys, sorted, "keys interleave at {points} points");
-        }
-    }
-
-    #[test]
-    fn point_metric_prefix_keeps_the_legacy_shape_for_small_sweeps() {
-        // ≤1000 points keep the three-digit keys PR 4's consumers parse.
-        assert_eq!(point_metric_prefix(0, 7), "mc.point.000");
-        assert_eq!(point_metric_prefix(999, 1000), "mc.point.999");
-        assert_eq!(point_metric_prefix(0, 1500), "mc.point.0000");
-        assert_eq!(point_metric_prefix(1499, 1500), "mc.point.1499");
     }
 }

@@ -416,14 +416,16 @@ pub fn ber_sweep(
     )
 }
 
-/// [`ber_sweep`] with telemetry: one `point` span per BER point (track =
-/// point index), per-point `ber.point.NNN.*` metrics including the
-/// latency histogram summary, `ber.points` / `ber.packets_*` counters,
+/// [`ber_sweep`] with telemetry: one `point` event per BER point
+/// (timestamped by the point index, carrying `point`, `ber`, `received`
+/// and `dropped`), per-point `ber.point.NNN.*` metrics (keyed by
+/// [`srlr_telemetry::index_key`]) including the latency histogram
+/// summary, `ber.points` / `ber.packets_*` counters,
 /// and a progress tick per point. An enabled `obs.profiler` gets a
 /// `noc.sweep` frame over per-point `noc.point` frames wrapping the
 /// network's `noc.warmup` / `noc.measure` phases. Workers profile into
 /// [`srlr_telemetry::Profiler::child`] trees; the calling thread merges
-/// them and records every span and metric from the point-ordered
+/// them and records every event and metric from the point-ordered
 /// results, so every sink is identical at any thread count. Disabled
 /// hooks cost one branch each.
 ///
@@ -475,12 +477,9 @@ pub fn ber_sweep_observed(
     }
     for (i, point) in points.iter().enumerate() {
         let stats = &point.stats;
-        collector.span(
+        collector.event(
             "point",
-            "ber-sweep",
             i as f64,
-            1.0,
-            i as u64,
             &[
                 ("point", Value::U64(i as u64)),
                 ("ber", Value::F64(point.ber)),
@@ -488,7 +487,7 @@ pub fn ber_sweep_observed(
                 ("dropped", Value::U64(stats.packets_dropped)),
             ],
         );
-        let prefix = format!("ber.point.{i:03}");
+        let prefix = srlr_telemetry::index_key("ber.point", i, points.len());
         collector.set_metric(&format!("{prefix}.ber"), Value::F64(point.ber));
         collector.set_metric(
             &format!("{prefix}.packets_received"),
@@ -717,13 +716,19 @@ mod tests {
         assert_eq!(t1, t2, "telemetry must be bit-identical at 2 threads");
         assert_eq!(t1, t8, "telemetry must be bit-identical at 8 threads");
         let text = String::from_utf8(t1).expect("utf8");
-        assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"type\":\"span\""))
-                .count(),
-            bers.len(),
-            "one span per BER point"
-        );
+        let points: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"event\",\"name\":\"point\""))
+            .collect();
+        assert_eq!(points.len(), bers.len(), "one point event per BER point");
+        for (i, line) in points.iter().enumerate() {
+            assert!(line.contains(&format!("\"ts\":{i},")), "{line}");
+            assert!(line.contains(&format!("\"point\":{i}")), "{line}");
+            for field in ["\"ber\":", "\"received\":", "\"dropped\":"] {
+                assert!(line.contains(field), "{line} lacks {field}");
+            }
+        }
+        assert!(!text.contains("\"type\":\"span\""));
         assert!(text.contains("\"ber.point.001.latency.p50\""));
         assert!(
             text.contains("\"ber.point.001.delivered_lower_95\"")
@@ -731,6 +736,39 @@ mod tests {
             "the Wilson interval must be exposed per sweep point"
         );
         assert!(text.contains("\"name\":\"ber.points\",\"value\":3"));
+    }
+
+    #[test]
+    fn ber_point_metric_keys_sort_numerically_past_999_points() {
+        // Regression: `ber.point.{i:03}` put `ber.point.1000` between
+        // `.100` and `.101` in every sorted sink.
+        let bers = vec![0.0; 1001];
+        let mut obs = srlr_telemetry::Obs {
+            collector: srlr_telemetry::Collector::enabled("point-index"),
+            ..srlr_telemetry::Obs::default()
+        };
+        let _ = ber_sweep_observed(
+            NocConfig::paper_default().with_size(2, 2),
+            FaultConfig::new(0.0),
+            Pattern::UniformRandom,
+            0.05,
+            0,
+            1,
+            &bers,
+            Some(2),
+            &mut obs,
+        );
+        let keys: Vec<&str> = obs
+            .collector
+            .metrics()
+            .keys()
+            .filter(|k| k.ends_with(".ber"))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(keys.len(), 1001);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(*key, format!("ber.point.{i:04}.ber"));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The telemetry collector: events, spans, counters, metrics.
+//! The telemetry collector: events, counters, metrics.
 //!
 //! # Zero cost when disabled
 //!
@@ -31,29 +31,10 @@ pub struct Event {
     pub fields: BTreeMap<String, Value>,
 }
 
-/// A completed span: a named interval in the collector's timebase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Span name, e.g. `"trial"`.
-    pub name: String,
-    /// Category (Chrome trace `cat`), e.g. `"mc"`.
-    pub cat: String,
-    /// Start timestamp in the collector's timebase.
-    pub ts: f64,
-    /// Duration in the collector's timebase.
-    pub dur: f64,
-    /// Track (Chrome trace `tid`) the span renders on.
-    pub track: u64,
-    /// Ordered key/value payload (always carries the item index for
-    /// parallel work, which is what keeps the stream ordered).
-    pub args: BTreeMap<String, Value>,
-}
-
 #[derive(Debug, Clone, Default)]
 struct Inner {
     timebase: String,
     events: Vec<Event>,
-    spans: Vec<Span>,
     counters: BTreeMap<String, u64>,
     metrics: BTreeMap<String, Value>,
 }
@@ -110,29 +91,6 @@ impl Collector {
         });
     }
 
-    /// Records a completed span.
-    pub fn span(
-        &mut self,
-        name: &str,
-        cat: &str,
-        ts: f64,
-        dur: f64,
-        track: u64,
-        args: &[(&str, Value)],
-    ) {
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.spans.push(Span {
-            name: name.to_owned(),
-            cat: cat.to_owned(),
-            ts,
-            dur,
-            track,
-            args: to_map(args),
-        });
-    }
-
     /// Adds `delta` to the named counter.
     pub fn add(&mut self, counter: &str, delta: u64) {
         let Some(inner) = self.inner.as_mut() else {
@@ -154,11 +112,6 @@ impl Collector {
         self.inner.as_ref().map_or(&[], |i| &i.events)
     }
 
-    /// The recorded spans (empty when disabled).
-    pub fn spans(&self) -> &[Span] {
-        self.inner.as_ref().map_or(&[], |i| &i.spans)
-    }
-
     /// The counters in sorted name order (empty when disabled).
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         static EMPTY: BTreeMap<String, u64> = BTreeMap::new();
@@ -177,7 +130,7 @@ impl Collector {
     }
 
     /// Writes the JSONL structured-event stream: one JSON object per
-    /// line — events, then spans, then counters, then metrics, each in
+    /// line — events, then counters, then metrics, each in
     /// deterministic (record, then sorted-name) order.
     ///
     /// # Errors
@@ -193,23 +146,6 @@ impl Collector {
             crate::json::write_f64(&mut line, e.ts);
             line.push_str(",\"fields\":");
             write_obj(&mut line, &e.fields);
-            line.push('}');
-            writeln!(w, "{line}")?;
-        }
-        for s in self.spans() {
-            line.clear();
-            line.push_str("{\"type\":\"span\",\"name\":");
-            write_str(&mut line, &s.name);
-            line.push_str(",\"cat\":");
-            write_str(&mut line, &s.cat);
-            line.push_str(",\"ts\":");
-            crate::json::write_f64(&mut line, s.ts);
-            line.push_str(",\"dur\":");
-            crate::json::write_f64(&mut line, s.dur);
-            line.push_str(",\"track\":");
-            let _ = std::fmt::Write::write_fmt(&mut line, format_args!("{}", s.track));
-            line.push_str(",\"args\":");
-            write_obj(&mut line, &s.args);
             line.push('}');
             writeln!(w, "{line}")?;
         }
@@ -234,40 +170,18 @@ impl Collector {
         Ok(())
     }
 
-    /// Renders the Chrome `trace_event` JSON document (one `"X"`
-    /// complete event per span, one `"i"` instant event per event),
+    /// Renders the Chrome `trace_event` JSON document (one `"i"`
+    /// instant event per event, then one carrying the counters),
     /// loadable in Perfetto / `chrome://tracing`.
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"timebase\":");
         write_str(&mut out, self.timebase());
         out.push_str("},\"traceEvents\":[");
-        let mut first = true;
-        for s in self.spans() {
-            if !first {
+        for (i, e) in self.events().iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str("{\"name\":");
-            write_str(&mut out, &s.name);
-            out.push_str(",\"cat\":");
-            write_str(&mut out, &s.cat);
-            out.push_str(",\"ph\":\"X\",\"ts\":");
-            crate::json::write_f64(&mut out, s.ts);
-            out.push_str(",\"dur\":");
-            crate::json::write_f64(&mut out, s.dur);
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(",\"pid\":0,\"tid\":{},\"args\":", s.track),
-            );
-            write_obj(&mut out, &s.args);
-            out.push('}');
-        }
-        for e in self.events() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             out.push_str("{\"name\":");
             write_str(&mut out, &e.name);
             out.push_str(",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"ts\":");
@@ -277,7 +191,7 @@ impl Collector {
             out.push('}');
         }
         if !self.counters().is_empty() {
-            if !first {
+            if !self.events().is_empty() {
                 out.push(',');
             }
             out.push_str(
@@ -305,7 +219,7 @@ mod tests {
     fn sample() -> Collector {
         let mut c = Collector::enabled("cycles");
         c.event("flit.inject", 3.0, &[("packet", Value::U64(7))]);
-        c.span("trial", "mc", 0.0, 1.0, 0, &[("trial", Value::U64(0))]);
+        c.event("trial", 1.0, &[("trial", Value::U64(1))]);
         c.add("retries", 2);
         c.add("retries", 3);
         c.set_metric("delivered", Value::F64(0.5));
@@ -316,11 +230,10 @@ mod tests {
     fn disabled_collector_records_nothing() {
         let mut c = Collector::disabled();
         c.event("e", 0.0, &[("k", Value::U64(1))]);
-        c.span("s", "c", 0.0, 1.0, 0, &[]);
         c.add("n", 5);
         c.set_metric("m", Value::Bool(true));
         assert!(!c.is_enabled());
-        assert!(c.events().is_empty() && c.spans().is_empty());
+        assert!(c.events().is_empty());
         assert!(c.counters().is_empty() && c.metrics().is_empty());
         assert_eq!(c.counter("n"), 0);
         assert_eq!(c.timebase(), "");
@@ -329,8 +242,8 @@ mod tests {
     #[test]
     fn enabled_collector_accumulates() {
         let c = sample();
-        assert_eq!(c.events().len(), 1);
-        assert_eq!(c.spans().len(), 1);
+        assert_eq!(c.events().len(), 2);
+        assert_eq!(c.events()[1].name, "trial", "events keep record order");
         assert_eq!(c.counter("retries"), 5);
         assert_eq!(c.metrics().get("delivered"), Some(&Value::F64(0.5)));
         assert_eq!(c.timebase(), "cycles");
@@ -342,12 +255,15 @@ mod tests {
         sample().write_events_jsonl(&mut buf).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "event + span + counter + metric");
+        assert_eq!(lines.len(), 4, "two events + counter + metric");
         for line in &lines {
             assert!(parse(line).is_ok(), "invalid JSONL line: {line}");
         }
         assert!(lines[0].contains("\"type\":\"event\""));
-        assert!(lines[1].contains("\"type\":\"span\""));
+        assert_eq!(
+            lines[1],
+            "{\"type\":\"event\",\"name\":\"trial\",\"ts\":1,\"fields\":{\"trial\":1}}"
+        );
         assert!(lines[2].contains("\"retries\""));
         assert!(lines[2].contains("\"value\":5"));
     }
@@ -359,15 +275,25 @@ mod tests {
             .get("traceEvents")
             .and_then(Json::as_arr)
             .expect("traceEvents array");
-        // span + event + counters-metadata event.
+        // Two instant events + the counters-metadata event.
         assert_eq!(events.len(), 3);
-        let span = &events[0];
-        assert_eq!(span.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(span.get("name").and_then(Json::as_str), Some("trial"));
-        assert!(span.get("ts").and_then(Json::as_num).is_some());
-        assert!(span.get("dur").and_then(Json::as_num).is_some());
-        let instant = &events[1];
-        assert_eq!(instant.get("ph").and_then(Json::as_str), Some("i"));
+        let trial = &events[1];
+        assert_eq!(trial.get("ph").and_then(Json::as_str), Some("i"));
+        assert_eq!(trial.get("name").and_then(Json::as_str), Some("trial"));
+        assert_eq!(trial.get("ts").and_then(Json::as_num), Some(1.0));
+        assert_eq!(
+            trial
+                .get("args")
+                .and_then(|a| a.get("trial"))
+                .and_then(Json::as_num),
+            Some(1.0)
+        );
+        assert!(events.iter().all(|e| e.get("dur").is_none()));
+        let meta = &events[2];
+        assert_eq!(
+            meta.get("name").and_then(Json::as_str),
+            Some("srlr.counters")
+        );
         assert_eq!(
             doc.get("otherData")
                 .and_then(|o| o.get("timebase"))
@@ -378,6 +304,9 @@ mod tests {
 
     #[test]
     fn empty_enabled_collector_emits_empty_but_valid_sinks() {
+        let mut counters_only = Collector::enabled("t");
+        counters_only.add("n", 1);
+        assert!(parse(&counters_only.chrome_trace_json()).is_ok());
         let c = Collector::enabled("t");
         let doc = parse(&c.chrome_trace_json()).expect("valid");
         assert_eq!(

@@ -2,16 +2,20 @@
 //!
 //! The reproduction's experiments are *measurements*, and measurements
 //! need instruments. This crate is the workspace's instrumentation
-//! layer: structured events, spans, counters, and scalar metrics
-//! collected by a [`Collector`] and drained through three sinks —
+//! layer: structured events, counters, and scalar metrics collected by
+//! a [`Collector`] and drained through three sinks —
 //!
 //! 1. a JSONL structured-event stream
 //!    ([`Collector::write_events_jsonl`]),
-//! 2. a Chrome `trace_event` span export loadable in Perfetto /
-//!    `chrome://tracing` ([`Collector::chrome_trace_json`]), and
+//! 2. a Chrome `trace_event` export of the events, loadable in
+//!    Perfetto / `chrome://tracing` ([`Collector::chrome_trace_json`]),
+//!    and
 //! 3. a versioned machine-readable JSON run report ([`RunReport`])
 //!    emitted by the CLI subcommands (`--metrics-out`) alongside their
 //!    ASCII output.
+//!
+//! Spans — named, nested intervals of time — have one home: the
+//! [`Profiler`]'s call tree, drained through its own folded-stack sink.
 //!
 //! All JSON is hand-rolled ([`json`]) — the workspace is hermetic and
 //! carries no serde.
@@ -28,9 +32,9 @@
 //!   abstraction).
 //! * **Bit-identical at any worker count.** Parallel stages return
 //!   their results in item-index order (`par_map_indexed`), and the
-//!   calling thread records every span and metric from those ordered
-//!   results; spans carry their item index. Every file sink's bytes are
-//!   identical at `--threads 1/2/8`.
+//!   calling thread records every event and metric from those ordered
+//!   results; per-item events carry their item index. Every file sink's
+//!   bytes are identical at `--threads 1/2/8`.
 //! * **Deterministic iteration.** All key/value state lives in
 //!   `BTreeMap`s; sinks emit sorted-key order.
 
@@ -43,15 +47,16 @@ pub mod report;
 pub mod sarif;
 
 pub use clock::Clock;
-pub use collect::{Collector, Event, Span};
+pub use collect::{Collector, Event};
 pub use json::{Json, Value};
 pub use profile::{Profile, ProfileNode, Profiler};
 pub use progress::Progress;
-pub use report::{RunReport, RUN_REPORT_VERSION};
+pub use report::{index_key, RunReport, RUN_REPORT_VERSION};
 pub use sarif::SarifDoc;
 
-/// The observability hooks of one run: a collector for the file sinks,
-/// a progress reporter, and a call-tree profiler (the timing sink).
+/// The observability hooks of one run: a collector of events, counters
+/// and metrics for the file sinks, a progress reporter, and a call-tree
+/// profiler (the timing sink and the only span system).
 ///
 /// Every instrumented experiment takes them as its last argument,
 /// `obs: &mut Obs`, and records into whichever hooks are enabled; the
@@ -64,8 +69,9 @@ pub struct Obs {
     pub collector: Collector,
     /// Progress reporting to stderr.
     pub progress: Progress,
-    /// Span-hierarchy profiler; its timings stay in the profile sink,
-    /// excluded from the byte-identity contract of the other sinks.
+    /// Call-tree profiler, the one span system; its timings stay in
+    /// the profile sink, excluded from the byte-identity contract of
+    /// the other sinks.
     pub profiler: Profiler,
 }
 

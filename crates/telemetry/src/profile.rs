@@ -1,10 +1,12 @@
 //! Self-profiling: an aggregated span-hierarchy profiler behind the
 //! [`Clock`] abstraction.
 //!
-//! [`Profiler`] extends the flat spans of [`crate::Collector`] into a
-//! proper call tree: every frame knows its parent, its invocation
-//! count, and its total versus self time (total minus time attributed
-//! to child frames). Like the collector it is **zero-cost when
+//! [`Profiler`] is the workspace's one span system: a call tree in
+//! which every frame knows its parent, its invocation count, and its
+//! total versus self time (total minus time attributed to child
+//! frames). Per-item records (a die's verdict, a BER point's tally) are
+//! instant events on the [`crate::Collector`], not spans. Like the
+//! collector it is **zero-cost when
 //! disabled** — one `None` branch, no allocation — so instrumented hot
 //! loops (the batched MC kernel, the NoC step loop, the model checker)
 //! pay nothing unless a `--profile-out` flag turned profiling on.

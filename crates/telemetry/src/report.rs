@@ -112,6 +112,16 @@ impl RunReport {
     }
 }
 
+/// The key of item `index` of `count` under `prefix` (a sweep point's
+/// metric prefix or run-report section, e.g. `mc.point.007`): the index
+/// is zero-padded to at least three digits and widens with `count`, so
+/// lexicographic key order (every sink's `BTreeMap` order) matches
+/// numeric order at any item count.
+pub fn index_key(prefix: &str, index: usize, count: usize) -> String {
+    let width = count.saturating_sub(1).to_string().len().max(3);
+    format!("{prefix}.{index:0width$}")
+}
+
 /// Writes a one-entry-per-line JSON object at the given indent depth.
 fn write_flat_map(out: &mut String, map: &BTreeMap<String, Value>, indent: usize) {
     if map.is_empty() {
@@ -177,6 +187,30 @@ mod tests {
         let doc = parse(&RunReport::new("empty").to_json()).expect("valid JSON");
         assert!(matches!(doc.get("metrics"), Some(Json::Obj(m)) if m.is_empty()));
         assert!(matches!(doc.get("sections"), Some(Json::Obj(m)) if m.is_empty()));
+    }
+
+    #[test]
+    fn index_keys_sort_lexicographically_at_any_count() {
+        // Regression: a fixed `{i:03}` scheme interleaves past 999 items
+        // (`mc.point.1000` < `mc.point.999` lexicographically).
+        for count in [1usize, 7, 1000, 1500, 12_000] {
+            let keys: Vec<String> = (0..count)
+                .map(|i| index_key("mc.point", i, count))
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort();
+            assert_eq!(keys, sorted, "keys interleave at {count} items");
+        }
+    }
+
+    #[test]
+    fn index_key_keeps_the_three_digit_shape_below_1000_items() {
+        assert_eq!(index_key("mc.point", 0, 7), "mc.point.000");
+        assert_eq!(index_key("mc.point", 999, 1000), "mc.point.999");
+        assert_eq!(index_key("mc.point", 0, 1500), "mc.point.0000");
+        assert_eq!(index_key("mc.point", 1499, 1500), "mc.point.1499");
+        assert_eq!(index_key("budget", 2, 3), "budget.002");
+        assert_eq!(index_key("point", 0, 0), "point.000");
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn disabled_collector_never_allocates() {
     let n = allocations_during(|| {
         for i in 0..10_000u64 {
             c.event("flit.inject", i as f64, &[("packet", Value::U64(i))]);
-            c.span("trial", "mc", i as f64, 1.0, 0, &[("trial", Value::U64(i))]);
             c.add("retries", 1);
             c.set_metric("delivered", Value::U64(i));
         }
