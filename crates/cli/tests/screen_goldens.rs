@@ -5,7 +5,8 @@
 //! single delay cell and its inverter driver with adaptive bias, and
 //! the shmoo's nominal die across 1–8 Gb/s and 250–600 mV. A screen or
 //! elaboration change that claims bit-identical results is held to
-//! these outputs too.
+//! these outputs too. `srlr bathtub` (default 2000 bits × 8 seeds at
+//! 3 ps) pins the jittered batch kernel the same way.
 
 #![allow(
     clippy::expect_used,
@@ -46,6 +47,17 @@ fn shmoo_matches_its_golden_at_one_and_two_threads() {
             srlr(&["shmoo", "--threads", threads], threads),
             include_str!("golden/shmoo.txt"),
             "shmoo --threads {threads} differs from its golden"
+        );
+    }
+}
+
+#[test]
+fn bathtub_matches_its_golden_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(
+            srlr(&["bathtub"], threads),
+            include_str!("golden/bathtub.txt"),
+            "bathtub at {threads} thread(s) differs from its golden"
         );
     }
 }

@@ -396,12 +396,15 @@ impl SwingPoint {
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
-        mut mc: Option<&mut dyn MismatchSampler>,
+        mc: Option<&mut dyn MismatchSampler>,
         chain: &mut SrlrChain,
     ) {
         assert!(stages > 0, "a chain needs at least one stage");
         let design = &self.design;
-        let discharge_r = self.driver.discharge_resistance(tech, var);
+        let pull_up_current = self.driver.pull_up_current(tech, var);
+        let discharge_r = self
+            .driver
+            .discharge_resistance_from(tech, var, pull_up_current);
         let wire = design
             .wire
             .extract(design.segment_length)
@@ -436,7 +439,6 @@ impl SwingPoint {
         let c_x =
             tech.nmos.junction_capacitance(design.m1_width) + m2.drain_capacitance() + amp_input;
 
-        let pull_up_current = self.driver.pull_up_current(tech, var);
         let (drive_level, charge_r, internal_energy) =
             self.swing_fields(tech, var, c_x, pull_up_current);
 
@@ -492,15 +494,24 @@ impl SwingPoint {
             statically_sound,
         };
 
+        // Local mismatch applies to the small, matching-critical input
+        // pair (M1 against the sense reference). Every stage's M1 has the
+        // same drawn size, so its Pelgrom sigmas, from the sampler's own
+        // coefficients, are resolved once per chain.
+        let mut m1_mismatch = mc.map(|mc| {
+            let coeffs = mc.local_mismatch();
+            let sigma_vth = coeffs.sigma_vth(design.m1_width, tech.min_length);
+            let sigma_drive = coeffs.sigma_drive(design.m1_width, tech.min_length);
+            (mc, sigma_vth, sigma_drive)
+        });
+
         chain.stages.clear();
         // srlr-lint: allow(alloc-in-hot-path, reason = "fills the caller's reused stage buffer; it grows only on a chain's first elaboration")
         chain.stages.extend((0..stages).map(|index| {
-            // Local mismatch applies to the small, matching-critical
-            // input pair (M1 against the sense reference).
-            let (local_vth, local_drive) = match mc.as_deref_mut() {
-                Some(mc) => (
-                    mc.sample_local_vth(design.m1_width, tech.min_length),
-                    mc.sample_local_drive(design.m1_width, tech.min_length),
+            let (local_vth, local_drive) = match &mut m1_mismatch {
+                Some((mc, sigma_vth, sigma_drive)) => (
+                    mc.draw_local_vth(*sigma_vth),
+                    mc.draw_local_drive(*sigma_drive),
                 ),
                 None => (Voltage::zero(), 1.0),
             };
@@ -892,6 +903,31 @@ mod tests {
             thresholds.iter().any(|&v| (v - first).abs() > 1e-6),
             "local mismatch should scatter stage thresholds"
         );
+    }
+
+    #[test]
+    fn m1_mismatch_uses_the_samplers_own_coefficients() {
+        // Elaboration resolves M1's sigmas from the sampler, not from the
+        // technology it elaborates with: a sampler built from a
+        // technology with 10× the Pelgrom coefficients gives the chain
+        // that technology elaborates, not the base one's.
+        let base = tech();
+        let wide = Technology {
+            local_mismatch: srlr_tech::LocalMismatch {
+                a_vt: base.local_mismatch.a_vt * 10.0,
+                a_beta: base.local_mismatch.a_beta * 10.0,
+            },
+            ..base.clone()
+        };
+        let design = SrlrDesign::paper_proposed(&base);
+        let elaborate = |t: &Technology, sampler_tech: &Technology| {
+            let mut die = MonteCarlo::new(sampler_tech, 5).die(0);
+            let var = die.global_variation();
+            design.instantiate_with_mismatch(t, &var, 10, &mut die)
+        };
+        let wide_draws = elaborate(&base, &wide);
+        assert!(wide_draws == elaborate(&wide, &wide));
+        assert!(wide_draws != elaborate(&base, &base));
     }
 
     #[test]

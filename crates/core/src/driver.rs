@@ -137,6 +137,27 @@ impl OutputDriver {
         dev.effective_resistance(tech.vdd)
     }
 
+    /// [`OutputDriver::discharge_resistance`] from the die's
+    /// [`OutputDriver::pull_up_current`]. When the pull-up is an NMOS of
+    /// the pull-down's model (the NMOS-based driver), that current is the
+    /// pull-down's own switching current at the same `(VDD, VDD/2)` point
+    /// and die, so only the `× W/L` and the secant remain and the result
+    /// is bit for bit the same; otherwise the pull-down's current is
+    /// evaluated.
+    pub(crate) fn discharge_resistance_from(
+        &self,
+        tech: &Technology,
+        var: &GlobalVariation,
+        pull_up_current: Current,
+    ) -> Resistance {
+        if self.pull_up.kind() == MosKind::Nmos && self.pull_up.model() == self.pull_down.model() {
+            self.pull_down
+                .effective_resistance_from(tech.vdd, pull_up_current)
+        } else {
+            self.discharge_resistance(tech, var)
+        }
+    }
+
     /// Gate capacitance presented to the pre-driver (for energy accounting).
     pub fn input_capacitance(&self) -> srlr_units::Capacitance {
         self.pull_up.gate_capacitance() + self.pull_down.gate_capacitance()
@@ -251,6 +272,42 @@ mod tests {
                 assert_eq!(
                     split.ohms().to_bits(),
                     d.charge_resistance(&t, var).ohms().to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn discharge_resistance_from_the_pull_up_current_is_bit_identical() {
+        // The NMOS-based driver reuses the pull-up's current for its
+        // pull-down; the inverter (PMOS pull-up) and a driver whose
+        // pull-up model differs fall back to the pull-down's own. Either
+        // way the result is `discharge_resistance` bit for bit, at the
+        // five corners and 200 Monte Carlo dice.
+        let t = tech();
+        let mut foreign = OutputDriver::nmos_based(&t);
+        foreign.pull_up = Device::new(
+            MosKind::Nmos,
+            t.nmos.with_variation(Voltage::from_millivolts(25.0), 0.9),
+            Length::from_micrometers(4.0),
+            t.min_length,
+        );
+        let drivers = [
+            OutputDriver::nmos_based(&t),
+            OutputDriver::inverter(&t),
+            foreign,
+        ];
+        let mc = MonteCarlo::new(&t, 2013);
+        let dice = ProcessCorner::ALL
+            .iter()
+            .map(|corner| corner.variation(&t))
+            .chain((0..200).map(|trial| mc.die(trial).global_variation()));
+        for var in dice {
+            for d in &drivers {
+                let from = d.discharge_resistance_from(&t, &var, d.pull_up_current(&t, &var));
+                assert_eq!(
+                    from.ohms().to_bits(),
+                    d.discharge_resistance(&t, &var).ohms().to_bits()
                 );
             }
         }

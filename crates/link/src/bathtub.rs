@@ -318,6 +318,30 @@ mod tests {
     }
 
     #[test]
+    fn cli_grid_error_counts_are_pinned_at_one_and_two_threads() {
+        // `srlr bathtub`'s default sweep: 3.5–7 Gb/s in 0.5 Gb/s steps,
+        // 2000 PRBS-7 bits × 8 jitter seeds at 3 ps. A kernel change that
+        // claims bit-identity must reproduce every count exactly.
+        let tech = Technology::soi45();
+        let design = SrlrDesign::paper_proposed(&tech);
+        let rates: Vec<DataRate> = (7..=14)
+            .map(|i| DataRate::from_gigabits_per_second(f64::from(i) * 0.5))
+            .collect();
+        let sigma = TimeInterval::from_picoseconds(3.0);
+        for threads in [1usize, 2] {
+            let curve =
+                rate_bathtub_with_threads(&tech, &design, &rates, sigma, 2000, 8, Some(threads));
+            let errors: Vec<usize> = curve.iter().map(|p| p.errors).collect();
+            assert_eq!(
+                errors,
+                [0, 0, 0, 0, 0, 2073, 6673, 7782],
+                "threads {threads}"
+            );
+            assert!(curve.iter().all(|p| p.bits == 16_000));
+        }
+    }
+
+    #[test]
     fn render_marks_clean_and_dirty_rows() {
         let text = render(&curve());
         assert!(text.contains("clean"));

@@ -67,15 +67,35 @@ impl GaussianRng {
 /// A source of per-device local mismatch draws. Implemented both by the
 /// sequential [`MonteCarlo`] stream and by the per-trial [`DieSampler`],
 /// so chain elaboration can run against either.
+///
+/// A device's Pelgrom sigmas depend only on its drawn dimensions, so a
+/// caller resolves them once from [`MismatchSampler::local_mismatch`]
+/// (the sampler's own coefficients) and draws every device of that size
+/// with them.
 pub trait MismatchSampler {
-    /// Samples a local threshold shift for a device of the given drawn
-    /// dimensions.
-    fn sample_local_vth(&mut self, width: Length, length: Length) -> Voltage;
+    /// The local-mismatch coefficients this sampler draws with.
+    fn local_mismatch(&self) -> LocalMismatch;
 
-    /// Samples a local drive multiplier for a device of the given drawn
-    /// dimensions; must stay positive.
-    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch is a dimensionless multiplier")
-    fn sample_local_drive(&mut self, width: Length, length: Length) -> f64;
+    /// Draws a local threshold shift of standard deviation `sigma` (a
+    /// device's [`LocalMismatch::sigma_vth`]).
+    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage;
+
+    /// Draws a local drive multiplier of relative standard deviation
+    /// `sigma` (a device's [`LocalMismatch::sigma_drive`]); clamped to
+    /// stay positive.
+    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch and its sigma are dimensionless")
+    fn draw_local_drive(&mut self, sigma: f64) -> f64;
+}
+
+/// One local threshold draw of standard deviation `sigma`.
+fn local_vth_draw(rng: &mut GaussianRng, sigma: Voltage) -> Voltage {
+    Voltage::from_volts(rng.sample() * sigma.volts())
+}
+
+/// One local drive-multiplier draw of relative standard deviation
+/// `sigma`, clamped to stay positive.
+fn local_drive_draw(rng: &mut GaussianRng, sigma: f64) -> f64 {
+    (1.0 + rng.sample() * sigma).max(0.1)
 }
 
 /// The per-technology variation magnitudes shared by every sampler.
@@ -118,26 +138,31 @@ impl DieSampler {
     /// Samples a local threshold shift for a device of the given drawn
     /// dimensions.
     pub fn local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        let sigma = self.sigmas.mismatch.sigma_vth(width, length);
-        Voltage::from_volts(self.rng.sample() * sigma.volts())
+        local_vth_draw(&mut self.rng, self.sigmas.mismatch.sigma_vth(width, length))
     }
 
     /// Samples a local drive multiplier for a device of the given drawn
     /// dimensions; clamped to stay positive.
     // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch is a dimensionless multiplier")
     pub fn local_drive(&mut self, width: Length, length: Length) -> f64 {
-        let sigma = self.sigmas.mismatch.sigma_drive(width, length);
-        (1.0 + self.rng.sample() * sigma).max(0.1)
+        local_drive_draw(
+            &mut self.rng,
+            self.sigmas.mismatch.sigma_drive(width, length),
+        )
     }
 }
 
 impl MismatchSampler for DieSampler {
-    fn sample_local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        self.local_vth(width, length)
+    fn local_mismatch(&self) -> LocalMismatch {
+        self.sigmas.mismatch
     }
 
-    fn sample_local_drive(&mut self, width: Length, length: Length) -> f64 {
-        self.local_drive(width, length)
+    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage {
+        local_vth_draw(&mut self.rng, sigma)
+    }
+
+    fn draw_local_drive(&mut self, sigma: f64) -> f64 {
+        local_drive_draw(&mut self.rng, sigma)
     }
 }
 
@@ -245,26 +270,34 @@ impl MonteCarlo {
     /// Samples a local threshold shift for a device of the given drawn
     /// dimensions from the sequential stream.
     pub fn sample_local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        let sigma = self.sigmas.mismatch.sigma_vth(width, length);
-        Voltage::from_volts(self.gauss.sample() * sigma.volts())
+        local_vth_draw(
+            &mut self.gauss,
+            self.sigmas.mismatch.sigma_vth(width, length),
+        )
     }
 
     /// Samples a local drive multiplier for a device of the given drawn
     /// dimensions from the sequential stream; clamped to stay positive.
     // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch is a dimensionless multiplier")
     pub fn sample_local_drive(&mut self, width: Length, length: Length) -> f64 {
-        let sigma = self.sigmas.mismatch.sigma_drive(width, length);
-        (1.0 + self.gauss.sample() * sigma).max(0.1)
+        local_drive_draw(
+            &mut self.gauss,
+            self.sigmas.mismatch.sigma_drive(width, length),
+        )
     }
 }
 
 impl MismatchSampler for MonteCarlo {
-    fn sample_local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        MonteCarlo::sample_local_vth(self, width, length)
+    fn local_mismatch(&self) -> LocalMismatch {
+        self.sigmas.mismatch
     }
 
-    fn sample_local_drive(&mut self, width: Length, length: Length) -> f64 {
-        MonteCarlo::sample_local_drive(self, width, length)
+    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage {
+        local_vth_draw(&mut self.gauss, sigma)
+    }
+
+    fn draw_local_drive(&mut self, sigma: f64) -> f64 {
+        local_drive_draw(&mut self.gauss, sigma)
     }
 }
 
