@@ -7,6 +7,13 @@
 //! elaboration change that claims bit-identical results is held to
 //! these outputs too. `srlr bathtub` (default 2000 bits × 8 seeds at
 //! 3 ps) pins the jittered batch kernel the same way.
+//!
+//! `srlr latency` (uniform, transpose and neighbour traffic on the 8×8
+//! mesh up to 0.12 load, transpose deep in saturation) and `srlr
+//! router` (the Sec. IV power split, SRLR vs full-swing datapaths and
+//! bufferless vs VC routers) pin the cycle-level NoC the same way: a
+//! router or network change that claims bit-identical simulation must
+//! leave every latency, packet count and power figure in place.
 
 #![allow(
     clippy::expect_used,
@@ -58,6 +65,28 @@ fn bathtub_matches_its_golden_at_one_and_two_threads() {
             srlr(&["bathtub"], threads),
             include_str!("golden/bathtub.txt"),
             "bathtub at {threads} thread(s) differs from its golden"
+        );
+    }
+}
+
+#[test]
+fn latency_matches_its_golden_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(
+            srlr(&["latency"], threads),
+            include_str!("golden/latency.txt"),
+            "latency at {threads} thread(s) differs from its golden"
+        );
+    }
+}
+
+#[test]
+fn router_matches_its_golden_at_one_and_two_threads() {
+    for threads in ["1", "2"] {
+        assert_eq!(
+            srlr(&["router"], threads),
+            include_str!("golden/router.txt"),
+            "router at {threads} thread(s) differs from its golden"
         );
     }
 }

@@ -127,26 +127,6 @@ pub(crate) fn output_pulse_valid(drive_v: f64, charge_tau_s: f64, w_s: f64) -> b
     w_s > 0.0 && delivered_swing_volts(drive_v, charge_tau_s, w_s) > 0.0
 }
 
-/// Wire energy (joules) of one launched pulse: near-end charge toward the
-/// drive level with the driver-dominated time constant, times VDD.
-///
-/// `tau_near_s` must already carry the `max(τ, 1 fs)` floor.
-#[inline]
-pub(crate) fn wire_energy_joules(
-    drive_v: f64,
-    tau_near_s: f64,
-    wire_cap_f: f64,
-    vdd_v: f64,
-    w_s: f64,
-) -> f64 {
-    let v_near = if w_s <= 0.0 {
-        0.0
-    } else {
-        drive_v * (1.0 - (-w_s / tau_near_s).exp())
-    };
-    wire_cap_f * v_near * vdd_v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,10 +221,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wire_energy_is_zero_for_dead_pulses() {
-        assert_eq!(wire_energy_joules(0.45, 50e-12, 200e-15, 1.0, 0.0), 0.0);
     }
 }

@@ -157,7 +157,7 @@ impl SrlrStage {
         // the driver-dominated time constant.
         let tau_near =
             (self.charge_resistance + self.wire_resistance * 0.15) * self.wire_capacitance;
-        let wire = Energy::from_joules(kernel::wire_energy_joules(
+        let wire = Energy::from_joules(wire_energy_joules(
             self.drive_level.volts(),
             tau_near.seconds().max(1e-15),
             self.wire_capacitance.farads(),
@@ -214,11 +214,30 @@ impl SrlrStage {
     }
 }
 
+/// Wire energy (joules) of one launched pulse: near-end charge toward the
+/// drive level with the driver-dominated time constant, times VDD.
+///
+/// `tau_near_s` must already carry the `max(τ, 1 fs)` floor.
+#[inline]
+fn wire_energy_joules(drive_v: f64, tau_near_s: f64, wire_cap_f: f64, vdd_v: f64, w_s: f64) -> f64 {
+    let v_near = if w_s <= 0.0 {
+        0.0
+    } else {
+        drive_v * (1.0 - (-w_s / tau_near_s).exp())
+    };
+    wire_cap_f * v_near * vdd_v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::SrlrDesign;
     use srlr_tech::{GlobalVariation, Technology};
+
+    #[test]
+    fn wire_energy_is_zero_for_dead_pulses() {
+        assert_eq!(wire_energy_joules(0.45, 50e-12, 200e-15, 1.0, 0.0), 0.0);
+    }
 
     fn nominal_stage() -> SrlrStage {
         let tech = Technology::soi45();

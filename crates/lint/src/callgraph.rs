@@ -4,7 +4,7 @@
 //! `.name(…)` may reach every workspace method named `name`; a path call
 //! `Qualifier::name(…)` reaches methods of the type `Qualifier`, falling
 //! back to free functions named `name` when the qualifier is a module
-//! path segment (`kernel::wire_energy_joules`); a bare call reaches free
+//! path segment (`kernel::delivered_swing_volts`); a bare call reaches free
 //! functions. This over-approximates reachability, which is the safe
 //! direction for `alloc-in-hot-path`: a function the graph *might* reach
 //! from a hot root must stay allocation-free.

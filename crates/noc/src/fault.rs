@@ -276,9 +276,15 @@ impl FaultModel {
     /// samples the per-attempt [`AttemptOutcome`]s from the link's RNG
     /// stream and keeps the tallies.
     pub fn transmit(&mut self, from: Coord, dir: Direction, flit: &Flit) -> LinkTransmission {
-        let Some(stream) = self.stream_index(from, dir) else {
-            return LinkTransmission::clean(1, 0, 0);
-        };
+        match self.stream_index(from, dir) {
+            Some(stream) => self.transmit_on(stream, flit),
+            None => LinkTransmission::clean(1, 0, 0),
+        }
+    }
+
+    /// [`Self::transmit`] across the link with stream index `stream`
+    /// (`node * 4 + direction`, as the caller already knows it).
+    pub(crate) fn transmit_on(&mut self, stream: usize, flit: &Flit) -> LinkTransmission {
         let mut state = RetryState::start();
         loop {
             let corrupted =

@@ -176,13 +176,47 @@ impl core::fmt::Display for StalledError {
 impl std::error::Error for StalledError {}
 
 /// Per-node injection state: the packet currently streaming into the
-/// local port.
+/// local port, one flit per cycle.
 #[derive(Debug, Clone, Default)]
 struct InjectState {
-    /// Remaining flits of the in-progress packet (front is next to go).
-    flits: VecDeque<Flit>,
+    /// The in-progress packet; `None` once its last flit went in.
+    packet: Option<Packet>,
+    /// Index of its next flit to go.
+    next: usize,
     /// The VC chosen for the in-progress packet.
     vc: usize,
+}
+
+impl InjectState {
+    /// Flits of the in-progress packet still to go.
+    fn remaining(&self) -> usize {
+        self.packet.as_ref().map_or(0, |p| p.len_flits - self.next)
+    }
+}
+
+/// One mesh node: its router, where its links lead, and the packets
+/// waiting to enter it.
+#[derive(Debug, Clone)]
+struct Node {
+    router: Router,
+    /// The neighbouring node through each port (indexed by
+    /// [`Direction::index`]); `None` off the mesh edge and for `Local`.
+    neighbors: [Option<usize>; 5],
+    /// The source queue (open-loop, unbounded).
+    source_queue: VecDeque<Packet>,
+    inject: InjectState,
+}
+
+/// A flit on a link, due at a router's input port.
+#[derive(Debug, Clone, Copy)]
+struct LinkFlit {
+    /// Cycle the flit arrives.
+    at: u64,
+    /// Index of the receiving node.
+    node: usize,
+    port: Direction,
+    vc: usize,
+    flit: Flit,
 }
 
 /// The mesh network under simulation.
@@ -194,14 +228,12 @@ struct InjectState {
 pub struct Network {
     config: NocConfig,
     mesh: Mesh,
-    routers: Vec<Router>,
-    /// Flits in flight to each router: `(deliver_at, in_port, vc, flit)`.
-    pending_flits: Vec<Vec<(u64, Direction, usize, Flit)>>,
-    /// Credits arriving at each router next cycle: `(out_port, vc)`.
-    pending_credits: Vec<Vec<(Direction, usize)>>,
-    /// Per-node source queues (open-loop, unbounded).
-    source_queues: Vec<VecDeque<Packet>>,
-    inject: Vec<InjectState>,
+    /// The nodes in row-major mesh order.
+    nodes: Vec<Node>,
+    /// Flits on links, in send order.
+    pending_flits: Vec<LinkFlit>,
+    /// Credits arriving next cycle: `(node, out_port, vc)`.
+    pending_credits: Vec<(usize, Direction, usize)>,
     cycle: u64,
     counters: EnergyCounters,
     /// Total packets ever enqueued.
@@ -235,16 +267,24 @@ impl Network {
         config.validate();
         let mesh = config.mesh();
         let n = mesh.len();
+        let nodes = (0..n)
+            .map(|i| {
+                let at = mesh.coord_of(i);
+                Node {
+                    router: Router::new(at, &config),
+                    neighbors: Direction::ALL
+                        .map(|d| mesh.neighbor(at, d).map(|c| mesh.index_of(c))),
+                    source_queue: VecDeque::new(),
+                    inject: InjectState::default(),
+                }
+            })
+            .collect();
         Self {
             config,
             mesh,
-            routers: (0..n)
-                .map(|i| Router::new(mesh.coord_of(i), &config))
-                .collect(),
-            pending_flits: vec![Vec::new(); n],
-            pending_credits: vec![Vec::new(); n],
-            source_queues: vec![VecDeque::new(); n],
-            inject: vec![InjectState::default(); n],
+            nodes,
+            pending_flits: Vec::new(),
+            pending_credits: Vec::new(),
             cycle: 0,
             counters: EnergyCounters::default(),
             injected: 0,
@@ -395,21 +435,15 @@ impl Network {
     /// deduplicated. This is the set a stalled run reports.
     pub fn in_flight_packets(&self) -> Vec<PacketId> {
         let mut ids: Vec<PacketId> = self
-            .routers
+            .nodes
             .iter()
-            .flat_map(Router::buffered_packets)
-            .chain(
-                self.pending_flits
-                    .iter()
-                    .flatten()
-                    .map(|&(_, _, _, flit)| flit.packet),
-            )
-            .chain(
-                self.inject
-                    .iter()
-                    .flat_map(|s| s.flits.iter().map(|f| f.packet)),
-            )
-            .chain(self.source_queues.iter().flatten().map(|p| p.id))
+            .flat_map(|node| {
+                node.router
+                    .buffered_packets()
+                    .chain(node.inject.packet.iter().map(|p| p.id))
+                    .chain(node.source_queue.iter().map(|p| p.id))
+            })
+            .chain(self.pending_flits.iter().map(|l| l.flit.packet))
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -418,14 +452,19 @@ impl Network {
 
     /// Total flits currently buffered in routers plus in flight.
     pub fn occupancy(&self) -> usize {
-        self.routers.iter().map(Router::occupancy).sum::<usize>()
-            + self.pending_flits.iter().map(Vec::len).sum::<usize>()
-            + self.inject.iter().map(|s| s.flits.len()).sum::<usize>()
-            + self
-                .source_queues
-                .iter()
-                .map(|q| q.iter().map(|p| p.len_flits * p.dsts.len()).sum::<usize>())
-                .sum::<usize>()
+        self.nodes
+            .iter()
+            .map(|node| {
+                node.router.occupancy()
+                    + node.inject.remaining()
+                    + node
+                        .source_queue
+                        .iter()
+                        .map(|p| p.len_flits * p.dsts.len())
+                        .sum::<usize>()
+            })
+            .sum::<usize>()
+            + self.pending_flits.len()
     }
 
     /// Enqueues a packet at its source. Multicast packets are decomposed
@@ -460,24 +499,35 @@ impl Network {
                     packet.len_flits,
                     packet.inject_cycle,
                 );
-                self.source_queues[node].push_back(branch);
+                self.nodes[node].source_queue.push_back(branch);
             }
         } else {
-            self.source_queues[node].push_back(packet);
+            self.nodes[node].source_queue.push_back(packet);
         }
     }
 
     /// Advances the simulation by one cycle, returning the packets that
     /// completed (`(destination, latency_cycles)` per ejected tail).
     pub fn step(&mut self) -> Vec<(Coord, u64)> {
-        let n = self.routers.len();
+        let mut completed = Vec::new();
+        self.step_into(&mut completed);
+        completed
+    }
+
+    /// [`Self::step`], appending the completed packets to `completed`.
+    fn step_into(&mut self, completed: &mut Vec<(Coord, u64)>) {
+        let n = self.nodes.len();
 
         // Phase 0 (telemetry only): sample queue depth and occupancy as
         // of the cycle start, and roll the retry/NACK window over. The
         // flush timestamp is the current cycle, so the event stream
         // stays monotone in time.
         if self.telemetry.is_some() {
-            let depth: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
+            let depth: u64 = self
+                .nodes
+                .iter()
+                .map(|node| node.source_queue.len() as u64)
+                .sum();
             let occupancy = self.occupancy() as u64;
             let cycle = self.cycle;
             if let Some(tel) = self.telemetry.as_mut() {
@@ -492,60 +542,68 @@ impl Network {
             }
         }
 
-        // Phase 1: deliver due link flits and credits, in arrival order
-        // and in place (later flits keep their order and the lists keep
-        // their capacity).
+        // Phase 1: deliver due link flits and credits. The flit list is
+        // in send order, so every router accepts its flits in arrival
+        // order; it is filtered in place, so later flits keep their order
+        // and the list keeps its capacity.
         let now = self.cycle;
-        for i in 0..n {
-            let router = &mut self.routers[i];
-            let buffer_writes = &mut self.counters.buffer_writes;
-            self.pending_flits[i].retain(|&(at, port, vc, flit)| {
-                let due = at <= now;
-                if due {
-                    router.accept(port, vc, flit);
-                    *buffer_writes += 1;
-                }
-                !due
-            });
-            for (port, vc) in self.pending_credits[i].drain(..) {
-                router.return_credit(port, vc);
+        let nodes = &mut self.nodes;
+        let buffer_writes = &mut self.counters.buffer_writes;
+        self.pending_flits.retain(|l| {
+            let due = l.at <= now;
+            if due {
+                nodes[l.node].router.accept(l.port, l.vc, l.flit);
+                *buffer_writes += 1;
             }
+            !due
+        });
+        for (node, port, vc) in self.pending_credits.drain(..) {
+            nodes[node].router.return_credit(port, vc);
         }
 
         // Phase 2: injection into local input ports.
-        for i in 0..n {
-            if self.inject[i].flits.is_empty() {
-                if let Some(pkt) = self.source_queues[i].pop_front() {
-                    let dst = pkt.dst();
+        for node in &mut self.nodes {
+            let router = &mut node.router;
+            let inject = &mut node.inject;
+            if inject.packet.is_none() {
+                if let Some(pkt) = node.source_queue.pop_front() {
                     // Pick the emptiest local VC for the new packet.
                     let vc = (0..self.config.vcs)
-                        .max_by_key(|&v| self.routers[i].free_slots(Direction::Local, v))
+                        .max_by_key(|&v| router.free_slots(Direction::Local, v))
                         .unwrap_or(0);
-                    self.inject[i] = InjectState {
-                        flits: pkt.flits(dst).into(),
+                    *inject = InjectState {
+                        packet: Some(pkt),
+                        next: 0,
                         vc,
                     };
                 }
             }
-            let state = &mut self.inject[i];
-            if let Some(&flit) = state.flits.front() {
-                if self.routers[i].free_slots(Direction::Local, state.vc) > 0 {
-                    self.routers[i].accept(Direction::Local, state.vc, flit);
+            if let Some(pkt) = &inject.packet {
+                if router.free_slots(Direction::Local, inject.vc) > 0 {
+                    router.accept(
+                        Direction::Local,
+                        inject.vc,
+                        pkt.flit_at(inject.next, pkt.dst()),
+                    );
                     self.counters.buffer_writes += 1;
-                    state.flits.pop_front();
+                    inject.next += 1;
+                    if inject.next == pkt.len_flits {
+                        inject.packet = None;
+                    }
                 }
             }
         }
 
         // Phase 3: router pipelines, sharing one sent-flit buffer.
-        let mut completed = Vec::new();
         let mut sent = SentFlits::new();
         for i in 0..n {
-            let activity = self.routers[i].step(self.mesh, &mut sent);
+            let node = &mut self.nodes[i];
+            let activity = node.router.step(self.mesh, &mut sent);
             self.counters.allocations += (activity.route_computations
                 + activity.vc_allocations
                 + activity.switch_allocations) as u64;
-            let here = self.routers[i].coord();
+            let here = node.router.coord();
+            let neighbors = node.neighbors;
             for &s in sent.iter() {
                 self.counters.buffer_reads += 1;
                 if s.flit.kind.is_head() {
@@ -567,9 +625,9 @@ impl Network {
                 // claiming to come from off-mesh means a corrupted route:
                 // count it, don't abort the run.
                 if s.in_port != Direction::Local {
-                    match (s.in_port.opposite(), self.mesh.neighbor(here, s.in_port)) {
+                    match (s.in_port.opposite(), neighbors[s.in_port.index()]) {
                         (Some(back), Some(up)) => {
-                            self.pending_credits[self.mesh.index_of(up)].push((back, s.in_vc));
+                            self.pending_credits.push((up, back, s.in_vc));
                         }
                         _ => self.routing_errors += 1,
                     }
@@ -618,12 +676,14 @@ impl Network {
                         }
                     }
                 } else {
-                    match (s.out_port.opposite(), self.mesh.neighbor(here, s.out_port)) {
+                    match (s.out_port.opposite(), neighbors[s.out_port.index()]) {
                         (Some(arrive_port), Some(next)) => {
                             self.counters.link_hops += 1;
+                            // Directed link (and fault stream) index.
+                            let link = i * Direction::MESH.len() + s.out_port.index();
                             let mut delay = 1 + self.config.extra_pipeline;
                             if let Some(fault) = self.fault.as_mut() {
-                                let tx = fault.transmit(here, s.out_port, &s.flit);
+                                let tx = fault.transmit_on(link, &s.flit);
                                 self.counters.retry_hops += u64::from(tx.attempts - 1);
                                 self.counters.nacks += u64::from(tx.nacks);
                                 delay += tx.extra_delay;
@@ -647,7 +707,6 @@ impl Network {
                             // overtake an earlier one on the same wire
                             // (the shared scheduling rule the checker
                             // verifies, see `crate::protocol`).
-                            let link = i * Direction::MESH.len() + s.out_port.index();
                             if let Some(tel) = self.telemetry.as_mut() {
                                 tel.link_flits[link] += 1;
                             }
@@ -657,12 +716,13 @@ impl Network {
                                 self.link_busy_until[link],
                             );
                             self.link_busy_until[link] = at;
-                            self.pending_flits[self.mesh.index_of(next)].push((
+                            self.pending_flits.push(LinkFlit {
                                 at,
-                                arrive_port,
-                                s.out_vc,
-                                s.flit,
-                            ));
+                                node: next,
+                                port: arrive_port,
+                                vc: s.out_vc,
+                                flit: s.flit,
+                            });
                         }
                         _ => self.routing_errors += 1,
                     }
@@ -672,7 +732,6 @@ impl Network {
 
         self.cycle += 1;
         self.counters.router_cycles += n as u64;
-        completed
     }
 
     /// Runs `warmup` cycles of traffic, then measures for `measure`
@@ -709,10 +768,13 @@ impl Network {
             self.start_flit_telemetry(std::mem::take(&mut obs.collector));
         }
         let prof = &mut obs.profiler;
+        // One completion buffer, reused every cycle.
+        let mut completed = Vec::new();
         prof.enter("noc.warmup");
         for _ in 0..warmup {
             self.inject_from(&mut gen);
-            let _ = self.step();
+            self.step_into(&mut completed);
+            completed.clear();
         }
         prof.exit();
         let counters_before = self.counters;
@@ -723,9 +785,11 @@ impl Network {
         prof.enter("noc.measure");
         for _ in 0..measure {
             self.inject_from(&mut gen);
-            for (_, latency) in self.step() {
+            self.step_into(&mut completed);
+            for &(_, latency) in &completed {
                 stats.record_packet(latency);
             }
+            completed.clear();
         }
         prof.exit();
         // Flit receipt count over the window comes from the counter delta.
@@ -767,7 +831,7 @@ impl Network {
         let dropped_before = self.dropped;
         let mut delivered = Vec::new();
         for _ in 0..max_cycles {
-            delivered.extend(self.step());
+            self.step_into(&mut delivered);
             let terminated = delivered.len() as u64 + (self.dropped - dropped_before);
             if terminated >= packets as u64 {
                 return Ok(delivered);
@@ -792,11 +856,13 @@ impl Network {
     /// Runs until every queued flit has drained or `max_cycles` elapse;
     /// returns `true` when fully drained.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
+        let mut completed = Vec::new();
         for _ in 0..max_cycles {
             if self.occupancy() == 0 {
                 return true;
             }
-            let _ = self.step();
+            self.step_into(&mut completed);
+            completed.clear();
         }
         self.occupancy() == 0
     }

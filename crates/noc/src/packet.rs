@@ -2,22 +2,51 @@
 
 use crate::topology::Coord;
 
+/// CRC-16/CCITT-FALSE of a payload, one register shift per bit: the
+/// definition [`crc16`] tabulates.
+const fn crc16_bitwise(payload: u64) -> u16 {
+    let mut crc: u16 = 0xFFFF;
+    let mut bit = 64;
+    while bit > 0 {
+        bit -= 1;
+        let feedback = (crc >> 15 == 1) != ((payload >> bit) & 1 == 1);
+        crc <<= 1;
+        if feedback {
+            crc ^= 0x1021;
+        }
+    }
+    crc
+}
+
+/// The CRC of the all-zero payload.
+const CRC16_OF_ZERO: u16 = crc16_bitwise(0);
+
+/// The CRC is affine in the payload bits, so it is [`CRC16_OF_ZERO`]
+/// XOR one contribution per payload byte: entry `[k][b]` is the
+/// contribution of value `b` in byte `k` (most-significant first).
+const CRC16_BYTE_TERMS: [[u16; 256]; 8] = {
+    let mut table = [[0u16; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            table[k][byte] = crc16_bitwise((byte as u64) << (8 * (7 - k))) ^ CRC16_OF_ZERO;
+            byte += 1;
+        }
+        k += 1;
+    }
+    table
+};
+
 /// CRC-16/CCITT-FALSE (polynomial 0x1021, init 0xFFFF) over the 64-bit
 /// flit payload, most-significant byte first — the check the link-level
 /// retransmission protocol uses to detect corrupted flits. CRC-16
 /// detects every 1- and 2-bit error and any burst up to 16 bits, so only
 /// improbable multi-bit patterns can slip through silently.
 pub fn crc16(payload: u64) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for byte in payload.to_be_bytes() {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-        }
+    let mut crc = CRC16_OF_ZERO;
+    for (terms, byte) in CRC16_BYTE_TERMS.iter().zip(payload.to_be_bytes()) {
+        crc ^= terms[usize::from(byte)];
     }
     crc
 }
@@ -122,28 +151,29 @@ impl Packet {
 
     /// Produces the packet's flits in wire order.
     pub fn flits(&self, dst: Coord) -> Vec<Flit> {
-        (0..self.len_flits)
-            .map(|i| {
-                let kind = if self.len_flits == 1 {
-                    FlitKind::HeadTail
-                } else if i == 0 {
-                    FlitKind::Head
-                } else if i + 1 == self.len_flits {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                let payload = flit_payload(self.id, i);
-                Flit {
-                    packet: self.id,
-                    kind,
-                    dst,
-                    inject_cycle: self.inject_cycle,
-                    payload,
-                    crc: crc16(payload),
-                }
-            })
-            .collect()
+        (0..self.len_flits).map(|i| self.flit_at(i, dst)).collect()
+    }
+
+    /// Flit `index` of the packet in wire order, bound for `dst`.
+    pub(crate) fn flit_at(&self, index: usize, dst: Coord) -> Flit {
+        let kind = if self.len_flits == 1 {
+            FlitKind::HeadTail
+        } else if index == 0 {
+            FlitKind::Head
+        } else if index + 1 == self.len_flits {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        let payload = flit_payload(self.id, index);
+        Flit {
+            packet: self.id,
+            kind,
+            dst,
+            inject_cycle: self.inject_cycle,
+            payload,
+            crc: crc16(payload),
+        }
     }
 }
 
@@ -273,6 +303,18 @@ mod tests {
             };
         }
         assert_eq!(crc, 0x29B1);
+    }
+
+    #[test]
+    fn tabulated_crc16_matches_the_bitwise_register() {
+        let mut word = 0x0123_4567_89ab_cdef_u64;
+        for k in 0..1_000u64 {
+            word = srlr_rng::stream_seed(word, k);
+            assert_eq!(crc16(word), crc16_bitwise(word), "{word:#x}");
+        }
+        for word in [0, u64::MAX, 1, 1 << 63] {
+            assert_eq!(crc16(word), crc16_bitwise(word), "{word:#x}");
+        }
     }
 
     #[test]

@@ -5,12 +5,47 @@
 //! Flow control is credit-based; each input port carries `vcs` virtual
 //! channels of `buffer_depth` flits (the paper's router: 4 VCs, 16
 //! buffers per port).
+//!
+//! # Data layout
+//!
+//! Each VC is a *slot*, `port * vcs + vc`, and every per-VC array is
+//! indexed by slot. All input buffers share one flit ring store of
+//! `5 · vcs · buffer_depth` flits, allocated once: slot `s` owns the
+//! `buffer_depth` entries from `s · buffer_depth` and keeps its own head
+//! and length. Three bitsets over the slots (one bit per slot, 64 slots
+//! per word, the three words of a 64-slot block stored side by side)
+//! track what the pipeline needs:
+//!
+//! - `occupied`: the input VC holds a flit. `accept` sets the bit; the
+//!   switch-traversal pop that empties the VC clears it.
+//! - `allocated`: the input VC holds a downstream VC (and so a route).
+//!   VC allocation sets it; the departing tail clears it.
+//! - `busy`, over output VCs: a packet owns the downstream VC.
+//!
+//! # Why walking set bits keeps every decision
+//!
+//! A full scan visits slots in ascending order and skips those with
+//! nothing to do. Walking a word's set bits lowest first
+//! (`trailing_zeros`) visits the same slots in the same order and skips
+//! exactly those, so no arbitration decision moves:
+//!
+//! - Route computation and the VA requester list need an occupied VC
+//!   without a downstream VC (`occupied & !allocated`). The requester
+//!   list, and so the VA round robin that indexes it, is unchanged.
+//! - Switch allocation needs an occupied, allocated VC whose downstream
+//!   VC has a credit. A port nominates its first such VC at or after its
+//!   pointer, else its first such VC: the VC a circular scan from the
+//!   pointer reaches first. A port without one leaves its pointer
+//!   alone, as the scan did. The output arbiter visits the nominating
+//!   ports in round-robin order from its pointer (the 5-bit nomination
+//!   mask rotated by it); the ports it skips had nothing to nominate.
+//! - The busy search for a free downstream VC looks for the lowest clear
+//!   bit of the output port's range, the VC a scan would take.
 
 use crate::packet::Flit;
 use crate::power::DatapathKind;
 use crate::topology::{Coord, Direction, Mesh};
 use srlr_units::Frequency;
-use std::collections::VecDeque;
 
 /// Network configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,14 +192,20 @@ impl NocConfig {
     }
 }
 
-/// Per-VC input state.
-#[derive(Debug, Clone)]
+/// Per-VC input state: the VC's window of the router's flit ring and
+/// the pipeline state of the packet at its front.
+#[derive(Debug, Clone, Copy)]
 struct VcState {
-    buffer: VecDeque<Flit>,
+    /// Ring offset of the front flit within the VC's window.
+    head: usize,
+    /// Flits buffered.
+    len: usize,
     /// Output port assigned by route computation (None until RC).
     route: Option<Direction>,
-    /// Downstream VC granted by VC allocation (None until VA).
-    out_vc: Option<usize>,
+    /// The output-VC slot (`route * vcs + downstream VC`) granted by VC
+    /// allocation; meaningful only while the VC is in the router's
+    /// `allocated` slot set.
+    out_slot: usize,
 }
 
 /// A flit leaving the router this cycle.
@@ -191,19 +232,21 @@ pub struct SentFlits {
     slots: [SentFlit; 5],
 }
 
+/// Contents of an unused flit slot; never observable.
+const PLACEHOLDER_FLIT: Flit = Flit {
+    packet: crate::packet::PacketId(0),
+    kind: crate::packet::FlitKind::HeadTail,
+    dst: Coord { x: 0, y: 0 },
+    inject_cycle: 0,
+    payload: 0,
+    crc: 0,
+};
+
 impl SentFlits {
     /// An empty set.
     pub fn new() -> Self {
-        // Placeholder contents of the unused slots; never observable.
         const EMPTY: SentFlit = SentFlit {
-            flit: Flit {
-                packet: crate::packet::PacketId(0),
-                kind: crate::packet::FlitKind::HeadTail,
-                dst: Coord { x: 0, y: 0 },
-                inject_cycle: 0,
-                payload: 0,
-                crc: 0,
-            },
+            flit: PLACEHOLDER_FLIT,
             out_port: Direction::Local,
             out_vc: 0,
             in_port: Direction::Local,
@@ -252,9 +295,45 @@ fn wrap_next(i: usize, n: usize) -> usize {
     }
 }
 
+/// Slots per bitset word.
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// The router's three VC-slot sets over 64 consecutive slots, one bit
+/// per slot, kept side by side so one cache line serves them all.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotWord {
+    /// Input VCs holding at least one flit.
+    occupied: u64,
+    /// Input VCs holding a downstream VC (so also a route).
+    allocated: u64,
+    /// Output VCs owned by a packet.
+    busy: u64,
+}
+
+/// The word index and bit of `slot` in a `SlotWord` vector.
+fn slot_bit(slot: usize) -> (usize, u64) {
+    (slot / WORD_BITS, 1 << (slot % WORD_BITS))
+}
+
+/// The lowest slot in `lo..hi` whose bit is set in `word(w)`, the `w`-th
+/// word of a bitset expression over slot sets.
+fn first_set(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    let mut at = lo;
+    while at < hi {
+        let bit = at % WORD_BITS;
+        let span = (hi - at).min(WORD_BITS - bit);
+        let found = (word(at / WORD_BITS) >> bit) & (u64::MAX >> (WORD_BITS - span));
+        if found != 0 {
+            return Some(at + found.trailing_zeros() as usize);
+        }
+        at += span;
+    }
+    None
+}
+
 /// One 5-port mesh router.
 ///
-/// Every per-VC array is flat, indexed `port * vcs + vc`.
+/// Every per-VC array is flat, indexed by the slot `port * vcs + vc`.
 #[derive(Debug, Clone)]
 pub struct Router {
     coord: Coord,
@@ -263,16 +342,20 @@ pub struct Router {
     routing: crate::routing::RoutingAlgorithm,
     /// Input state.
     inputs: Vec<VcState>,
+    /// Every VC buffer in one ring store: slot `s` owns the
+    /// `buffer_depth` entries from `s * buffer_depth`.
+    flits: Vec<Flit>,
+    /// Occupied and allocated input VCs and busy output VCs.
+    slot_words: Vec<SlotWord>,
     /// Flits buffered across all inputs; an empty router skips the
     /// pipeline.
     buffered: usize,
     /// Credits available at the downstream buffer of each output VC.
-    /// The Local output is an always-ready sink.
+    /// The Local output is an always-ready sink: its entries are never
+    /// spent, so they stay positive.
     out_credits: Vec<usize>,
-    /// Whether a downstream VC is currently owned by a packet.
-    out_vc_busy: Vec<bool>,
-    /// This cycle's VC-allocation requesters (input indices, in port
-    /// then VC order); sized once, written by position.
+    /// This cycle's VC-allocation requesters (input slots, ascending);
+    /// sized once, written by position.
     va_requesters: Vec<usize>,
     /// Round-robin pointers: VA (a cycle counter, reduced modulo the
     /// requester count), per-input-port SA (a VC in `0..vcs`) and
@@ -292,16 +375,19 @@ impl Router {
             vcs: config.vcs,
             buffer_depth: config.buffer_depth,
             routing: config.routing,
-            inputs: (0..slots)
-                .map(|_| VcState {
-                    buffer: VecDeque::new(),
+            inputs: vec![
+                VcState {
+                    head: 0,
+                    len: 0,
                     route: None,
-                    out_vc: None,
-                })
-                .collect(),
+                    out_slot: 0,
+                };
+                slots
+            ],
+            flits: vec![PLACEHOLDER_FLIT; slots * config.buffer_depth],
+            slot_words: vec![SlotWord::default(); slots.div_ceil(WORD_BITS)],
             buffered: 0,
             out_credits: vec![config.buffer_depth; slots],
-            out_vc_busy: vec![false; slots],
             va_requesters: vec![0; slots],
             rr_va: 0,
             rr_sa_in: [0; 5],
@@ -316,7 +402,7 @@ impl Router {
 
     /// Free buffer slots at an input VC.
     pub fn free_slots(&self, port: Direction, vc: usize) -> usize {
-        self.buffer_depth - self.inputs[port.index() * self.vcs + vc].buffer.len()
+        self.buffer_depth - self.inputs[port.index() * self.vcs + vc].len
     }
 
     /// Total buffered flits across all inputs (diagnostics).
@@ -327,9 +413,10 @@ impl Router {
     /// The packets with at least one flit buffered in this router (with
     /// repetitions; used to report the in-flight set of a stalled run).
     pub fn buffered_packets(&self) -> impl Iterator<Item = crate::packet::PacketId> + '_ {
-        self.inputs
-            .iter()
-            .flat_map(|v| v.buffer.iter().map(|f| f.packet))
+        let depth = self.buffer_depth;
+        self.inputs.iter().enumerate().flat_map(move |(slot, v)| {
+            (0..v.len).map(move |k| self.flits[slot * depth + (v.head + k) % depth].packet)
+        })
     }
 
     /// Accepts a flit into an input VC buffer.
@@ -339,13 +426,22 @@ impl Router {
     /// Panics if the buffer is full — the upstream credit loop must make
     /// that impossible; a panic here means a flow-control bug.
     pub fn accept(&mut self, port: Direction, vc: usize, flit: Flit) {
-        let state = &mut self.inputs[port.index() * self.vcs + vc];
+        let slot = port.index() * self.vcs + vc;
+        let depth = self.buffer_depth;
+        let state = &mut self.inputs[slot];
         assert!(
-            state.buffer.len() < self.buffer_depth,
+            state.len < depth,
             "buffer overflow at {} port {port} vc {vc}: credit protocol violated",
             self.coord
         );
-        state.buffer.push_back(flit);
+        let mut at = state.head + state.len;
+        if at >= depth {
+            at -= depth;
+        }
+        self.flits[slot * depth + at] = flit;
+        state.len += 1;
+        let (w, bit) = slot_bit(slot);
+        self.slot_words[w].occupied |= bit;
         self.buffered += 1;
     }
 
@@ -376,34 +472,46 @@ impl Router {
             return activity;
         }
         let vcs = self.vcs;
+        let depth = self.buffer_depth;
 
         // --- RC: heads at the front of an unrouted VC compute their
         // port. Every routed VC still waiting for a downstream VC then
-        // joins this cycle's VA requesters.
+        // joins this cycle's VA requesters. Only occupied VCs without a
+        // downstream VC have work here; they are visited in ascending
+        // slot order.
         let mut requesters = 0;
-        for slot in 0..self.inputs.len() {
-            let state = &self.inputs[slot];
-            let Some(front) = state.buffer.front() else {
-                continue;
-            };
-            if state.route.is_none() {
-                if !front.kind.is_head() {
-                    continue;
+        for w in 0..self.slot_words.len() {
+            let word = self.slot_words[w];
+            let mut bits = word.occupied & !word.allocated;
+            while bits != 0 {
+                let slot = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let state = self.inputs[slot];
+                if state.route.is_none() {
+                    let front = &self.flits[slot * depth + state.head];
+                    if !front.kind.is_head() {
+                        continue;
+                    }
+                    // Adaptive choice: prefer the candidate whose output
+                    // column has the most downstream credits (a
+                    // congestion-aware local greedy; ties go to the later
+                    // candidate). A routing function always offers at
+                    // least one port; an empty candidate set leaves the
+                    // flit parked instead of panicking.
+                    let dir = match *self.routing.candidates(mesh, self.coord, front.dst) {
+                        [only] => only,
+                        ref candidates => {
+                            let Some(&dir) =
+                                candidates.iter().max_by_key(|d| self.port_credits(**d))
+                            else {
+                                continue;
+                            };
+                            dir
+                        }
+                    };
+                    self.inputs[slot].route = Some(dir);
+                    activity.route_computations += 1;
                 }
-                let candidates = self.routing.candidates(mesh, self.coord, front.dst);
-                // Adaptive choice: prefer the candidate whose output
-                // column has the most downstream credits (a
-                // congestion-aware local greedy; ties go to the later
-                // candidate). A routing function always offers at least
-                // one port; an empty candidate set leaves the flit parked
-                // instead of panicking.
-                let Some(&dir) = candidates.iter().max_by_key(|d| self.port_credits(**d)) else {
-                    continue;
-                };
-                self.inputs[slot].route = Some(dir);
-                activity.route_computations += 1;
-            }
-            if self.inputs[slot].out_vc.is_none() {
                 self.va_requesters[requesters] = slot;
                 requesters += 1;
             }
@@ -419,96 +527,122 @@ impl Router {
                 let Some(out) = self.inputs[slot].route else {
                     continue; // requesters are routed by construction
                 };
-                // The Local output needs no VC ownership (ejection sink).
-                if out == Direction::Local {
-                    self.inputs[slot].out_vc = Some(0);
-                    activity.vc_allocations += 1;
-                    continue;
-                }
                 let base = out.index() * vcs;
-                if let Some(w) = self.out_vc_busy[base..base + vcs].iter().position(|&b| !b) {
-                    self.out_vc_busy[base + w] = true;
-                    self.inputs[slot].out_vc = Some(w);
+                // The Local output needs no VC ownership (ejection sink).
+                let granted = if out == Direction::Local {
+                    Some(base)
+                } else {
+                    let words = &self.slot_words;
+                    first_set(base, base + vcs, |w| !words[w].busy)
+                };
+                if let Some(o) = granted {
+                    if out != Direction::Local {
+                        let (w, bit) = slot_bit(o);
+                        self.slot_words[w].busy |= bit;
+                    }
+                    self.inputs[slot].out_slot = o;
+                    let (w, bit) = slot_bit(slot);
+                    self.slot_words[w].allocated |= bit;
                     activity.vc_allocations += 1;
                 }
             }
             self.rr_va = self.rr_va.wrapping_add(1);
         }
 
-        // --- SA, input-first: each input port nominates one VC...
-        let mut nominations: [Option<usize>; 5] = [None; 5];
-        for (port, nomination) in nominations.iter_mut().enumerate() {
-            let base = port * vcs;
-            let mut vc = self.rr_sa_in[port];
-            for _ in 0..vcs {
-                let s = &self.inputs[base + vc];
-                let next = wrap_next(vc, vcs);
-                let ready = !s.buffer.is_empty()
-                    && match (s.route, s.out_vc) {
-                        (Some(d), Some(w)) => {
-                            d == Direction::Local || self.out_credits[d.index() * vcs + w] > 0
-                        }
-                        _ => false,
-                    };
-                if ready {
-                    *nomination = Some(vc);
-                    self.rr_sa_in[port] = next;
-                    break;
+        // --- SA, input-first: each input port nominates its first VC,
+        // round robin from its pointer, that is allocated, holds a flit
+        // and can send it. One ascending walk over the allocated, occupied
+        // VCs finds it: a port's first sendable VC at or after the pointer
+        // if it has one, else its first sendable VC...
+        let ports = Direction::ALL.len();
+        let mut nominees = [0usize; 5];
+        let mut nominated = 0u32; // one bit per input port
+        let (mut port, mut port_base) = (0, 0);
+        for w in 0..self.slot_words.len() {
+            let word = self.slot_words[w];
+            let mut bits = word.occupied & word.allocated;
+            while bits != 0 {
+                let slot = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.out_credits[self.inputs[slot].out_slot] == 0 {
+                    continue;
                 }
-                vc = next;
+                while slot >= port_base + vcs {
+                    port += 1;
+                    port_base += vcs;
+                }
+                let vc = slot - port_base;
+                let pointer = self.rr_sa_in[port];
+                if nominated & (1 << port) == 0 || (nominees[port] < pointer && vc >= pointer) {
+                    nominees[port] = vc;
+                    nominated |= 1 << port;
+                }
             }
         }
-        // ...then each output port grants one nomination.
-        let mut granted_outputs = [false; 5];
+        // ...then each output port grants one nomination, visiting the
+        // nominating input ports round robin from the output pointer.
+        let mut granted_outputs = 0u32;
         let mut winners = [(0usize, 0usize); 5];
         let mut won = 0;
-        let mut next = self.rr_sa_out;
-        for _ in 0..Direction::ALL.len() {
-            let port = next;
-            next = wrap_next(port, Direction::ALL.len());
-            let Some(vc) = nominations[port] else {
-                continue;
-            };
+        let first = self.rr_sa_out;
+        let mut order = (nominated >> first | nominated << (ports - first)) & ((1 << ports) - 1);
+        while order != 0 {
+            let mut port = first + order.trailing_zeros() as usize;
+            order &= order - 1;
+            if port >= ports {
+                port -= ports;
+            }
+            let vc = nominees[port];
+            self.rr_sa_in[port] = wrap_next(vc, vcs);
             let Some(out) = self.inputs[port * vcs + vc].route else {
                 continue; // nominees are routed by construction
             };
-            if !granted_outputs[out.index()] {
-                granted_outputs[out.index()] = true;
+            if granted_outputs & (1 << out.index()) == 0 {
+                granted_outputs |= 1 << out.index();
                 winners[won] = (port, vc);
                 won += 1;
             }
         }
-        self.rr_sa_out = wrap_next(self.rr_sa_out, Direction::ALL.len());
+        self.rr_sa_out = wrap_next(self.rr_sa_out, ports);
 
         // --- ST: winners move one flit each.
         for &(p, v) in &winners[..won] {
-            let state = &mut self.inputs[p * vcs + v];
+            let slot = p * vcs + v;
+            let state = &mut self.inputs[slot];
             // Winners are routed, VC-allocated and non-empty by the SA
             // stage above; a violated invariant skips the grant instead of
             // aborting the simulation.
-            let (Some(out), Some(w)) = (state.route, state.out_vc) else {
+            let Some(out) = state.route else {
                 continue;
             };
-            let Some(flit) = state.buffer.pop_front() else {
+            if state.len == 0 {
                 continue;
-            };
+            }
+            let o = state.out_slot;
+            let flit = self.flits[slot * depth + state.head];
+            state.head = wrap_next(state.head, depth);
+            state.len -= 1;
+            let (w, bit) = slot_bit(slot);
+            if state.len == 0 {
+                self.slot_words[w].occupied &= !bit;
+            }
             self.buffered -= 1;
             if flit.kind.is_tail() {
                 state.route = None;
-                state.out_vc = None;
+                self.slot_words[w].allocated &= !bit;
             }
             if out != Direction::Local {
-                let o = out.index() * vcs + w;
                 self.out_credits[o] -= 1;
                 if flit.kind.is_tail() {
-                    self.out_vc_busy[o] = false;
+                    let (w, bit) = slot_bit(o);
+                    self.slot_words[w].busy &= !bit;
                 }
             }
             activity.switch_allocations += 1;
             sent.slots[sent.len] = SentFlit {
                 flit,
                 out_port: out,
-                out_vc: w,
+                out_vc: o - out.index() * vcs,
                 in_port: Direction::ALL[p],
                 in_vc: v,
             };
@@ -646,11 +780,12 @@ mod tests {
         }
         // Head leaves, allocating a downstream VC...
         let _ = step(&mut r, mesh);
-        let east = Direction::East.index() * cfg.vcs..(Direction::East.index() + 1) * cfg.vcs;
-        assert!(r.out_vc_busy[east.clone()].iter().any(|&b| b));
+        let east = Direction::East.index() * cfg.vcs;
+        let east_busy = |r: &Router| first_set(east, east + cfg.vcs, |w| r.slot_words[w].busy);
+        assert!(east_busy(&r).is_some());
         // ...tail leaves, releasing it.
         let _ = step(&mut r, mesh);
-        assert!(r.out_vc_busy[east].iter().all(|&b| !b));
+        assert!(east_busy(&r).is_none());
     }
 
     #[test]

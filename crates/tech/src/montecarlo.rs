@@ -22,7 +22,7 @@
 use crate::technology::Technology;
 use crate::variation::{GlobalVariation, LocalMismatch};
 use srlr_rng::{stream_seed, Xoshiro256pp};
-use srlr_units::{Length, Voltage};
+use srlr_units::Voltage;
 
 /// A bare deterministic Gaussian stream (Box–Muller over a seeded
 /// xoshiro256++ generator) for callers that need noise without the full
@@ -134,22 +134,6 @@ impl DieSampler {
     pub fn global_variation(&mut self) -> GlobalVariation {
         sample_global(&mut self.rng, &self.sigmas)
     }
-
-    /// Samples a local threshold shift for a device of the given drawn
-    /// dimensions.
-    pub fn local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        local_vth_draw(&mut self.rng, self.sigmas.mismatch.sigma_vth(width, length))
-    }
-
-    /// Samples a local drive multiplier for a device of the given drawn
-    /// dimensions; clamped to stay positive.
-    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch is a dimensionless multiplier")
-    pub fn local_drive(&mut self, width: Length, length: Length) -> f64 {
-        local_drive_draw(
-            &mut self.rng,
-            self.sigmas.mismatch.sigma_drive(width, length),
-        )
-    }
 }
 
 impl MismatchSampler for DieSampler {
@@ -201,8 +185,8 @@ fn sample_global(rng: &mut GaussianRng, sigmas: &VariationSigmas) -> GlobalVaria
 #[derive(Debug, Clone)]
 pub struct MonteCarlo {
     seed: u64,
-    /// The legacy sequential stream, used by the free-running draw
-    /// helpers (`standard_gaussian`, `sample_local_vth`, ...).
+    /// The legacy sequential stream, used by the free-running draws
+    /// (`standard_gaussian` and the [`MismatchSampler`] methods).
     gauss: GaussianRng,
     sigmas: VariationSigmas,
     next_trial: u64,
@@ -265,25 +249,6 @@ impl MonteCarlo {
     /// An iterator over `n` sampled dice (advancing the trial counter).
     pub fn dice(&mut self, n: usize) -> impl Iterator<Item = GlobalVariation> + '_ {
         (0..n).map(move |_| self.sample_die())
-    }
-
-    /// Samples a local threshold shift for a device of the given drawn
-    /// dimensions from the sequential stream.
-    pub fn sample_local_vth(&mut self, width: Length, length: Length) -> Voltage {
-        local_vth_draw(
-            &mut self.gauss,
-            self.sigmas.mismatch.sigma_vth(width, length),
-        )
-    }
-
-    /// Samples a local drive multiplier for a device of the given drawn
-    /// dimensions from the sequential stream; clamped to stay positive.
-    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch is a dimensionless multiplier")
-    pub fn sample_local_drive(&mut self, width: Length, length: Length) -> f64 {
-        local_drive_draw(
-            &mut self.gauss,
-            self.sigmas.mismatch.sigma_drive(width, length),
-        )
     }
 }
 
@@ -389,6 +354,7 @@ impl core::fmt::Display for ErrorProbability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srlr_units::Length;
 
     fn sampler(seed: u64) -> MonteCarlo {
         MonteCarlo::new(&Technology::soi45(), seed)
@@ -445,8 +411,9 @@ mod tests {
             let w = Length::from_micrometers(0.3);
             let l = Length::from_nanometers(45.0);
             let g = die.global_variation();
-            let v = die.local_vth(w, l);
-            let d = die.local_drive(w, l);
+            let mismatch = die.local_mismatch();
+            let v = die.draw_local_vth(mismatch.sigma_vth(w, l));
+            let d = die.draw_local_drive(mismatch.sigma_drive(w, l));
             (g, v, d)
         };
         assert_eq!(draw(mc.die(4)), draw(mc.die(4)));
@@ -489,12 +456,10 @@ mod tests {
         let mut mc = sampler(11);
         let n = 5000;
         let spread = |mc: &mut MonteCarlo, w: Length| {
-            let v: Vec<f64> = (0..n)
-                .map(|_| {
-                    mc.sample_local_vth(w, Length::from_nanometers(45.0))
-                        .volts()
-                })
-                .collect();
+            let sigma = mc
+                .local_mismatch()
+                .sigma_vth(w, Length::from_nanometers(45.0));
+            let v: Vec<f64> = (0..n).map(|_| mc.draw_local_vth(sigma).volts()).collect();
             (v.iter().map(|x| x * x).sum::<f64>() / n as f64).sqrt()
         };
         let small = spread(&mut mc, Length::from_micrometers(0.2));

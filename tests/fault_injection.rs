@@ -118,6 +118,53 @@ fn fault_sweep_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// The benchmark's `noc_faults` sweep, pinned: the paper's 8×8 mesh at
+/// seed 42 (traffic and fault streams), uniform traffic at 0.05, 100
+/// warm-up and 400 measured cycles per point. Any change to the router
+/// pipeline, the link scheduling or the fault draws moves a triple.
+#[test]
+fn paper_mesh_ber_sweep_matches_its_golden_at_one_and_two_threads() {
+    const GOLDEN: [(u64, u64, u64); 6] = [
+        (1265, 0, 0),
+        (1265, 0, 4),
+        (1268, 0, 26),
+        (1267, 0, 278),
+        (1269, 0, 2819),
+        (364, 836, 37195),
+    ];
+    let bers = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
+    for threads in [1, 2] {
+        let points = ber_sweep(
+            NocConfig::paper_default().with_seed(42),
+            FaultConfig::new(0.0).with_seed(42),
+            Pattern::UniformRandom,
+            0.05,
+            100,
+            400,
+            &bers,
+            Some(threads),
+        );
+        let got: Vec<(u64, u64, u64)> = points
+            .iter()
+            .map(|p| {
+                (
+                    p.stats.packets_received,
+                    p.stats.packets_dropped,
+                    p.stats.faults.flits_retransmitted,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got, GOLDEN,
+            "threads={threads}: (delivered, dropped, retransmitted) per BER"
+        );
+        assert_eq!(
+            points[5].stats.faults.flits_corrupted, 38_884,
+            "threads={threads}: corrupted attempts in the 1e-2 window"
+        );
+    }
+}
+
 #[test]
 fn fault_counters_are_consistent_with_each_other() {
     let mut net = Network::new(base_config().with_ber(3e-3));
