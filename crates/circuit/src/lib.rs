@@ -46,8 +46,6 @@
 
 #![forbid(unsafe_code)]
 
-/// Prebuilt cells: inverters, SRLR stages and keeper structures.
-pub mod cells;
 /// RC ladder models of distributed on-chip wires.
 pub mod ladder;
 /// Netlist construction: nodes, passives, MOSFETs and forced sources.

@@ -245,11 +245,6 @@ impl DieBatch {
         self.has_pulse.fill(false);
     }
 
-    /// Marks every lane alive again.
-    pub fn revive_all(&mut self) {
-        self.alive.fill(true);
-    }
-
     /// Permanently retires `lane` from subsequent slots (its outcome is
     /// decided); the batched analogue of the scalar early exit.
     ///
@@ -549,8 +544,6 @@ mod tests {
         assert!(batch.any_alive());
         batch.kill_lane(0);
         assert!(!batch.any_alive());
-        batch.revive_all();
-        assert!(batch.is_alive(1));
     }
 
     #[test]

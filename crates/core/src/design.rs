@@ -16,7 +16,7 @@ use crate::driver::{DriverKind, OutputDriver};
 use crate::pulse::{PulseState, StageOutcome};
 use crate::stage::SrlrStage;
 use srlr_tech::{
-    AdaptiveSwingBias, Device, GlobalVariation, MismatchSampler, MosKind, Technology, WireGeometry,
+    AdaptiveSwingBias, Device, DieSampler, GlobalVariation, MosKind, Technology, WireGeometry,
 };
 use srlr_units::{Capacitance, Current, Energy, Length, Resistance, TimeInterval, Voltage};
 
@@ -233,12 +233,12 @@ impl SrlrDesign {
     /// # Panics
     ///
     /// Panics if `stages` is zero.
-    pub fn instantiate_with_mismatch<M: MismatchSampler>(
+    pub fn instantiate_with_mismatch(
         &self,
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
-        mc: &mut M,
+        mc: &mut DieSampler,
     ) -> SrlrChain {
         SwingPoint::new(tech, self).instantiate_with_mismatch(tech, var, stages, mc)
     }
@@ -288,12 +288,12 @@ impl SwingPoint {
     /// # Panics
     ///
     /// Panics if `stages` is zero.
-    pub fn instantiate_with_mismatch<M: MismatchSampler>(
+    pub fn instantiate_with_mismatch(
         &self,
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
-        mc: &mut M,
+        mc: &mut DieSampler,
     ) -> SrlrChain {
         let mut chain = SrlrChain::empty();
         self.build_chain(tech, var, stages, Some(mc), &mut chain);
@@ -308,12 +308,12 @@ impl SwingPoint {
     /// # Panics
     ///
     /// Panics if `stages` is zero.
-    pub fn instantiate_with_mismatch_into<M: MismatchSampler>(
+    pub fn instantiate_with_mismatch_into(
         &self,
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
-        mc: &mut M,
+        mc: &mut DieSampler,
         chain: &mut SrlrChain,
     ) {
         self.build_chain(tech, var, stages, Some(mc), chain);
@@ -396,7 +396,7 @@ impl SwingPoint {
         tech: &Technology,
         var: &GlobalVariation,
         stages: usize,
-        mc: Option<&mut dyn MismatchSampler>,
+        mc: Option<&mut DieSampler>,
         chain: &mut SrlrChain,
     ) {
         assert!(stages > 0, "a chain needs at least one stage");
@@ -886,12 +886,12 @@ mod tests {
     #[test]
     fn mismatch_instantiation_differs_per_stage() {
         let t = tech();
-        let mut mc = MonteCarlo::new(&t, 3);
+        let mut die = MonteCarlo::new(&t, 3).die(0);
         let chain = SrlrDesign::paper_proposed(&t).instantiate_with_mismatch(
             &t,
             &GlobalVariation::nominal(),
             10,
-            &mut mc,
+            &mut die,
         );
         let thresholds: Vec<f64> = chain
             .stages()

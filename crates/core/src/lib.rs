@@ -49,13 +49,11 @@
 
 pub mod area;
 pub mod batch;
-pub mod crossbar;
 pub mod delay;
 pub mod design;
 pub mod driver;
 pub mod energy;
 pub(crate) mod kernel;
-pub mod modem;
 pub mod pulse;
 pub mod sizing;
 pub mod stage;
@@ -63,11 +61,9 @@ pub mod transient;
 
 pub use area::SrlrArea;
 pub use batch::DieBatch;
-pub use crossbar::SrlrCrossbar;
 pub use delay::{DelayCellDesign, DelayCellKind};
 pub use design::{SrlrChain, SrlrDesign, SwingPoint};
 pub use driver::DriverKind;
 pub use energy::StageEnergyModel;
-pub use modem::{Demodulator, PulseModulator};
 pub use pulse::PulseState;
 pub use stage::SrlrStage;

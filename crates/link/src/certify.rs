@@ -519,19 +519,6 @@ pub fn sweep_screen(links: &[SrlrLink], order: &mut [usize], screens: &mut [Scre
     });
 }
 
-/// [`sweep_screen`] projected onto the certificate: `clean[p]` becomes
-/// `links[p].robustly_clean()`.
-///
-/// # Panics
-///
-/// Panics if `order` or `clean` is shorter than `links`.
-pub fn sweep_clean(links: &[SrlrLink], order: &mut [usize], clean: &mut [bool]) {
-    let clean = &mut clean[..links.len()];
-    sweep_with(links, order, solitary_one, |p, verdict| {
-        clean[p] = verdict == Screen::Clean;
-    });
-}
-
 /// The sweep screen with the ordered scan's walk supplied by the caller,
 /// so tests can count its walks; `emit(p, verdict)` receives every
 /// point's verdict once. One round-0 memo serves all the points, so

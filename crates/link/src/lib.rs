@@ -43,7 +43,6 @@
 pub mod baselines;
 pub mod bathtub;
 pub mod ber;
-pub mod bundle;
 pub mod certify;
 pub mod comparison;
 pub mod crosstalk;

@@ -18,8 +18,8 @@
 use crate::ber::BerReport;
 use crate::metrics::LinkMetrics;
 use crate::prbs::Prbs;
-use srlr_core::{Demodulator, PulseState, SrlrChain, SrlrDesign, SwingPoint};
-use srlr_tech::{GlobalVariation, MismatchSampler, Technology};
+use srlr_core::{PulseState, SrlrChain, SrlrDesign, SwingPoint};
+use srlr_tech::{DieSampler, GlobalVariation, Technology};
 use srlr_units::{DataRate, Energy, TimeInterval, Voltage};
 
 /// Link-level configuration.
@@ -92,7 +92,6 @@ impl SlotState {
 pub struct SrlrLink {
     chain: SrlrChain,
     config: LinkConfig,
-    demod: Demodulator,
 }
 
 /// `clone_from` reuses the chain's stage buffer (see [`SrlrChain`]).
@@ -101,31 +100,13 @@ impl Clone for SrlrLink {
         Self {
             chain: self.chain.clone(),
             config: self.config,
-            demod: self.demod,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.chain.clone_from(&source.chain);
         self.config = source.config;
-        self.demod = source.demod;
     }
-}
-
-/// The demodulator at the end of `chain`: `config`'s minimum width and
-/// the last stage's sense threshold.
-///
-/// # Panics
-///
-/// Panics if the chain has no stages.
-fn demodulator(chain: &SrlrChain, config: LinkConfig) -> Demodulator {
-    let last = chain.stages().last();
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics"
-    )]
-    let sense = last.expect("chain is non-empty").sense_threshold;
-    Demodulator::new(config.demod_min_width, sense)
 }
 
 impl SrlrLink {
@@ -144,32 +125,22 @@ impl SrlrLink {
         Self::from_chain(chain, config)
     }
 
-    /// Builds a link with per-stage local mismatch drawn from `mc` —
-    /// either a sequential [`srlr_tech::MonteCarlo`] stream or a
-    /// per-trial [`srlr_tech::DieSampler`].
-    pub fn on_die_with_mismatch<M: MismatchSampler>(
+    /// Builds a link with per-stage local mismatch drawn from `mc`, the
+    /// die's per-trial sampler ([`srlr_tech::MonteCarlo::die`]).
+    pub fn on_die_with_mismatch(
         tech: &Technology,
         design: &SrlrDesign,
         config: LinkConfig,
         var: &GlobalVariation,
-        mc: &mut M,
+        mc: &mut DieSampler,
     ) -> Self {
         let chain = design.instantiate_with_mismatch(tech, var, config.stages, mc);
         Self::from_chain(chain, config)
     }
 
     /// Wraps an already-instantiated chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain has no stages ([`SrlrChain`] construction
-    /// guarantees at least one).
     pub fn from_chain(chain: SrlrChain, config: LinkConfig) -> Self {
-        Self {
-            demod: demodulator(&chain, config),
-            chain,
-            config,
-        }
+        Self { chain, config }
     }
 
     /// Re-elaborates this link in place as die `var` at `point`, drawing
@@ -177,15 +148,14 @@ impl SrlrLink {
     /// [`SrlrLink::from_chain`] of
     /// [`SwingPoint::instantiate_with_mismatch`] with this link's
     /// configuration, but in the link's own stage buffer.
-    pub(crate) fn reelaborate<M: MismatchSampler>(
+    pub(crate) fn reelaborate(
         &mut self,
         tech: &Technology,
         var: &GlobalVariation,
         point: &SwingPoint,
-        mc: &mut M,
+        mc: &mut DieSampler,
     ) {
         point.instantiate_with_mismatch_into(tech, var, self.config.stages, mc, &mut self.chain);
-        self.demod = demodulator(&self.chain, self.config);
     }
 
     /// The paper's test chip: the proposed design on a typical die,
@@ -207,8 +177,6 @@ impl SrlrLink {
     /// Makes this link `base`, built on die `var` for `point`'s design at
     /// any swing, moved to `point`'s swing (see
     /// [`SwingPoint::retarget_from`]), reusing this link's stage buffer.
-    /// The demodulator is `base`'s: its sense threshold does not depend
-    /// on the swing.
     pub(crate) fn retarget_from(
         &mut self,
         tech: &Technology,
@@ -218,7 +186,6 @@ impl SrlrLink {
     ) {
         point.retarget_from(tech, var, &base.chain, &mut self.chain);
         self.config = base.config;
-        self.demod = base.demod;
     }
 
     /// The link configuration.
@@ -357,7 +324,7 @@ impl SrlrLink {
 
         // DM decision on the last stage's (full-swing) output pulse.
         match launched {
-            Some(w) => w >= self.demod.min_width,
+            Some(w) => w >= self.config.demod_min_width,
             None => false,
         }
     }
@@ -556,18 +523,34 @@ mod tests {
     }
 
     #[test]
+    fn demodulator_reads_the_configured_min_width() {
+        // The DM latch captures only pulses at least
+        // `demod_min_width` wide: raised past any repeated pulse, it
+        // drops every `1`.
+        let tech = Technology::soi45();
+        let design = srlr_core::SrlrDesign::paper_proposed(&tech);
+        let config = LinkConfig {
+            demod_min_width: TimeInterval::from_nanoseconds(1.0),
+            ..LinkConfig::paper_default()
+        };
+        let l = SrlrLink::on_die(&tech, &design, config, &GlobalVariation::nominal());
+        assert_eq!(l.transmit(&[true; 8]).received, [false; 8]);
+        assert!(!l.transmits_cleanly(&[true]));
+    }
+
+    #[test]
     fn mismatch_link_is_deterministic_per_seed() {
         let tech = Technology::soi45();
         let design = srlr_core::SrlrDesign::paper_proposed(&tech);
         let build = |seed| {
-            let mut mc = MonteCarlo::new(&tech, seed);
-            let var = mc.sample_die();
+            let mut die = MonteCarlo::new(&tech, seed).die(0);
+            let var = die.global_variation();
             SrlrLink::on_die_with_mismatch(
                 &tech,
                 &design,
                 LinkConfig::paper_default(),
                 &var,
-                &mut mc,
+                &mut die,
             )
         };
         assert_eq!(build(5), build(5));

@@ -1,7 +1,7 @@
-//! The swing-interval certificate: a Monte Carlo sweep certifies each
-//! die at every swing at once (`srlr_link::certify::sweep_clean`),
+//! The swing-interval certificate: a Monte Carlo sweep screens each
+//! die at every swing at once (`srlr_link::certify::sweep_screen`),
 //! bisecting the certificate's 1-bit half along the swing-dominance
-//! order instead of certifying every point on its own.
+//! order instead of screening every point on its own.
 //!
 //! The grid is the roadmap probe's: 1000 dice × both Fig. 6 designs ×
 //! 4.1 and 5.0 Gb/s × 41 swings from 300 to 600 mV. Each die is
@@ -13,7 +13,7 @@
 )]
 
 use srlr_core::{SrlrDesign, SwingPoint};
-use srlr_link::certify::{one_bit_clean, sweep_clean};
+use srlr_link::certify::{one_bit_clean, screen, sweep_screen, Screen};
 use srlr_link::{LinkConfig, McExperiment, SrlrLink};
 use srlr_tech::{MonteCarlo, Technology};
 use srlr_units::{DataRate, Voltage};
@@ -103,15 +103,17 @@ fn one_bit_half_is_upward_closed_in_swing_dominance() {
 
 #[test]
 fn sweep_verdicts_equal_the_per_point_certificate() {
-    let (mut order, mut clean) = (vec![0; 41], vec![false; 41]);
-    let mut certified = 0;
+    let (mut order, mut swept) = (vec![0; 41], vec![Screen::Undecided; 41]);
+    let (mut clean, mut refuted) = (0, 0);
     for_each_die(|links| {
-        sweep_clean(links, &mut order, &mut clean);
-        let expected: Vec<bool> = links.iter().map(SrlrLink::robustly_clean).collect();
-        assert_eq!(clean, expected);
-        certified += expected.iter().filter(|&&c| c).count();
+        sweep_screen(links, &mut order, &mut swept);
+        let expected: Vec<Screen> = links.iter().map(screen).collect();
+        assert_eq!(swept, expected);
+        clean += expected.iter().filter(|&&v| v == Screen::Clean).count();
+        refuted += expected.iter().filter(|&&v| v == Screen::Refuted).count();
     });
-    assert!(certified > 0, "the grid must certify some points");
+    assert!(clean > 0, "the grid must certify some points");
+    assert!(refuted > 0, "the grid must refute some points");
 }
 
 #[test]

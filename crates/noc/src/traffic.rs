@@ -39,9 +39,6 @@ pub struct TrafficGenerator {
     /// Packet injection probability per node per cycle.
     injection_rate: f64,
     packet_len: usize,
-    /// Optional bimodal length mix: `(short, long, long_fraction)` —
-    /// the classic control/data split of coherence traffic.
-    bimodal: Option<(usize, usize, f64)>,
     rng: Xoshiro256pp,
     next_id: u64,
 }
@@ -95,41 +92,8 @@ impl TrafficGenerator {
             pattern,
             injection_rate,
             packet_len,
-            bimodal: None,
             rng: Xoshiro256pp::new(seed),
             next_id: 0,
-        }
-    }
-
-    /// Switches to a bimodal packet-length mix: a `long_fraction` of
-    /// packets carry `long` flits (cache lines), the rest `short` flits
-    /// (control messages) — the realistic coherence-traffic shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a length is zero or the fraction is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_bimodal(mut self, short: usize, long: usize, long_fraction: f64) -> Self {
-        assert!(short > 0 && long > 0, "packet lengths must be positive");
-        assert!(
-            (0.0..=1.0).contains(&long_fraction),
-            "long fraction must be in [0, 1]"
-        );
-        self.bimodal = Some((short, long, long_fraction));
-        self
-    }
-
-    /// The flit count for the next packet under the active length model.
-    fn next_len(&mut self) -> usize {
-        match self.bimodal {
-            None => self.packet_len,
-            Some((short, long, frac)) => {
-                if self.rng.next_f64() < frac {
-                    long
-                } else {
-                    short
-                }
-            }
         }
     }
 
@@ -152,7 +116,7 @@ impl TrafficGenerator {
     pub fn make_packet(&mut self, src: Coord, cycle: u64) -> Packet {
         let id = PacketId(self.next_id);
         self.next_id += 1;
-        let len = self.next_len();
+        let len = self.packet_len;
         match self.pattern {
             Pattern::UniformRandom => {
                 let dst = self.random_other(src);
@@ -312,23 +276,6 @@ mod bimodal_tests {
     use super::*;
 
     #[test]
-    fn bimodal_mix_matches_fraction() {
-        let mut g = TrafficGenerator::new(Mesh::new(4, 4), Pattern::UniformRandom, 0.5, 5, 3)
-            .with_bimodal(1, 9, 0.25);
-        let n = 2000;
-        let longs = (0..n)
-            .filter(|_| g.make_packet(Coord::new(0, 0), 0).len_flits == 9)
-            .count();
-        let frac = longs as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.04, "long fraction {frac}");
-        // Every packet is one of the two lengths.
-        for _ in 0..100 {
-            let l = g.make_packet(Coord::new(1, 1), 0).len_flits;
-            assert!(l == 1 || l == 9);
-        }
-    }
-
-    #[test]
     fn unimodal_generator_is_unchanged() {
         let mut g = TrafficGenerator::new(Mesh::new(4, 4), Pattern::UniformRandom, 0.5, 5, 3);
         assert!((0..50).all(|_| g.make_packet(Coord::new(0, 0), 0).len_flits == 5));
@@ -347,12 +294,5 @@ mod bimodal_tests {
             let built = std::panic::catch_unwind(|| TrafficGenerator::new(one, pattern, 0.5, 5, 3));
             assert!(built.is_err(), "{pattern:?} on a one-node mesh");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "long fraction")]
-    fn bad_fraction_rejected() {
-        let _ = TrafficGenerator::new(Mesh::new(4, 4), Pattern::UniformRandom, 0.5, 5, 3)
-            .with_bimodal(1, 9, 1.5);
     }
 }

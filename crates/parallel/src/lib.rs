@@ -1,7 +1,7 @@
 //! Deterministic fan-out of independent trials across OS threads.
 //!
 //! The workspace's statistical experiments (Monte Carlo dice, shmoo
-//! cells, bathtub rate points, bundle lanes) are all *embarrassingly
+//! cells, bathtub rate points) are all *embarrassingly
 //! parallel once every trial is a pure function of `(seed, index)`*.
 //! This crate provides the one combinator they share: [`par_map_indexed`]
 //! evaluates `f(0..n)` across a bounded set of scoped threads and returns
@@ -100,19 +100,6 @@ where
         .collect()
 }
 
-/// Counts the indices in `0..n` satisfying `pred`, fanned out like
-/// [`par_map_indexed`]. The count is order-independent, so this is
-/// deterministic under the same purity contract.
-pub fn par_count<F>(n: usize, threads: usize, pred: F) -> usize
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    par_map_indexed(n, threads, pred)
-        .into_iter()
-        .filter(|&hit| hit)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +120,6 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indexed(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn count_matches_filter() {
-        for threads in [1, 2, 5] {
-            assert_eq!(par_count(100, threads, |i| i % 3 == 0), 34);
-        }
     }
 
     #[test]

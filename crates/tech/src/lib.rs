@@ -60,7 +60,7 @@ pub mod wire;
 pub use bias::{AdaptiveSwingBias, OgueyReference};
 pub use corner::ProcessCorner;
 pub use device::{Device, MosKind};
-pub use montecarlo::{DieSampler, GaussianRng, MismatchSampler, MonteCarlo};
+pub use montecarlo::{DieSampler, GaussianRng, MonteCarlo};
 pub use mosfet::MosfetModel;
 pub use technology::Technology;
 pub use temperature::Temperature;

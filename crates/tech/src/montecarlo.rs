@@ -15,9 +15,8 @@
 //! [`srlr_rng::stream_seed`]): [`MonteCarlo::die_rng`] exposes the raw
 //! stream and [`MonteCarlo::die`] wraps it in a [`DieSampler`] that draws
 //! the die's global variation followed by its per-device local mismatch.
-//! The sequential API ([`MonteCarlo::sample_die`]) is a thin wrapper that
-//! advances an internal trial counter, so serial and parallel callers see
-//! bit-identical dice.
+//! Every caller addresses dice by trial index, so serial and parallel
+//! callers see bit-identical dice.
 
 use crate::technology::Technology;
 use crate::variation::{GlobalVariation, LocalMismatch};
@@ -64,40 +63,6 @@ impl GaussianRng {
     }
 }
 
-/// A source of per-device local mismatch draws. Implemented both by the
-/// sequential [`MonteCarlo`] stream and by the per-trial [`DieSampler`],
-/// so chain elaboration can run against either.
-///
-/// A device's Pelgrom sigmas depend only on its drawn dimensions, so a
-/// caller resolves them once from [`MismatchSampler::local_mismatch`]
-/// (the sampler's own coefficients) and draws every device of that size
-/// with them.
-pub trait MismatchSampler {
-    /// The local-mismatch coefficients this sampler draws with.
-    fn local_mismatch(&self) -> LocalMismatch;
-
-    /// Draws a local threshold shift of standard deviation `sigma` (a
-    /// device's [`LocalMismatch::sigma_vth`]).
-    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage;
-
-    /// Draws a local drive multiplier of relative standard deviation
-    /// `sigma` (a device's [`LocalMismatch::sigma_drive`]); clamped to
-    /// stay positive.
-    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch and its sigma are dimensionless")
-    fn draw_local_drive(&mut self, sigma: f64) -> f64;
-}
-
-/// One local threshold draw of standard deviation `sigma`.
-fn local_vth_draw(rng: &mut GaussianRng, sigma: Voltage) -> Voltage {
-    Voltage::from_volts(rng.sample() * sigma.volts())
-}
-
-/// One local drive-multiplier draw of relative standard deviation
-/// `sigma`, clamped to stay positive.
-fn local_drive_draw(rng: &mut GaussianRng, sigma: f64) -> f64 {
-    (1.0 + rng.sample() * sigma).max(0.1)
-}
-
 /// The per-technology variation magnitudes shared by every sampler.
 #[derive(Debug, Clone, Copy)]
 struct VariationSigmas {
@@ -121,6 +86,11 @@ impl VariationSigmas {
 /// All randomness of one Monte Carlo trial: the die's global variation
 /// plus every per-device local-mismatch draw, consumed in elaboration
 /// order from one stream that is a pure function of `(seed, trial)`.
+///
+/// A device's Pelgrom sigmas depend only on its drawn dimensions, so a
+/// caller resolves them once from [`DieSampler::local_mismatch`] (the
+/// sampler's own coefficients) and draws every device of that size with
+/// them.
 #[derive(Debug, Clone)]
 pub struct DieSampler {
     rng: GaussianRng,
@@ -134,19 +104,24 @@ impl DieSampler {
     pub fn global_variation(&mut self) -> GlobalVariation {
         sample_global(&mut self.rng, &self.sigmas)
     }
-}
 
-impl MismatchSampler for DieSampler {
-    fn local_mismatch(&self) -> LocalMismatch {
+    /// The local-mismatch coefficients this sampler draws with.
+    pub fn local_mismatch(&self) -> LocalMismatch {
         self.sigmas.mismatch
     }
 
-    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage {
-        local_vth_draw(&mut self.rng, sigma)
+    /// Draws a local threshold shift of standard deviation `sigma` (a
+    /// device's [`LocalMismatch::sigma_vth`]).
+    pub fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage {
+        Voltage::from_volts(self.rng.sample() * sigma.volts())
     }
 
-    fn draw_local_drive(&mut self, sigma: f64) -> f64 {
-        local_drive_draw(&mut self.rng, sigma)
+    /// Draws a local drive multiplier of relative standard deviation
+    /// `sigma` (a device's [`LocalMismatch::sigma_drive`]); clamped to
+    /// stay positive.
+    // srlr-lint: allow(raw-f64-api, reason = "local drive mismatch and its sigma are dimensionless")
+    pub fn draw_local_drive(&mut self, sigma: f64) -> f64 {
+        (1.0 + self.rng.sample() * sigma).max(0.1)
     }
 }
 
@@ -164,8 +139,9 @@ fn sample_global(rng: &mut GaussianRng, sigmas: &VariationSigmas) -> GlobalVaria
     }
 }
 
-/// A deterministic Monte Carlo sampler over [`GlobalVariation`] dice, with
-/// helpers for drawing per-device local mismatch.
+/// A deterministic Monte Carlo sampler over [`GlobalVariation`] dice:
+/// trial `N`'s die, and its per-device local mismatch, come from a
+/// [`DieSampler`] that is a pure function of `(seed, N)`.
 ///
 /// # Examples
 ///
@@ -173,23 +149,18 @@ fn sample_global(rng: &mut GaussianRng, sigmas: &VariationSigmas) -> GlobalVaria
 /// use srlr_tech::{MonteCarlo, Technology};
 ///
 /// let tech = Technology::soi45();
-/// let mut mc = MonteCarlo::new(&tech, 42);
-/// let dice: Vec<_> = mc.dice(1000).collect();
-/// assert_eq!(dice.len(), 1000);
+/// let mc = MonteCarlo::new(&tech, 42);
+/// let dice: Vec<_> = (0..1000).map(|trial| mc.sample_die_at(trial)).collect();
 /// assert!(dice.iter().all(|d| d.is_physical()));
 ///
-/// // Trial randomness is counter-based: die N is the same whether it is
-/// // drawn sequentially or addressed directly.
-/// assert_eq!(dice[7], MonteCarlo::new(&tech, 42).sample_die_at(7));
+/// // Trial randomness is counter-based: die N is the same whichever
+/// // sampler draws it, and in whatever order.
+/// assert_eq!(dice[7], MonteCarlo::new(&tech, 42).die(7).global_variation());
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonteCarlo {
     seed: u64,
-    /// The legacy sequential stream, used by the free-running draws
-    /// (`standard_gaussian` and the [`MismatchSampler`] methods).
-    gauss: GaussianRng,
     sigmas: VariationSigmas,
-    next_trial: u64,
 }
 
 impl MonteCarlo {
@@ -197,15 +168,8 @@ impl MonteCarlo {
     pub fn new(tech: &Technology, seed: u64) -> Self {
         Self {
             seed,
-            gauss: GaussianRng::new(seed),
             sigmas: VariationSigmas::of(tech),
-            next_trial: 0,
         }
-    }
-
-    /// The experiment seed this sampler was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The independent Gaussian stream of trial `trial` — a pure function
@@ -228,41 +192,6 @@ impl MonteCarlo {
     /// in parallel.
     pub fn sample_die_at(&self, trial: u64) -> GlobalVariation {
         self.die(trial).global_variation()
-    }
-
-    /// Draws one standard Gaussian variate from the sequential stream
-    /// (Box–Muller, cached pair).
-    // srlr-lint: allow(raw-f64-api, reason = "a standard normal variate is dimensionless")
-    pub fn standard_gaussian(&mut self) -> f64 {
-        self.gauss.sample()
-    }
-
-    /// Samples the next die's global variation. This is a thin wrapper
-    /// over [`Self::sample_die_at`] with an internal trial counter, so
-    /// the N-th call returns exactly trial N's die.
-    pub fn sample_die(&mut self) -> GlobalVariation {
-        let trial = self.next_trial;
-        self.next_trial += 1;
-        self.sample_die_at(trial)
-    }
-
-    /// An iterator over `n` sampled dice (advancing the trial counter).
-    pub fn dice(&mut self, n: usize) -> impl Iterator<Item = GlobalVariation> + '_ {
-        (0..n).map(move |_| self.sample_die())
-    }
-}
-
-impl MismatchSampler for MonteCarlo {
-    fn local_mismatch(&self) -> LocalMismatch {
-        self.sigmas.mismatch
-    }
-
-    fn draw_local_vth(&mut self, sigma: Voltage) -> Voltage {
-        local_vth_draw(&mut self.gauss, sigma)
-    }
-
-    fn draw_local_drive(&mut self, sigma: f64) -> f64 {
-        local_drive_draw(&mut self.gauss, sigma)
     }
 }
 
@@ -360,27 +289,20 @@ mod tests {
         MonteCarlo::new(&Technology::soi45(), seed)
     }
 
+    /// Trials `0..n` of `seed`'s experiment.
+    fn dice(seed: u64, n: u64) -> Vec<GlobalVariation> {
+        let mc = sampler(seed);
+        (0..n).map(|trial| mc.sample_die_at(trial)).collect()
+    }
+
     #[test]
     fn deterministic_for_same_seed() {
-        let a: Vec<_> = sampler(7).dice(16).collect();
-        let b: Vec<_> = sampler(7).dice(16).collect();
-        assert_eq!(a, b);
+        assert_eq!(dice(7, 16), dice(7, 16));
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a: Vec<_> = sampler(1).dice(8).collect();
-        let b: Vec<_> = sampler(2).dice(8).collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn sequential_wrapper_matches_direct_indexing() {
-        let mut seq = sampler(2013);
-        let direct = sampler(2013);
-        for trial in 0..32u64 {
-            assert_eq!(seq.sample_die(), direct.sample_die_at(trial));
-        }
+        assert_ne!(dice(1, 8), dice(2, 8));
     }
 
     #[test]
@@ -422,9 +344,9 @@ mod tests {
 
     #[test]
     fn gaussian_moments_are_sane() {
-        let mut mc = sampler(99);
+        let mut rng = GaussianRng::new(99);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| mc.standard_gaussian()).collect();
+        let samples: Vec<f64> = (0..n).map(|_| rng.sample()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean = {mean}");
@@ -433,8 +355,7 @@ mod tests {
 
     #[test]
     fn dice_are_always_physical() {
-        let mut mc = sampler(1234);
-        for die in mc.dice(5000) {
+        for die in dice(1234, 5000) {
             assert!(die.is_physical());
         }
     }
@@ -442,9 +363,11 @@ mod tests {
     #[test]
     fn vth_shifts_have_requested_spread() {
         let tech = Technology::soi45();
-        let mut mc = MonteCarlo::new(&tech, 5);
+        let mc = MonteCarlo::new(&tech, 5);
         let n = 10_000;
-        let shifts: Vec<f64> = (0..n).map(|_| mc.sample_die().dvth_n.volts()).collect();
+        let shifts: Vec<f64> = (0..n)
+            .map(|trial| mc.sample_die_at(trial).dvth_n.volts())
+            .collect();
         let var = shifts.iter().map(|x| x * x).sum::<f64>() / n as f64;
         let sigma = var.sqrt();
         let expect = tech.global_sigma_vth.volts();
@@ -453,17 +376,17 @@ mod tests {
 
     #[test]
     fn local_mismatch_scales_with_area() {
-        let mut mc = sampler(11);
+        let mut die = sampler(11).die(0);
         let n = 5000;
-        let spread = |mc: &mut MonteCarlo, w: Length| {
-            let sigma = mc
+        let spread = |die: &mut DieSampler, w: Length| {
+            let sigma = die
                 .local_mismatch()
                 .sigma_vth(w, Length::from_nanometers(45.0));
-            let v: Vec<f64> = (0..n).map(|_| mc.draw_local_vth(sigma).volts()).collect();
+            let v: Vec<f64> = (0..n).map(|_| die.draw_local_vth(sigma).volts()).collect();
             (v.iter().map(|x| x * x).sum::<f64>() / n as f64).sqrt()
         };
-        let small = spread(&mut mc, Length::from_micrometers(0.2));
-        let large = spread(&mut mc, Length::from_micrometers(3.2));
+        let small = spread(&mut die, Length::from_micrometers(0.2));
+        let large = spread(&mut die, Length::from_micrometers(3.2));
         assert!(small > large * 2.0, "small {small} vs large {large}");
     }
 

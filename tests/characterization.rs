@@ -1,8 +1,7 @@
-//! Integration checks of the characterisation stack: shmoo, eye, bathtub,
-//! bundle and supply sweeps agree with each other and with the headline
+//! Integration checks of the characterisation stack: shmoo, eye, bathtub
+//! and supply sweeps agree with each other and with the headline
 //! calibration.
 
-use srlr_link::bundle::LinkBundle;
 use srlr_link::{bathtub, measure_eye, shmoo, supply, SrlrLink};
 use srlr_repro::core::SrlrDesign;
 use srlr_repro::tech::Technology;
@@ -67,21 +66,6 @@ fn eye_margins_predict_the_shmoo_floor() {
     assert!(
         margin_mv > 20.0 && margin_mv < 120.0,
         "swing margin {margin_mv} mV inconsistent with the shmoo floor"
-    );
-}
-
-#[test]
-fn bundle_power_matches_lane_metrics_times_width() {
-    let tech = Technology::soi45();
-    let bundle = LinkBundle::paper_64bit(&tech, 11);
-    let lane = SrlrLink::paper_test_chip(&tech).metrics().power;
-    let total = bundle.total_power();
-    let expect = lane * 64.0;
-    let ratio = total / expect;
-    // Within a few percent: lanes carry mismatch, plus leakage and bias.
-    assert!(
-        (0.95..=1.10).contains(&ratio),
-        "bundle power {total} vs 64x lane {expect}"
     );
 }
 

@@ -206,23 +206,19 @@ fn stage_process_is_total() {
 }
 
 /// Monte Carlo dice are always physical regardless of seed, whether
-/// drawn sequentially or by trial index.
+/// addressed by trial index or drawn from the trial's die sampler, and
+/// both routes give the same die.
 #[test]
 fn monte_carlo_dice_physical() {
     let tech = Technology::soi45();
     let mut rng = Xoshiro256pp::new(0xA009);
     for _ in 0..CASES {
         let seed = rng.next_u64() % 10_000;
-        let mut mc = MonteCarlo::new(&tech, seed);
-        for die in mc.dice(8) {
-            assert!(die.is_physical(), "seed {seed}");
-        }
         let mc = MonteCarlo::new(&tech, seed);
         for trial in 0..8 {
-            assert!(
-                mc.sample_die_at(trial).is_physical(),
-                "seed {seed} trial {trial}"
-            );
+            let die = mc.sample_die_at(trial);
+            assert!(die.is_physical(), "seed {seed} trial {trial}");
+            assert_eq!(die, mc.die(trial).global_variation(), "seed {seed}");
         }
     }
 }
