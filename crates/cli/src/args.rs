@@ -48,15 +48,17 @@ impl Flags {
                 continue;
             }
             if !allowed.contains(&name) {
-                return Err(CliError::Usage(format!(
-                    "unknown flag `--{name}` (allowed: {})",
-                    allowed
-                        .iter()
-                        .map(|a| format!("--{a}"))
-                        .chain(switches.iter().map(|s| format!("--{s}")))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
+                let known: Vec<String> = allowed
+                    .iter()
+                    .chain(switches)
+                    .map(|a| format!("--{a}"))
+                    .collect();
+                let hint = if known.is_empty() {
+                    "this command takes no flags".to_owned()
+                } else {
+                    format!("allowed: {}", known.join(", "))
+                };
+                return Err(CliError::Usage(format!("unknown flag `--{name}` ({hint})")));
             }
             let Some(value) = it.next() else {
                 return Err(CliError::Usage(format!("flag `--{name}` needs a value")));

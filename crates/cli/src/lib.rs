@@ -67,25 +67,25 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     };
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(commands::help()),
-        "table1" => commands::table1(),
+        "table1" => flagless(rest, commands::table1),
         "fig6" => commands::fig6(rest),
-        "fig8" => commands::fig8(),
+        "fig8" => flagless(rest, commands::fig8),
         "waveforms" => commands::waveforms(rest),
-        "pulse-width" => commands::pulse_width(),
-        "router" => commands::router(),
+        "pulse-width" => flagless(rest, commands::pulse_width),
+        "router" => flagless(rest, commands::router),
         "ablation" => commands::ablation(rest),
-        "latency" => commands::latency(),
+        "latency" => flagless(rest, commands::latency),
         "ber" => commands::ber(rest),
         "eye" => commands::eye(rest),
         "noc" => commands::noc(rest),
         "noc-faults" => commands::noc_faults(rest),
         "express" => commands::express(rest),
-        "sizing" => commands::sizing(),
+        "sizing" => flagless(rest, commands::sizing),
         "shmoo" => commands::shmoo(rest),
-        "supply" => commands::supply(),
-        "temp" => commands::temp(),
+        "supply" => flagless(rest, commands::supply),
+        "temp" => flagless(rest, commands::temp),
         "bathtub" => commands::bathtub(rest),
-        "crosstalk" => commands::crosstalk(),
+        "crosstalk" => flagless(rest, commands::crosstalk),
         "verify-noc" => commands::verify_noc(rest),
         "profile" => commands::profile(rest),
         "bench-diff" => commands::bench_diff(rest),
@@ -93,6 +93,16 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             "unknown command `{other}`; try `srlr help`"
         ))),
     }
+}
+
+/// Runs a command that takes no flags, after rejecting any argument
+/// with a usage error.
+fn flagless(
+    rest: &[String],
+    command: fn() -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    args::Flags::parse(rest, &[])?;
+    command()
 }
 
 #[cfg(test)]

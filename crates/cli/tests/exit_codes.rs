@@ -134,3 +134,60 @@ fn ber_rates_past_the_launch_pulse_exit_2() {
         assert!(!stderr.contains("panicked"), "--gbps {gbps}: {stderr}");
     }
 }
+
+/// Asserts that `command`, which takes no flags, rejects an unknown flag
+/// and a stray argument with exit 2 and prints nothing on stdout.
+fn assert_flagless(command: &str) {
+    for args in [&[command, "--bogus", "1"][..], &[command, "stray"]] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage error"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+}
+
+#[test]
+fn table1_rejects_arguments() {
+    assert_flagless("table1");
+}
+
+#[test]
+fn fig8_rejects_arguments() {
+    assert_flagless("fig8");
+}
+
+#[test]
+fn pulse_width_rejects_arguments() {
+    assert_flagless("pulse-width");
+}
+
+#[test]
+fn router_rejects_arguments() {
+    assert_flagless("router");
+}
+
+#[test]
+fn latency_rejects_arguments() {
+    assert_flagless("latency");
+}
+
+#[test]
+fn sizing_rejects_arguments() {
+    assert_flagless("sizing");
+}
+
+#[test]
+fn supply_rejects_arguments() {
+    assert_flagless("supply");
+}
+
+#[test]
+fn temp_rejects_arguments() {
+    assert_flagless("temp");
+}
+
+#[test]
+fn crosstalk_rejects_arguments() {
+    assert_flagless("crosstalk");
+}

@@ -339,35 +339,6 @@ impl SwingPoint {
         }
     }
 
-    /// [`SwingPoint::retarget`] of a copy of `from`, in one pass: `chain`
-    /// becomes die `from` at this point's swing, bit for bit, whatever
-    /// it held before. Its stage buffer is reused, so a sweep writes each
-    /// die into every point's chain without allocating.
-    pub fn retarget_from(
-        &self,
-        tech: &Technology,
-        var: &GlobalVariation,
-        from: &SrlrChain,
-        chain: &mut SrlrChain,
-    ) {
-        chain.stages.clear();
-        if let Some(c_x) = from.stages.first().map(|stage| stage.c_x) {
-            let (drive_level, charge_resistance, internal_energy_per_pulse) =
-                self.swing_fields(tech, var, c_x, from.pull_up_current);
-            let at_point = from.stages.iter().map(|stage| SrlrStage {
-                drive_level,
-                charge_resistance,
-                internal_energy_per_pulse,
-                ..*stage
-            });
-            // srlr-lint: allow(alloc-in-hot-path, reason = "fills the caller's reused stage buffer; it grows only on a chain's first copy")
-            chain.stages.extend(at_point);
-        }
-        chain.segment_length = from.segment_length;
-        chain.launch_width = from.launch_width;
-        chain.pull_up_current = from.pull_up_current;
-    }
-
     /// The stage fields the swing reaches, on die `var` with node-X
     /// capacitance `c_x` and pull-up drive current `pull_up_current`:
     /// drive level, charging resistance and the fixed internal energy per

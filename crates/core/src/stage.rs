@@ -131,6 +131,61 @@ impl SrlrStage {
         ))
     }
 
+    /// [`SrlrStage::x_discharge_time`] of several `(stage, input swing)`
+    /// lanes at once: `times[k]` becomes
+    /// `lanes[k].0.x_discharge_time(lanes[k].1)`, bit for bit.
+    ///
+    /// M1's current is one dependent chain of libm calls per lane. Here
+    /// it runs as passes over the lanes, one libm function per pass (the
+    /// `exp`, `ln_1p`, `powf` and subthreshold `exp` steps of the scalar
+    /// law, in the same order within each lane), so the calls of
+    /// independent lanes overlap instead of each waiting on the last.
+    /// Lanes are taken eight at a time in stack scratch, so nothing is
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is shorter than `lanes`.
+    pub fn x_discharge_times(lanes: &[(&SrlrStage, Voltage)], times: &mut [TimeInterval]) {
+        const CHUNK: usize = 8;
+        let times = &mut times[..lanes.len()];
+        for (lanes, times) in lanes.chunks(CHUNK).zip(times.chunks_mut(CHUNK)) {
+            // `x`: M1's overdrive over the smoothing width. `eff`: `eˣ`,
+            // then the blended overdrive. `current`: M1's current.
+            let (mut x, mut eff, mut current) = ([0.0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
+            for (k, (stage, vgs)) in lanes.iter().enumerate() {
+                let (overdrive, x_k) =
+                    kernel::m1_overdrive(stage.m1_vth.volts(), stage.m1_smooth, vgs.volts());
+                x[k] = x_k;
+                eff[k] = if kernel::m1_saturated(x_k) {
+                    overdrive
+                } else {
+                    x_k.exp()
+                };
+            }
+            for (k, (stage, _)) in lanes.iter().enumerate() {
+                if !kernel::m1_saturated(x[k]) {
+                    eff[k] = kernel::m1_softplus(stage.m1_smooth, eff[k]);
+                }
+            }
+            for (k, (stage, _)) in lanes.iter().enumerate() {
+                current[k] = kernel::m1_alpha_power(stage.m1_drive_scale, stage.m1_alpha, eff[k]);
+            }
+            for (k, i) in current.iter_mut().enumerate().take(lanes.len()) {
+                if let Some(arg) = kernel::m1_subthreshold_exponent(x[k]) {
+                    *i *= arg.exp();
+                }
+            }
+            for (k, ((stage, _), t)) in lanes.iter().zip(times.iter_mut()).enumerate() {
+                *t = TimeInterval::from_seconds(kernel::x_discharge_seconds(
+                    current[k],
+                    stage.keeper_current.amperes(),
+                    stage.c_x.farads() * stage.x_discharge_depth.volts(),
+                ));
+            }
+        }
+    }
+
     /// The amplifier rising time for a given input swing: intrinsic rise
     /// plus the swing-dependent X discharge (small swing → slow discharge
     /// → long rise; this is the feedback term of Sec. III-A).
@@ -244,6 +299,34 @@ mod tests {
         let design = SrlrDesign::paper_proposed(&tech);
         let chain = design.instantiate(&tech, &GlobalVariation::nominal(), 1);
         chain.stages()[0].clone()
+    }
+
+    #[test]
+    fn batched_discharge_times_equal_the_scalar_ones() {
+        // Swings on both sides of the threshold (the subthreshold `exp`)
+        // and deep in saturation (`x > 30`, no softplus), on two stages,
+        // over 19 lanes: two full chunks of eight and a ragged one.
+        let fast = nominal_stage();
+        let slow = SrlrStage {
+            m1_vth: fast.m1_vth * 1.5,
+            m1_drive_scale: fast.m1_drive_scale * 0.5,
+            ..fast.clone()
+        };
+        let lanes: Vec<(&SrlrStage, Voltage)> = (0..19)
+            .map(|k| {
+                let stage = if k % 3 == 0 { &slow } else { &fast };
+                (stage, Voltage::from_millivolts(20.0 + 110.0 * f64::from(k)))
+            })
+            .collect();
+        let mut times = vec![TimeInterval::zero(); lanes.len()];
+        SrlrStage::x_discharge_times(&lanes, &mut times);
+        for ((stage, swing), t) in lanes.iter().zip(&times) {
+            assert_eq!(
+                t.seconds().to_bits(),
+                stage.x_discharge_time(*swing).seconds().to_bits(),
+                "at {swing}"
+            );
+        }
     }
 
     fn healthy_pulse() -> PulseState {

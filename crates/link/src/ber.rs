@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn report_display_mentions_errors_and_rate() {
         let link = SrlrLink::paper_test_chip(&tech());
-        let report = link.ber_quick_check(1_000, 1);
+        let report = BerTester::prbs15().run(&link, 1_000);
         let s = report.to_string();
         assert!(s.contains("errors"));
         assert!(s.contains("Gb/s"));

@@ -70,8 +70,8 @@
 //! about which stages share fields (a chain edited through
 //! `stages_mut()` just misses). The `decay` factor reads only the bit
 //! period, the launched width and `discharge_tau`, none of which the
-//! swing moves, so [`sweep_screen`] keeps the decay entries for all of a
-//! die's points and evaluates each once per die. The interval rounds
+//! swing moves, so [`sweep_screens`] keeps the decay entries for all of a
+//! die's proven points and evaluates each once per die. The interval rounds
 //! evaluate every bound afresh.
 //!
 //! # The swing-dominance lemma
@@ -79,9 +79,11 @@
 //! A swing sweep elaborates each die once and moves it to every other
 //! swing with [`srlr_core::SwingPoint::retarget`], which changes only
 //! each stage's `drive_level`, `charge_resistance` and internal energy
-//! per pulse. Say sweep point `p` **dominates** `q` on a die when every
-//! stage has `drive_level_p ≥ drive_level_q` and
-//! `charge_tau_p ≤ charge_tau_q`.
+//! per pulse, writing the same values into every stage. The screen never
+//! reads the energy, so a die at a sweep point is its one elaborated
+//! link plus a [`Swing`]: the drive level and the charging resistance.
+//! Say sweep point `p` **dominates** `q` on a die when every stage has
+//! `drive_level_p ≥ drive_level_q` and `charge_tau_p ≤ charge_tau_q`.
 //!
 //! **Lemma.** If `q` passes the 1-bit half, so does every `p` that
 //! dominates it. Walk the zero-baseline chain from the same launch
@@ -98,11 +100,38 @@
 //! the lemma calls clean still clears every check of the exact evaluator
 //! with margin.
 //!
-//! [`sweep_screen`] uses the lemma to screen a die's whole sweep: it
+//! [`sweep_screens`] uses the lemma to screen a die's whole sweep: it
 //! orders the points by dominance, walks the 1-bit half up that order
 //! to the first point it proves, and runs the cheap 0-bit half directly
 //! at that point and every point above it. The 0-bit half needs no
-//! lemma of its own.
+//! lemma of its own. The walks need only each point's [`Swing`], so no
+//! link is moved to a point below the boundary; the die's link is moved
+//! (by the caller's retarget) only to the points the 0-bit half checks.
+//!
+//! # Lockstep walks
+//!
+//! Each walk stage is one dependent chain of libm calls: M1's `exp` →
+//! `ln_1p` → `powf` (and the subthreshold `exp`), then the delivered
+//! swing's `exp`. One die's scan is a sequence of such walks, each
+//! waiting on the last. The dice of a sweep are independent, so
+//! [`sweep_screens`] advances the scans of up to eight dice (`GROUP`) in
+//! lockstep: each round walks the next point of every die still
+//! scanning, as the lanes of one batched walk. The batched walk
+//! ([`solitary_ones`]; [`solitary_one`] is its one-lane case) runs each
+//! stage as passes over the lanes still walking:
+//!
+//! 1. the entry checks (`enabled`, static soundness, a live pulse);
+//! 2. M1's current as [`srlr_core::SrlrStage::x_discharge_times`], one
+//!    libm function per pass (`exp`, `ln_1p`, `powf`, the subthreshold
+//!    `exp`), and the discharge time;
+//! 3. the current race and the width floor;
+//! 4. the delivered-swing `exp`.
+//!
+//! So the calls of independent lanes overlap. Within a lane every
+//! comparison and every `srlr-core` step is the scalar walk's, on the
+//! same operands and in the same order, so each verdict is bit-identical
+//! to walking the die alone. A lane leaves the walk once both halves
+//! have failed or its chain ends; a die leaves the scan at its boundary.
 //!
 //! # Refutation
 //!
@@ -130,11 +159,13 @@
 //! proves the boundary with one more. A bisection would add up to
 //! `⌈log2(points + 1)⌉ − 1` full walks of proven points above the
 //! boundary and still walk every point below it. Points at or above
-//! the boundary are proven, and so deliver.
+//! the boundary are proven, and so deliver. The scans of a group's dice
+//! stop at different rounds, so each round's walk has as many lanes as
+//! dice still scanning.
 
 use crate::link::SrlrLink;
 use srlr_core::SrlrStage;
-use srlr_units::{TimeInterval, Voltage};
+use srlr_units::{Resistance, TimeInterval, Voltage};
 
 /// Relative guard band applied on the conservative side of every
 /// certificate comparison. f64 evaluation of the stage map differs from
@@ -170,7 +201,7 @@ pub fn one_bit_clean(link: &SrlrLink) -> bool {
 }
 
 /// Both answers of one walk of the zero-baseline chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolitaryOne {
     /// The 1-bit half of the certificate holds: the pulse clears every
     /// check with the `REL` guard band ([`one_bit_clean`]).
@@ -180,9 +211,14 @@ pub struct SolitaryOne {
     pub delivered: bool,
 }
 
+/// Most lanes one batched walk advances at once: the walks of up to this
+/// many links run as one walk in [`solitary_ones`], and up to this many
+/// dice scan their sweeps in lockstep in [`sweep_screens`].
+pub(crate) const GROUP: usize = 8;
+
 /// Walks a solitary `1` through the drained chain once and returns both
 /// the guarded 1-bit proof and the exact verdict (module docs,
-/// "Refutation").
+/// "Refutation"): the one-lane case of [`solitary_ones`].
 ///
 /// The proof's comparisons carry `REL` on the conservative side. The
 /// exact ones are the lockstep kernel's own (`t_d > w`, `w_out < minw`,
@@ -190,46 +226,185 @@ pub struct SolitaryOne {
 /// operands, so `delivered` is bit for bit the kernel's slot-0 decision.
 /// Both halves see the same widths and peaks until one of them fails,
 /// and the walk stops once both have.
+pub fn solitary_one(link: &SrlrLink) -> SolitaryOne {
+    let mut one = [SolitaryOne::default()];
+    walk(&[Lane::own(link)], &mut one);
+    one[0]
+}
+
+/// [`solitary_one`] of every link: `out[k]` becomes
+/// `solitary_one(links[k])`, bit for bit. The links are walked eight at
+/// a time as the lanes of one walk (module docs, "Lockstep walks"); they
+/// may differ in anything, chain length included.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than `links`, or if a chain has no stages.
+pub fn solitary_ones(links: &[&SrlrLink], out: &mut [SolitaryOne]) {
+    let out = &mut out[..links.len()];
+    for (links, out) in links.chunks(GROUP).zip(out.chunks_mut(GROUP)) {
+        let mut lanes = [Lane::own(links[0]); GROUP];
+        for (lane, link) in lanes.iter_mut().zip(links) {
+            *lane = Lane::own(link);
+        }
+        walk(&lanes[..links.len()], out);
+    }
+}
+
+/// The two stage fields a sweep point moves that the screen reads: the
+/// drive level and the charging resistance. A retarget
+/// ([`srlr_core::SwingPoint::retarget`]) writes the same pair into every
+/// stage of a die.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Swing {
+    /// Every stage's `drive_level`.
+    pub drive_level: Voltage,
+    /// Every stage's `charge_resistance`.
+    pub charge_resistance: Resistance,
+}
+
+impl Swing {
+    /// The swing `link` is at, read from its first stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has no stages.
+    pub fn of(link: &SrlrLink) -> Self {
+        let stage = &link.chain().stages()[0];
+        Self {
+            drive_level: stage.drive_level,
+            charge_resistance: stage.charge_resistance,
+        }
+    }
+
+    /// `stage` at this swing.
+    fn apply(self, stage: &SrlrStage) -> SrlrStage {
+        SrlrStage {
+            drive_level: self.drive_level,
+            charge_resistance: self.charge_resistance,
+            ..*stage
+        }
+    }
+}
+
+/// One lane of a batched walk: `link`'s chain, with every stage's swing
+/// fields replaced by `swing` when it is given.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    link: &'a SrlrLink,
+    swing: Option<Swing>,
+}
+
+impl<'a> Lane<'a> {
+    /// `link` as it is.
+    fn own(link: &'a SrlrLink) -> Self {
+        Self { link, swing: None }
+    }
+
+    /// The swing that `stage`'s output pulse of width `w` delivers onto
+    /// its drained segment in this lane.
+    fn delivered_swing(&self, stage: &SrlrStage, w: TimeInterval) -> Voltage {
+        match self.swing {
+            None => stage.delivered_swing(w),
+            Some(swing) => swing.apply(stage).delivered_swing(w),
+        }
+    }
+}
+
+/// The batched solitary-`1` walk: `out[k]` becomes the walk of
+/// `lanes[k]`, for at most [`GROUP`] lanes.
+///
+/// Each stage runs as passes over the lanes still walking (module docs,
+/// "Lockstep walks"): the entry checks, M1's current as
+/// [`SrlrStage::x_discharge_times`] (one libm function per pass), the
+/// race and width checks, then the delivered-swing `exp`. Within a lane
+/// every comparison and every stage call is the scalar walk's, in its
+/// order, so each lane's answer is the same bit for bit. A lane leaves
+/// once both halves have failed or its chain ends.
 #[expect(
     clippy::neg_cmp_op_on_partial_ord,
     reason = "each check is the literal negation of a rejecting comparison, so a NaN takes the same branch as in the guarded proof and the kernel"
 )]
-pub fn solitary_one(link: &SrlrLink) -> SolitaryOne {
-    let stages = link.chain().stages();
-    let demod_min = link.config().demod_min_width.seconds();
-    let launch = link.chain().launch_width();
-    let mut w = launch.seconds();
-    // The swing the current pulse delivers onto its drained segment, and
-    // so the peak the next stage sees: the launcher is stage 0 for
-    // segment 0 and the previous stage after that.
-    let mut peak = stages[0].delivered_swing(launch).volts();
-    let (mut proven, mut delivered) = (true, true);
-    for stage in stages {
-        let live = stage.enabled && stage.statically_sound;
-        proven &= live && !(w <= 0.0) && !(peak <= 0.0);
-        delivered &= live && w > 0.0 && peak > 0.0;
-        if !(proven || delivered) {
-            break;
-        }
-        let t_d = stage.x_discharge_time(Voltage::from_volts(peak)).seconds();
-        proven &= !(t_d * (1.0 + REL) > w);
-        delivered &= !(t_d > w);
-        if !(proven || delivered) {
-            break;
-        }
-        let w_out =
-            stage.delay.seconds() - (stage.t_rise0.seconds() + t_d - stage.t_fall.seconds());
-        let min_w = stage.min_output_width.seconds();
-        proven &= !(w_out < min_w * (1.0 + REL) + 1e-18);
-        peak = stage
-            .delivered_swing(TimeInterval::from_seconds(w_out))
-            .volts();
-        delivered &= !(w_out < min_w) && w_out > 0.0 && peak > 0.0;
-        w = w_out;
+fn walk(lanes: &[Lane<'_>], out: &mut [SolitaryOne]) {
+    let Some(first) = lanes.first() else {
+        return;
+    };
+    // Per lane: the width of the current pulse, and the swing it delivers
+    // onto its drained segment, so the peak the next stage sees (the
+    // launcher is stage 0 for segment 0 and the previous stage after
+    // that).
+    let (mut w, mut peak) = ([0.0; GROUP], [0.0; GROUP]);
+    let (mut proven, mut delivered) = ([true; GROUP], [true; GROUP]);
+    // `live[..walking]` lists the lanes still walking; `m1[i]` is the
+    // stage and input swing of lane `live[i]`, and `t_d[i]` its
+    // discharge time.
+    let mut live = [0; GROUP];
+    let mut m1 = [(&first.link.chain().stages()[0], Voltage::zero()); GROUP];
+    let mut t_d = [TimeInterval::zero(); GROUP];
+    for (k, lane) in lanes.iter().enumerate() {
+        let chain = lane.link.chain();
+        let launch = chain.launch_width();
+        w[k] = launch.seconds();
+        peak[k] = lane.delivered_swing(&chain.stages()[0], launch).volts();
+        live[k] = k;
     }
-    SolitaryOne {
-        proven: proven && w * (1.0 - REL) >= demod_min,
-        delivered: delivered && w >= demod_min,
+    let mut walking = lanes.len();
+    for s in 0.. {
+        // Entry checks: a lane leaves when its chain has ended or both
+        // halves have failed.
+        let mut kept = 0;
+        for i in 0..walking {
+            let k = live[i];
+            let Some(stage) = lanes[k].link.chain().stages().get(s) else {
+                continue;
+            };
+            let enabled = stage.enabled && stage.statically_sound;
+            proven[k] &= enabled && !(w[k] <= 0.0) && !(peak[k] <= 0.0);
+            delivered[k] &= enabled && w[k] > 0.0 && peak[k] > 0.0;
+            if proven[k] || delivered[k] {
+                live[kept] = k;
+                m1[kept] = (stage, Voltage::from_volts(peak[k]));
+                kept += 1;
+            }
+        }
+        walking = kept;
+        if walking == 0 {
+            break;
+        }
+        SrlrStage::x_discharge_times(&m1[..walking], &mut t_d);
+        // The current race and the width floor; `w` becomes the output
+        // width.
+        let mut kept = 0;
+        for i in 0..walking {
+            let (k, (stage, _)) = (live[i], m1[i]);
+            let t_d = t_d[i].seconds();
+            proven[k] &= !(t_d * (1.0 + REL) > w[k]);
+            delivered[k] &= !(t_d > w[k]);
+            if !(proven[k] || delivered[k]) {
+                continue;
+            }
+            w[k] = stage.delay.seconds() - (stage.t_rise0.seconds() + t_d - stage.t_fall.seconds());
+            proven[k] &= !(w[k] < stage.min_output_width.seconds() * (1.0 + REL) + 1e-18);
+            live[kept] = k;
+            m1[kept] = m1[i];
+            kept += 1;
+        }
+        walking = kept;
+        // The delivered swing of each output.
+        for (&k, &(stage, _)) in live.iter().zip(&m1).take(walking) {
+            peak[k] = lanes[k]
+                .delivered_swing(stage, TimeInterval::from_seconds(w[k]))
+                .volts();
+            delivered[k] &=
+                !(w[k] < stage.min_output_width.seconds()) && w[k] > 0.0 && peak[k] > 0.0;
+        }
+    }
+    for (k, (lane, one)) in lanes.iter().zip(out.iter_mut()).enumerate() {
+        let demod_min = lane.link.config().demod_min_width.seconds();
+        *one = SolitaryOne {
+            proven: proven[k] && w[k] * (1.0 - REL) >= demod_min,
+            delivered: delivered[k] && w[k] >= demod_min,
+        };
     }
 }
 
@@ -253,13 +428,8 @@ pub enum Screen {
 /// `Clean` takes precedence. Its proof's checks are the exact ones with
 /// a margin, so a proven link also delivers the `1`.
 pub fn screen(link: &SrlrLink) -> Screen {
-    screen_with(link, &mut RoundZero::default())
-}
-
-/// [`screen`] with round 0's memo supplied by the caller.
-fn screen_with(link: &SrlrLink, memo: &mut RoundZero) -> Screen {
     let one = solitary_one(link);
-    if one.proven && zero_bit_clean(link, memo) {
+    if one.proven && zero_bit_clean(link, &mut RoundZero::default()) {
         Screen::Clean
     } else {
         refuted_unless(one.delivered)
@@ -495,97 +665,178 @@ fn clears(b_star: f64, stage: &SrlrStage) -> bool {
     b_star * (1.0 + REL) < stage.sense_threshold.volts() * (1.0 - 1e-6)
 }
 
-/// Screens one die across a swing sweep: `screens[p]` becomes
-/// [`screen`]`(&links[p])`.
+/// Screens dice across a swing sweep: `screens[d * points + p]` becomes
+/// [`screen`] of die `d` at sweep point `p`, where
+/// `points = swings.len() / dice.len()`.
 ///
-/// `links` must be one die moved to every sweep point by
-/// [`srlr_core::SwingPoint::retarget`], so that the points differ only
-/// in the swing fields. When dominance (module docs) orders the points
-/// totally, checked on the actual stage fields, the screen walks the
-/// points from the weakest up and stops at the first one the 1-bit half
-/// proves: one walk per point below that boundary, each giving that
-/// point's exact verdict, plus one at the boundary. The 0-bit half then
-/// runs at the boundary and every point above it. Otherwise every point
-/// is screened on its own. `order` is scratch space, so a caller that
+/// `dice[d]` is die `d` at any sweep point. At point `p` it is the same
+/// link with `swings[d * points + p]` in every stage, which is what
+/// [`srlr_core::SwingPoint::retarget`] makes of it. The walks read only
+/// that swing and the die's other stage fields, so no link is built for
+/// them. `move_to(d, p, link)` must make `link` (it is `dice[d]`) die `d`
+/// at point `p`; the screen calls it only where it needs the whole link,
+/// for the 0-bit half.
+///
+/// When dominance (module docs) orders a die's points totally, checked
+/// on every stage, the die's scan walks its points from the weakest up
+/// and stops at the first one the 1-bit half proves: one walk per point
+/// below that boundary, each giving that point's exact verdict, plus one
+/// at the boundary. The 0-bit half then runs at the boundary and every
+/// point above it. A die whose points dominance does not order is
+/// screened point by point: a walk at every point, and the 0-bit half
+/// where the walk proves. Up to eight dice scan in lockstep (module
+/// docs, "Lockstep walks"). `order` is scratch space, so a caller that
 /// screens many dice allocates nothing per die.
 ///
 /// # Panics
 ///
-/// Panics if `order` or `screens` is shorter than `links`.
-pub fn sweep_screen(links: &[SrlrLink], order: &mut [usize], screens: &mut [Screen]) {
-    let screens = &mut screens[..links.len()];
-    sweep_with(links, order, solitary_one, |p, verdict| {
-        screens[p] = verdict
-    });
+/// Panics if `swings.len()` is not a multiple of `dice.len()`, if
+/// `order` or `screens` is shorter than `swings`, or if a chain has no
+/// stages.
+pub fn sweep_screens(
+    dice: &mut [SrlrLink],
+    swings: &[Swing],
+    order: &mut [usize],
+    screens: &mut [Screen],
+    move_to: impl FnMut(usize, usize, &mut SrlrLink),
+) {
+    sweep_with(dice, swings, order, screens, move_to, walk);
 }
 
-/// The sweep screen with the ordered scan's walk supplied by the caller,
-/// so tests can count its walks; `emit(p, verdict)` receives every
-/// point's verdict once. One round-0 memo serves all the points, so
-/// each swing-invariant `decay` is evaluated once per die.
+/// The sweep screen with its batched walk supplied by the caller, so
+/// tests can count its walks.
 fn sweep_with(
-    links: &[SrlrLink],
+    dice: &mut [SrlrLink],
+    swings: &[Swing],
     order: &mut [usize],
-    mut walk: impl FnMut(&SrlrLink) -> SolitaryOne,
-    mut emit: impl FnMut(usize, Screen),
+    screens: &mut [Screen],
+    mut move_to: impl FnMut(usize, usize, &mut SrlrLink),
+    mut walk: impl FnMut(&[Lane<'_>], &mut [SolitaryOne]),
 ) {
-    let order = &mut order[..links.len()];
-    let mut memo = RoundZero::default();
-    for (k, slot) in order.iter_mut().enumerate() {
-        *slot = k;
-    }
-    // Weakest first: by drive level, then by slower charging.
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (&links[a].chain().stages()[0], &links[b].chain().stages()[0]);
-        let drive = a.drive_level.volts().total_cmp(&b.drive_level.volts());
-        drive.then_with(|| {
-            b.charge_tau()
-                .seconds()
-                .total_cmp(&a.charge_tau().seconds())
-        })
-    });
-    if !order
-        .windows(2)
-        .all(|pair| dominates(&links[pair[1]], &links[pair[0]]))
-    {
-        for (p, link) in links.iter().enumerate() {
-            emit(p, screen_with(link, &mut memo));
-        }
+    if dice.is_empty() {
         return;
     }
-    // The 1-bit half is upward-closed along `order`, and every point
-    // that fails it needs its own exact verdict: walk upward from the
-    // weakest point until the proof holds. Every point above that one
-    // is proven by the lemma, with no walk.
-    let mut proven_from = order.len();
-    for (k, &p) in order.iter().enumerate() {
-        let one = walk(&links[p]);
-        if one.proven {
-            proven_from = k;
-            break;
-        }
-        emit(p, refuted_unless(one.delivered));
-    }
-    for &p in &order[proven_from..] {
-        // Proven, so the `1` is delivered.
-        let verdict = if zero_bit_clean(&links[p], &mut memo) {
-            Screen::Clean
-        } else {
-            Screen::Undecided
-        };
-        emit(p, verdict);
+    assert!(
+        swings.len().is_multiple_of(dice.len()),
+        "every die needs a swing at every point"
+    );
+    let points = swings.len() / dice.len();
+    let group = GROUP * points;
+    let (order, screens) = (&mut order[..swings.len()], &mut screens[..swings.len()]);
+    for (g, (((dice, swings), order), screens)) in dice
+        .chunks_mut(GROUP)
+        .zip(swings.chunks(group))
+        .zip(order.chunks_mut(group))
+        .zip(screens.chunks_mut(group))
+        .enumerate()
+    {
+        let first = g * GROUP;
+        scan_group(
+            dice,
+            swings,
+            order,
+            screens,
+            &mut |d, p, link| move_to(first + d, p, link),
+            &mut walk,
+        );
     }
 }
 
-/// Whether `p` dominates `q`: the same chain length, and at every stage
-/// a drive level at least `q`'s and a charging time constant at most
-/// `q`'s.
-fn dominates(p: &SrlrLink, q: &SrlrLink) -> bool {
-    let (p, q) = (p.chain().stages(), q.chain().stages());
-    p.len() == q.len()
-        && p.iter().zip(q).all(|(p, q)| {
-            p.drive_level.volts() >= q.drive_level.volts()
-                && p.charge_tau().seconds() <= q.charge_tau().seconds()
+/// [`sweep_with`] on at most [`GROUP`] dice, whose scans advance in
+/// lockstep: each round walks the next point of every die still
+/// scanning, as the lanes of one batched walk.
+fn scan_group(
+    dice: &mut [SrlrLink],
+    swings: &[Swing],
+    order: &mut [usize],
+    screens: &mut [Screen],
+    move_to: &mut dyn FnMut(usize, usize, &mut SrlrLink),
+    walk: &mut impl FnMut(&[Lane<'_>], &mut [SolitaryOne]),
+) {
+    let points = swings.len() / dice.len();
+    // Per die: whether dominance orders its points, and the position in
+    // its order of the next point to walk (`points` once it is done).
+    let (mut ordered, mut next) = ([false; GROUP], [0; GROUP]);
+    for (d, (swings, order)) in swings
+        .chunks(points)
+        .zip(order.chunks_mut(points))
+        .enumerate()
+    {
+        let stages = dice[d].chain().stages();
+        for (k, slot) in order.iter_mut().enumerate() {
+            *slot = k;
+        }
+        // Weakest first: by drive level, then by slower charging.
+        let charge_tau = |p: usize| swings[p].apply(&stages[0]).charge_tau().seconds();
+        order.sort_unstable_by(|&a, &b| {
+            let drive = (swings[a].drive_level.volts()).total_cmp(&swings[b].drive_level.volts());
+            drive.then_with(|| charge_tau(b).total_cmp(&charge_tau(a)))
+        });
+        ordered[d] = order
+            .windows(2)
+            .all(|pair| dominates(swings[pair[1]], swings[pair[0]], stages));
+    }
+    loop {
+        // This round's lanes: the next point of every die still scanning.
+        let mut lane_die = [0; GROUP];
+        let mut ones = [SolitaryOne::default(); GROUP];
+        let mut lanes = 0;
+        {
+            let mut round = [Lane::own(&dice[0]); GROUP];
+            for (d, link) in dice.iter().enumerate() {
+                if let Some(&p) = order[d * points..(d + 1) * points].get(next[d]) {
+                    round[lanes] = Lane {
+                        link,
+                        swing: Some(swings[d * points + p]),
+                    };
+                    lane_die[lanes] = d;
+                    lanes += 1;
+                }
+            }
+            if lanes == 0 {
+                return;
+            }
+            walk(&round[..lanes], &mut ones[..lanes]);
+        }
+        for (&d, one) in lane_die.iter().zip(&ones).take(lanes) {
+            let order = &order[d * points..(d + 1) * points];
+            let screens = &mut screens[d * points..(d + 1) * points];
+            let k = next[d];
+            next[d] += 1;
+            if !one.proven {
+                screens[order[k]] = refuted_unless(one.delivered);
+                continue;
+            }
+            // Proven, so the `1` is delivered. On an ordered die every
+            // point from here up is proven by the lemma, with no walk,
+            // and the scan ends; one round-0 memo serves them all, so
+            // each swing-invariant `decay` is evaluated once per die.
+            let proven = if ordered[d] {
+                next[d] = points;
+                &order[k..]
+            } else {
+                &order[k..=k]
+            };
+            let mut memo = RoundZero::default();
+            for &p in proven {
+                move_to(d, p, &mut dice[d]);
+                screens[p] = if zero_bit_clean(&dice[d], &mut memo) {
+                    Screen::Clean
+                } else {
+                    Screen::Undecided
+                };
+            }
+        }
+    }
+}
+
+/// Whether swing `p` dominates swing `q` on a die with these stages: a
+/// drive level at least `q`'s and, at every stage, a charging time
+/// constant at most `q`'s.
+fn dominates(p: Swing, q: Swing, stages: &[SrlrStage]) -> bool {
+    p.drive_level.volts() >= q.drive_level.volts()
+        && stages.iter().all(|stage| {
+            p.apply(stage).charge_tau().seconds() <= q.apply(stage).charge_tau().seconds()
         })
 }
 
@@ -687,10 +938,68 @@ mod tests {
             .iter()
             .map(|point| {
                 let mut link = base.clone();
-                link.retarget_from(tech, &var, &base, point);
+                link.retarget(tech, &var, point);
                 link
             })
             .collect()
+    }
+
+    /// [`sweep_with`] on dice given at every point (`dice[d][p]`), each
+    /// die's base being its last point's link: the verdicts, die-major.
+    fn sweep_of(
+        dice: &[Vec<SrlrLink>],
+        walk: impl FnMut(&[Lane<'_>], &mut [SolitaryOne]),
+    ) -> Vec<Screen> {
+        let points = dice[0].len();
+        let mut bases: Vec<SrlrLink> = dice.iter().map(|links| links[points - 1].clone()).collect();
+        let swings: Vec<Swing> = dice.iter().flatten().map(Swing::of).collect();
+        let mut order = vec![0; swings.len()];
+        let mut screens = vec![Screen::Undecided; swings.len()];
+        sweep_with(
+            &mut bases,
+            &swings,
+            &mut order,
+            &mut screens,
+            |d, p, link| link.clone_from(&dice[d][p]),
+            walk,
+        );
+        screens
+    }
+
+    #[test]
+    fn a_lane_at_a_swing_walks_like_the_retargeted_link() {
+        // The sweep's lanes read a die's base link with another point's
+        // swing in every stage. Each must walk bit for bit like the link
+        // retargeted to that point, whatever the group's size.
+        let tech = Technology::soi45();
+        let mc = MonteCarlo::new(&tech, 2013);
+        let mv: Vec<f64> = (0..8).map(|k| 300.0 + 40.0 * f64::from(k)).collect();
+        for design in [
+            SrlrDesign::paper_proposed(&tech),
+            SrlrDesign::straightforward(&tech),
+        ] {
+            for gbps in [3.0, 4.1, 5.8] {
+                let config = LinkConfig::paper_default()
+                    .with_data_rate(DataRate::from_gigabits_per_second(gbps));
+                for trial in 0..10 {
+                    let links = die_at_swings(&tech, &design, config, &mc, trial, &mv);
+                    let base = &links[links.len() - 1];
+                    for size in 1..=GROUP {
+                        let lanes: Vec<Lane<'_>> = links[..size]
+                            .iter()
+                            .map(|link| Lane {
+                                link: base,
+                                swing: Some(Swing::of(link)),
+                            })
+                            .collect();
+                        let mut out = [SolitaryOne::default(); GROUP];
+                        walk(&lanes, &mut out[..size]);
+                        let expected: Vec<_> = links[..size].iter().map(solitary_one).collect();
+                        assert_eq!(out[..size], expected[..], "{gbps} Gb/s, trial {trial}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -773,7 +1082,9 @@ mod tests {
         // Every die retargeted across a sweep is ordered by dominance, so
         // the screen walks each point that fails the 1-bit half once,
         // plus the weakest point that passes it, and nothing above. The
-        // verdicts still equal the per-point screen.
+        // verdicts still equal the per-point screen. Screened together,
+        // the 20 dice scan in lockstep groups of at most `GROUP` (the
+        // last one ragged) and take the same walks.
         let tech = Technology::soi45();
         let mc = MonteCarlo::new(&tech, 2013);
         let config = LinkConfig::paper_default();
@@ -783,29 +1094,35 @@ mod tests {
             SrlrDesign::straightforward(&tech),
         ] {
             for n in 1..=all_mv.len() {
-                for trial in 0..20 {
-                    let links = die_at_swings(&tech, &design, config, &mc, trial, &all_mv[..n]);
-                    let (mut order, mut screens) = (vec![0; n], vec![None; n]);
+                let dice: Vec<Vec<SrlrLink>> = (0..20)
+                    .map(|trial| die_at_swings(&tech, &design, config, &mc, trial, &all_mv[..n]))
+                    .collect();
+                let mut expected_walks = 0;
+                for (trial, links) in dice.iter().enumerate() {
                     let mut walked = Vec::new();
-                    sweep_with(
-                        &links,
-                        &mut order,
-                        |link| {
-                            let one = solitary_one(link);
-                            walked.push(one.proven);
-                            one
-                        },
-                        |p, verdict| screens[p] = Some(verdict),
-                    );
+                    let screens = sweep_of(std::slice::from_ref(links), |lanes, out| {
+                        walk(lanes, out);
+                        walked.extend(out.iter().map(|one| one.proven));
+                    });
                     let failing = links.iter().filter(|l| !one_bit_clean(l)).count();
-                    let mut expected_walks = vec![false; failing];
+                    let mut expected = vec![false; failing];
                     if failing < n {
-                        expected_walks.push(true);
+                        expected.push(true);
                     }
-                    assert_eq!(walked, expected_walks, "{n} points, trial {trial}");
-                    let expected: Vec<_> = links.iter().map(|l| Some(screen(l))).collect();
-                    assert_eq!(screens, expected, "{n} points, trial {trial}");
+                    assert_eq!(walked, expected, "{n} points, trial {trial}");
+                    expected_walks += expected.len();
+                    let per_point: Vec<_> = links.iter().map(screen).collect();
+                    assert_eq!(screens, per_point, "{n} points, trial {trial}");
                 }
+                let mut walks = 0;
+                let screens = sweep_of(&dice, |lanes, out| {
+                    assert!(lanes.len() <= GROUP);
+                    walk(lanes, out);
+                    walks += lanes.len();
+                });
+                assert_eq!(walks, expected_walks, "{n} points, 20 dice together");
+                let per_point: Vec<_> = dice.iter().flatten().map(screen).collect();
+                assert_eq!(screens, per_point, "{n} points, 20 dice together");
             }
         }
     }
@@ -813,8 +1130,8 @@ mod tests {
     #[test]
     fn unordered_points_fall_back_to_the_full_certificate() {
         // A point with more drive but slower charging than another is
-        // not comparable to it: no ordered scan, every point screened
-        // directly.
+        // not comparable to it: no ordered scan, every point walked and
+        // screened on its own.
         let tech = Technology::soi45();
         let mc = MonteCarlo::new(&tech, 2013);
         let design = SrlrDesign::paper_proposed(&tech);
@@ -826,19 +1143,13 @@ mod tests {
                 stage.charge_resistance = stage.charge_resistance * 4.0;
             }
             links[1] = SrlrLink::from_chain(chain, config);
-            let (mut order, mut screens) = ([0; 2], [None; 2]);
             let mut evaluations = 0;
-            sweep_with(
-                &links,
-                &mut order,
-                |link| {
-                    evaluations += 1;
-                    solitary_one(link)
-                },
-                |p, verdict| screens[p] = Some(verdict),
-            );
-            assert_eq!(evaluations, 0, "unordered points must not be scanned");
-            assert_eq!(screens, [Some(screen(&links[0])), Some(screen(&links[1]))]);
+            let screens = sweep_of(std::slice::from_ref(&links), |lanes, out| {
+                evaluations += lanes.len();
+                walk(lanes, out);
+            });
+            assert_eq!(evaluations, 2, "unordered points are each walked once");
+            assert_eq!(screens, [screen(&links[0]), screen(&links[1])]);
         }
     }
 

@@ -26,13 +26,13 @@
 //! # Examples
 //!
 //! ```
-//! use srlr_link::{LinkConfig, SrlrLink};
+//! use srlr_link::{BerTester, LinkConfig, SrlrLink};
 //! use srlr_tech::Technology;
 //! use srlr_units::DataRate;
 //!
 //! let tech = Technology::soi45();
 //! let link = SrlrLink::paper_test_chip(&tech);
-//! let report = link.ber_quick_check(10_000, 99);
+//! let report = BerTester::prbs15().run(&link, 10_000);
 //! assert_eq!(report.errors, 0, "nominal link must be error-free");
 //! # let _ = LinkConfig::paper_default();
 //! # let _ = DataRate::from_gigabits_per_second(4.1);

@@ -15,9 +15,7 @@
 //! that alone crosses a stage's sense threshold fires the self-resetting
 //! repeater spuriously (turning a transmitted `0` into a received `1`).
 
-use crate::ber::BerReport;
 use crate::metrics::LinkMetrics;
-use crate::prbs::Prbs;
 use srlr_core::{PulseState, SrlrChain, SrlrDesign, SwingPoint};
 use srlr_tech::{DieSampler, GlobalVariation, Technology};
 use srlr_units::{DataRate, Energy, TimeInterval, Voltage};
@@ -174,18 +172,15 @@ impl SrlrLink {
         &self.chain
     }
 
-    /// Makes this link `base`, built on die `var` for `point`'s design at
-    /// any swing, moved to `point`'s swing (see
-    /// [`SwingPoint::retarget_from`]), reusing this link's stage buffer.
-    pub(crate) fn retarget_from(
+    /// Moves this link, built on die `var` for `point`'s design at any
+    /// swing, to `point`'s swing in place (see [`SwingPoint::retarget`]).
+    pub(crate) fn retarget(
         &mut self,
         tech: &Technology,
         var: &GlobalVariation,
-        base: &SrlrLink,
         point: &SwingPoint,
     ) {
-        point.retarget_from(tech, var, &base.chain, &mut self.chain);
-        self.config = base.config;
+        point.retarget(tech, var, &mut self.chain);
     }
 
     /// The link configuration.
@@ -341,30 +336,6 @@ impl SrlrLink {
         crate::certify::robustly_clean(self)
     }
 
-    /// Convenience BER smoke test: transmits `bits` PRBS-7 bits seeded with
-    /// `seed` and reports the error count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero.
-    pub fn ber_quick_check(&self, bits: usize, seed: u32) -> BerReport {
-        assert!(bits > 0, "need at least one bit");
-        let mut gen = Prbs::prbs7_with_seed(seed % 127 + 1);
-        let tx = gen.take_bits(bits);
-        let outcome = self.transmit(&tx);
-        let errors = tx
-            .iter()
-            .zip(&outcome.received)
-            .filter(|(a, b)| a != b)
-            .count();
-        BerReport {
-            bits,
-            errors,
-            energy: outcome.energy,
-            data_rate: self.config.data_rate,
-        }
-    }
-
     /// Headline metrics of this link at its configured rate, assuming
     /// PRBS traffic (ones density ½).
     pub fn metrics(&self) -> LinkMetrics {
@@ -375,6 +346,8 @@ impl SrlrLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ber::BerTester;
+    use crate::prbs::Prbs;
     use srlr_tech::MonteCarlo;
 
     fn link() -> SrlrLink {
@@ -400,7 +373,7 @@ mod tests {
 
     #[test]
     fn prbs_is_error_free_nominally() {
-        let report = link().ber_quick_check(20_000, 7);
+        let report = BerTester::new(Prbs::prbs7_with_seed(8)).run(&link(), 20_000);
         assert_eq!(report.errors, 0, "nominal BER check failed: {report:?}");
     }
 
@@ -464,7 +437,7 @@ mod tests {
             LinkConfig::paper_default().with_data_rate(DataRate::from_gigabits_per_second(12.0)),
             &GlobalVariation::nominal(),
         );
-        let report = l.ber_quick_check(2_000, 3);
+        let report = BerTester::new(Prbs::prbs7_with_seed(4)).run(&l, 2_000);
         assert!(
             report.errors > 0,
             "12 Gb/s should be beyond the link's limit"

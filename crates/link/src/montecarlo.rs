@@ -18,11 +18,13 @@
 //!
 //! Trials are evaluated in batches of about [`McExperiment::batch_width`]
 //! dice. A sweep is batched trial-major: each die is elaborated once, in
-//! place into the batch's reused per-swing links
+//! place into a link its worker reuses
 //! ([`srlr_core::SwingPoint::instantiate_with_mismatch_into`]), and
-//! retargeted to every swing ([`srlr_core::SwingPoint::retarget`]).
-//! The die's whole sweep is then screened three ways at once
-//! ([`crate::certify::sweep_screen`]):
+//! moved in place to every other swing
+//! ([`srlr_core::SwingPoint::retarget`]) only to read the two fields the
+//! screen needs there ([`crate::certify::Swing`]). The sweeps of up to
+//! eight dice are then screened three ways at once, their scans in
+//! lockstep ([`crate::certify::sweep_screens`]):
 //!
 //! * **clean** — the conservative certificate proves the link transmits
 //!   every pattern. Its 1-bit half only gets easier as the swing rises
@@ -46,13 +48,13 @@
 //! every batch width and thread count, which the crate's identity tests
 //! assert against exactly that per-die oracle.
 
-use crate::certify::{self, Screen};
+use crate::certify::{self, Screen, Swing};
 use crate::link::{LinkConfig, SrlrLink};
 use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
 use srlr_core::{SrlrDesign, SwingPoint};
 use srlr_tech::montecarlo::ErrorProbability;
-use srlr_tech::{MonteCarlo, Technology};
+use srlr_tech::{GlobalVariation, MonteCarlo, Technology};
 use srlr_telemetry::{index_key, Obs, Profiler, Value};
 use srlr_units::Voltage;
 use std::ops::Range;
@@ -65,6 +67,31 @@ const WORST_PATTERNS: [&[bool]; 3] = [
     &[true, true, true, true, false, true, true, true, true, false],
     &[true; 16],
 ];
+
+/// One worker's screen state, reused from group to group and item to
+/// item: the group's dice, and each die's swing, scan order and verdict
+/// at every sweep point (die-major).
+struct ScreenScratch {
+    /// Up to [`certify::GROUP`] links, one per die of a group, each
+    /// re-elaborated in place for the next group.
+    dice: Vec<SrlrLink>,
+    swings: Vec<Swing>,
+    order: Vec<usize>,
+    screens: Vec<Screen>,
+}
+
+impl ScreenScratch {
+    /// Scratch for a sweep over `points` swing points.
+    fn new(points: usize) -> Self {
+        let per_group = certify::GROUP * points;
+        Self {
+            dice: Vec::with_capacity(certify::GROUP),
+            swings: vec![Swing::default(); per_group],
+            order: vec![0; per_group],
+            screens: vec![Screen::Undecided; per_group],
+        }
+    }
+}
 
 /// The Monte Carlo link-failure experiment.
 #[derive(Debug, Clone)]
@@ -162,7 +189,8 @@ impl<'a> McExperiment<'a> {
     /// `batch_width / points.len()` consecutive trials (at least one) and
     /// evaluates each die at every point, so a die is sampled and
     /// elaborated once per sweep rather than once per swing. Each worker
-    /// profiles its item into a [`Profiler::child`] and ticks
+    /// takes a contiguous run of items with one [`ScreenScratch`], and
+    /// profiles each item into a [`Profiler::child`] and ticks
     /// `obs.progress` once per verdict; the calling thread merges the
     /// profiles in item order. The verdicts are the same at any thread
     /// count and batch width.
@@ -170,19 +198,30 @@ impl<'a> McExperiment<'a> {
         let mc = MonteCarlo::new(self.tech, self.seed);
         let threads = srlr_parallel::resolve_threads(self.threads);
         let per_item = (self.batch_width / points.len().max(1)).max(1);
+        let items = self.runs.div_ceil(per_item);
+        // One contiguous run of items per worker, as the pool would split
+        // them, so each worker sizes its scratch once.
+        let workers = threads.min(items).max(1);
+        let per_worker = items.div_ceil(workers);
         let (progress, profiler) = (&obs.progress, &obs.profiler);
-        let items = srlr_parallel::par_map_indexed(self.runs.div_ceil(per_item), threads, |b| {
-            let first = b * per_item;
-            let trials = first..self.runs.min(first + per_item);
-            let mut prof = profiler.child();
-            let passes = self.eval_batch(points, &mc, trials, &mut prof);
-            for _ in &passes {
-                progress.tick();
-            }
-            (passes, prof)
+        let runs = srlr_parallel::par_map_indexed(workers, threads, |w| {
+            let mut scratch = ScreenScratch::new(points.len());
+            let first_item = w * per_worker;
+            (first_item..items.min(first_item + per_worker))
+                .map(|b| {
+                    let first = b * per_item;
+                    let trials = first..self.runs.min(first + per_item);
+                    let mut prof = profiler.child();
+                    let passes = self.eval_batch(points, &mc, trials, &mut scratch, &mut prof);
+                    for _ in &passes {
+                        progress.tick();
+                    }
+                    (passes, prof)
+                })
+                .collect::<Vec<_>>()
         });
         let mut passes = vec![false; points.len() * self.runs];
-        for (b, (item, prof)) in items.into_iter().enumerate() {
+        for (b, (item, prof)) in runs.into_iter().flatten().enumerate() {
             obs.profiler.merge(prof);
             // Item `b` holds trials `b * per_item..` in trial-major order.
             for (j, pass) in item.into_iter().enumerate() {
@@ -195,17 +234,18 @@ impl<'a> McExperiment<'a> {
 
     /// Evaluates `trials` at every sweep point as one batch, returning
     /// the verdicts trial-major (index `(trial - trials.start) *
-    /// points.len() + point`): elaborate each die once and retarget it to
-    /// every point, screen the die's sweep three ways, then advance the
-    /// undecided (die, point) pairs in lockstep through the stress
-    /// patterns.
+    /// points.len() + point`). The dice are taken [`certify::GROUP`] at a
+    /// time: elaborate each die once, read its swing at every point,
+    /// screen the group's sweeps three ways with their scans in lockstep,
+    /// and set the undecided (die, point) pairs aside. Those then advance
+    /// in lockstep through the stress patterns.
     ///
     /// Profiling lands in `prof` (free when disabled): an `mc.batch`
     /// frame wrapping one `elaborate` frame per die (sampling, the
-    /// elaboration and the retargets) and one `certify` frame per die,
-    /// with `cert_hit`/`cert_miss` tallies per (die, point) (batch
-    /// occupancy = misses per batch), and a `kernel` frame. Its
-    /// `bit_slot`/`lane_kill` children record the refuted pairs (one
+    /// elaboration and the swing at every point) and one `certify` frame
+    /// per group of dice, with `cert_hit`/`cert_miss` tallies per (die,
+    /// point) (batch occupancy = misses per batch), and a `kernel` frame.
+    /// Its `bit_slot`/`lane_kill` children record the refuted pairs (one
     /// `lane_kill` each) and come from the lockstep harness for the
     /// undecided ones. The timing sink is exempt from the
     /// telemetry-byte-identity contract: its batch frames depend on the
@@ -215,53 +255,72 @@ impl<'a> McExperiment<'a> {
         points: &[SwingPoint],
         mc: &MonteCarlo,
         trials: Range<usize>,
+        scratch: &mut ScreenScratch,
         prof: &mut Profiler,
     ) -> Vec<bool> {
         let first = trials.start;
-        let mut pass = vec![false; trials.len() * points.len()];
+        let n = points.len();
+        let mut pass = vec![false; trials.len() * n];
         let Some((last, others)) = points.split_last() else {
             return pass;
         };
         prof.enter("mc.batch");
-        // One link per sweep point, reused from die to die: the last
-        // point's is re-elaborated in place and each die is written from
-        // it into the others, retargeted; an undecided one is copied into
-        // the lockstep set. `order` and `screens` are the screen's scratch.
-        let mut at_point: Vec<SrlrLink> = Vec::with_capacity(points.len());
-        let mut order = vec![0; points.len()];
-        let mut screens = vec![Screen::Undecided; points.len()];
         let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
         let mut refuted = 0;
-        for (t, trial) in trials.enumerate() {
-            prof.enter("elaborate");
-            let mut die = mc.die(trial as u64);
-            let var = die.global_variation();
-            match at_point.last_mut() {
-                Some(base) => base.reelaborate(self.tech, &var, last, &mut die),
-                None => {
-                    let chain = last.instantiate_with_mismatch(
-                        self.tech,
-                        &var,
-                        self.config.stages,
-                        &mut die,
-                    );
-                    at_point.resize(points.len(), SrlrLink::from_chain(chain, self.config));
+        let mut vars = [GlobalVariation::nominal(); certify::GROUP];
+        for group_start in trials.clone().step_by(certify::GROUP) {
+            let group = group_start..trials.end.min(group_start + certify::GROUP);
+            for (d, trial) in group.clone().enumerate() {
+                prof.enter("elaborate");
+                let mut die = mc.die(trial as u64);
+                let var = die.global_variation();
+                vars[d] = var;
+                // Each die is elaborated at the last point, into a link
+                // reused from group to group, and moved in place to every
+                // other point to read its swing there.
+                let base = match scratch.dice.get_mut(d) {
+                    Some(base) => {
+                        base.reelaborate(self.tech, &var, last, &mut die);
+                        base
+                    }
+                    None => {
+                        let chain = last.instantiate_with_mismatch(
+                            self.tech,
+                            &var,
+                            self.config.stages,
+                            &mut die,
+                        );
+                        // srlr-lint: allow(alloc-in-hot-path, reason = "fills the worker's reused dice; it grows only on a worker's first group")
+                        scratch.dice.push(SrlrLink::from_chain(chain, self.config));
+                        &mut scratch.dice[d]
+                    }
+                };
+                let swings = &mut scratch.swings[d * n..(d + 1) * n];
+                swings[n - 1] = Swing::of(base);
+                for (swing, point) in swings.iter_mut().zip(others) {
+                    base.retarget(self.tech, &var, point);
+                    *swing = Swing::of(base);
                 }
+                prof.exit();
             }
-            if let Some((base, retargeted)) = at_point.split_last_mut() {
-                for (link, point) in retargeted.iter_mut().zip(others) {
-                    link.retarget_from(self.tech, &var, base, point);
-                }
-            }
-            prof.exit();
+            let dice = group.len();
+            let mut move_to = |d: usize, p: usize, link: &mut SrlrLink| {
+                link.retarget(self.tech, &vars[d], &points[p]);
+            };
             prof.enter("certify");
-            certify::sweep_screen(&at_point, &mut order, &mut screens);
+            certify::sweep_screens(
+                &mut scratch.dice[..dice],
+                &scratch.swings[..dice * n],
+                &mut scratch.order,
+                &mut scratch.screens,
+                &mut move_to,
+            );
             prof.exit();
-            let first_j = t * points.len();
-            for (p, (link, &verdict)) in at_point.iter().zip(&screens).enumerate() {
+            let first_j = (group.start - first) * n;
+            for (j, &verdict) in scratch.screens[..dice * n].iter().enumerate() {
                 match verdict {
                     Screen::Clean => {
-                        pass[first_j + p] = true;
+                        pass[first_j + j] = true;
                         prof.count("cert_hit");
                     }
                     Screen::Refuted => {
@@ -270,7 +329,9 @@ impl<'a> McExperiment<'a> {
                     }
                     Screen::Undecided => {
                         prof.count("cert_miss");
-                        lanes.push((first_j + p, link.clone()));
+                        let link = &mut scratch.dice[j / n];
+                        move_to(j / n, j % n, link);
+                        lanes.push((first_j + j, link.clone()));
                     }
                 }
             }
@@ -714,12 +775,13 @@ mod tests {
                 .sum()
         };
         assert_eq!(count_of("cert_hit") + count_of("cert_miss"), 120);
-        assert_eq!(count_of("certify"), 60, "one certificate per die per sweep");
+        // Batch width 32 over two sweep points: 16 dice per batch, so the
+        // 60 dice split into 4 batches, screened in lockstep groups of 8
+        // (the last batch's 12 dice in a group of 8 and one of 4).
+        assert_eq!(count_of("certify"), 8, "one certificate frame per group");
         assert_eq!(count_of("elaborate"), 60, "one elaboration per die");
         // Kill-on-first-error retires every failing lane exactly once.
         assert!(count_of("lane_kill") <= count_of("cert_miss"));
-        // Batch width 32 over two sweep points: 16 dice per batch, so
-        // the 60 dice split into 4 batches.
         assert_eq!(count_of("mc.batch"), 4);
     }
 

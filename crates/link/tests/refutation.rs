@@ -16,7 +16,7 @@
 )]
 
 use srlr_core::{DieBatch, SrlrChain, SrlrDesign, SrlrStage, SwingPoint};
-use srlr_link::certify::{one_bit_clean, screen, solitary_one, sweep_screen, Screen};
+use srlr_link::certify::{one_bit_clean, screen, solitary_one, sweep_screens, Screen, Swing};
 use srlr_link::{LinkConfig, Prbs, SrlrLink};
 use srlr_tech::{MonteCarlo, Technology};
 use srlr_units::{DataRate, Resistance, TimeInterval, Voltage};
@@ -124,6 +124,33 @@ fn for_each_die(mut f: impl FnMut(u64, u64, &[SrlrLink])) {
     }
 }
 
+/// `links` as the sweep screen sees them: each with its swing
+/// (`Swing::of`, read from its first stage) written into every stage.
+fn as_sweep(links: &[SrlrLink]) -> Vec<SrlrLink> {
+    links
+        .iter()
+        .map(|link| {
+            let swing = Swing::of(link);
+            let mut chain = link.chain().clone();
+            for stage in chain.stages_mut() {
+                stage.drive_level = swing.drive_level;
+                stage.charge_resistance = swing.charge_resistance;
+            }
+            SrlrLink::from_chain(chain, link.config())
+        })
+        .collect()
+}
+
+/// `sweep_screens` of one die given at every point: its base is the last
+/// point's link, and a whole link at point `p` is `links[p]`.
+fn sweep_screen(links: &[SrlrLink], order: &mut [usize], swept: &mut [Screen]) {
+    let mut base = [links.last().expect("at least one point").clone()];
+    let swings: Vec<Swing> = links.iter().map(Swing::of).collect();
+    sweep_screens(&mut base, &swings, order, swept, |_, p, link| {
+        link.clone_from(&links[p]);
+    });
+}
+
 #[test]
 fn one_walk_proves_and_exactly_refutes_every_pair() {
     let (mut pairs, mut refuted, mut clean) = (0, 0, 0);
@@ -131,6 +158,7 @@ fn one_walk_proves_and_exactly_refutes_every_pair() {
     let mut swept = vec![Screen::Undecided; 15];
     let mut slot_0 = vec![false; 15];
     for_each_die(|seed, trial, links| {
+        assert_eq!(as_sweep(links), links, "a retarget moves only the swing");
         sweep_screen(links, &mut order, &mut swept);
         let mut batch = DieBatch::new(links[0].chain().len(), links.len());
         for (lane, link) in links.iter().enumerate() {
@@ -258,14 +286,20 @@ fn zero_bit_oracle(link: &SrlrLink) -> bool {
     true
 }
 
-/// Asserts that `sweep_screen` and `screen` call each link `Clean`
-/// exactly when the 1-bit half proves it and the unmemoized 0-bit half
-/// clears it.
+/// Asserts that `screen` calls each link `Clean`, and the sweep screen
+/// each point of the die, exactly when the 1-bit half proves it and the
+/// unmemoized 0-bit half clears it. The sweep screens the links as it
+/// sees them (`as_sweep`): those are `links` themselves unless a nudge
+/// moved a swing field at one stage only, which no sweep point does.
 fn assert_memo_matches_oracle(links: &[SrlrLink], order: &mut [usize], swept: &mut [Screen]) {
-    sweep_screen(links, order, swept);
-    for (p, (link, &swept)) in links.iter().zip(swept.iter()).enumerate() {
-        let clean = solitary_one(link).proven && zero_bit_oracle(link);
+    let at_points = as_sweep(links);
+    sweep_screen(&at_points, order, swept);
+    for (p, ((link, at_point), &swept)) in
+        links.iter().zip(&at_points).zip(swept.iter()).enumerate()
+    {
+        let clean = solitary_one(at_point).proven && zero_bit_oracle(at_point);
         assert_eq!(swept == Screen::Clean, clean, "sweep screen, point {p}");
+        let clean = solitary_one(link).proven && zero_bit_oracle(link);
         assert_eq!(screen(link) == Screen::Clean, clean, "screen, point {p}");
     }
 }

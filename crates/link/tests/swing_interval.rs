@@ -1,7 +1,7 @@
 //! The swing-interval certificate: a Monte Carlo sweep screens each
-//! die at every swing at once (`srlr_link::certify::sweep_screen`),
-//! bisecting the certificate's 1-bit half along the swing-dominance
-//! order instead of screening every point on its own.
+//! die at every swing at once (`srlr_link::certify::sweep_screens`),
+//! scanning the certificate's 1-bit half up the swing-dominance order
+//! instead of screening every point on its own.
 //!
 //! The grid is the roadmap probe's: 1000 dice × both Fig. 6 designs ×
 //! 4.1 and 5.0 Gb/s × 41 swings from 300 to 600 mV. Each die is
@@ -13,7 +13,7 @@
 )]
 
 use srlr_core::{SrlrDesign, SwingPoint};
-use srlr_link::certify::{one_bit_clean, screen, sweep_screen, Screen};
+use srlr_link::certify::{one_bit_clean, screen, sweep_screens, Screen, Swing};
 use srlr_link::{LinkConfig, McExperiment, SrlrLink};
 use srlr_tech::{MonteCarlo, Technology};
 use srlr_units::{DataRate, Voltage};
@@ -75,10 +75,10 @@ fn for_each_die(mut f: impl FnMut(&[SrlrLink])) {
 
 #[test]
 fn one_bit_half_is_upward_closed_in_swing_dominance() {
-    // The lemma behind the bisection: no point that fails the 1-bit
+    // The lemma behind the ordered scan: no point that fails the 1-bit
     // half dominates a point that passes it. Checked pairwise. The
     // sweep's points must also be totally ordered by dominance, or the
-    // bisection would never run.
+    // scan would never run.
     let mut dice = 0;
     for_each_die(|links| {
         dice += 1;
@@ -106,7 +106,13 @@ fn sweep_verdicts_equal_the_per_point_certificate() {
     let (mut order, mut swept) = (vec![0; 41], vec![Screen::Undecided; 41]);
     let (mut clean, mut refuted) = (0, 0);
     for_each_die(|links| {
-        sweep_screen(links, &mut order, &mut swept);
+        // The die's base is its last point's link; the screen builds a
+        // whole link only for the 0-bit half.
+        let mut base = [links[40].clone()];
+        let swings: Vec<Swing> = links.iter().map(Swing::of).collect();
+        sweep_screens(&mut base, &swings, &mut order, &mut swept, |_, p, link| {
+            link.clone_from(&links[p]);
+        });
         let expected: Vec<Screen> = links.iter().map(screen).collect();
         assert_eq!(swept, expected);
         clean += expected.iter().filter(|&&v| v == Screen::Clean).count();
